@@ -18,10 +18,9 @@ from pathlib import Path
 
 import numpy as np
 import scipy.io
-import scipy.sparse as sp
 
 from .errors import StructuralError
-from .system import DoubleSaddleSystem
+from .system import DoubleSaddleSystem, _dense
 
 SCHEMA_VERSION = 1
 BLOCK_NAMES = ("A", "B", "C", "D", "E")
@@ -79,12 +78,8 @@ def load_manifest(path: str | Path) -> DoubleSaddleSystem:
         if fmt == "inline":
             loaded[key] = np.asarray(blocks[key], dtype=float)
         elif fmt == "matrix-market":
-            block = scipy.io.mmread(path.parent / blocks[key])
-            loaded[key] = (
-                np.asarray(block.todense(), dtype=float)
-                if sp.issparse(block)
-                else np.asarray(block, dtype=float)
-            )
+            # sparse reads are made dense by DoubleSaddleSystem
+            loaded[key] = scipy.io.mmread(path.parent / blocks[key])
         else:
             raise StructuralError(f"unknown manifest format {fmt!r}")
 
@@ -109,13 +104,8 @@ def load_spd_blocks(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarra
     entries = manifest.get("blocks")
     if not isinstance(entries, list) or len(entries) != 3:
         raise StructuralError("preconditioner manifest needs exactly 3 blocks")
-    out = []
-    for entry in entries:
-        if isinstance(entry, str):
-            block = scipy.io.mmread(path.parent / entry)
-            if sp.issparse(block):
-                block = block.todense()
-            out.append(np.asarray(block, dtype=float))
-        else:
-            out.append(np.asarray(entry, dtype=float))
+    out = [
+        _dense(scipy.io.mmread(path.parent / entry) if isinstance(entry, str) else entry)
+        for entry in entries
+    ]
     return out[0], out[1], out[2]

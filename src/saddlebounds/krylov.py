@@ -49,7 +49,8 @@ def minres(
     one is detected through a negative inner product and rejected.
     Convergence is declared when the preconditioned residual norm drops
     below ``rtol`` times that of the right-hand side.  The zero start vector
-    makes runs deterministic for fixed inputs.
+    makes runs deterministic for fixed inputs.  A non-finite Lanczos
+    coefficient stops the run with ``breakdown="non-finite"``.
     """
     b = np.asarray(rhs, dtype=float)
     if not np.all(np.isfinite(b)):
@@ -76,6 +77,8 @@ def minres(
         raise DefinitenessError("preconditioner is not positive definite")
     beta1 = math.sqrt(beta1_sq)
     history = [beta1]
+    if not math.isfinite(beta1):
+        return SolveResult(x, tuple(history), 0, False, "non-finite")
     if beta1 == 0.0:
         return SolveResult(x, tuple(history), 0, True)
 
@@ -105,12 +108,18 @@ def minres(
         if itn >= 2:
             y = y - (beta / oldb) * r1
         alfa = float(v @ y)
+        if not math.isfinite(alfa):
+            breakdown = "non-finite"
+            break
         y = y - (alfa / beta) * r2
         r1 = r2
         r2 = y
         y = psolve(r2)
         oldb = beta
         beta_sq = float(r2 @ y)
+        if not math.isfinite(beta_sq):
+            breakdown = "non-finite"
+            break
         if beta_sq < 0.0:
             raise DefinitenessError("preconditioner is not positive definite")
         beta = math.sqrt(beta_sq)

@@ -4,6 +4,10 @@ The exact preconditioner stacks the leading block with the two nested Schur
 complements.  Approximate variants replace individual blocks by cheaper
 spectrally equivalent matrices; every admissible block is an explicit SPD
 matrix at desk scale so that equivalence constants stay measurable.
+
+The dense split-preconditioned matrix is the Cholesky congruence U^-T K U^-1,
+U = diag(U_i) with P_i = U_i^T U_i: isospectral to P^-1 K, but for
+non-diagonal blocks its entries differ from the form P^-1/2 K P^-1/2.
 """
 
 from __future__ import annotations
@@ -22,10 +26,8 @@ from .errors import (
     ParameterError,
     StrategyMismatchError,
 )
-from .spectral import ORACLE_CUTOFF, schur_complements
-from .system import DoubleSaddleSystem, assemble, _sym
-
-EIG_FLOOR = 1e-14
+from .spectral import ORACLE_CUTOFF, _regularization_ratio, schur_complements
+from .system import DoubleSaddleSystem, _sym
 
 _BLOCK_LABELS = ("leading", "first-schur", "second-schur")
 
@@ -64,8 +66,7 @@ class PoissonControlContext:
         """
         cho_m = sla.cho_factor(_sym(self.mass))
         gram = _sym(self.stiffness @ sla.cho_solve(cho_m, self.stiffness))
-        vals = sla.eigh(_sym(self.mass), gram, eigvals_only=True)
-        return self.beta * float(vals[-1])
+        return self.beta * _regularization_ratio(self.mass, gram)
 
     def assumed_constants(self) -> tuple[float, float]:
         """Equivalence interval guaranteed for the square-completion block."""
@@ -100,8 +101,8 @@ class PreconditionerOperator:
 
 @dataclass(frozen=True)
 class SplitPreconditioned:
-    """Dense symmetric congruence of the system by the inverse square root
-    of a block-diagonal preconditioner; shares its spectrum with the
+    """Dense symmetric congruence of the system by the inverse Cholesky
+    factor of a block-diagonal preconditioner; shares its spectrum with the
     left-preconditioned operator."""
 
     matrix: np.ndarray
@@ -135,15 +136,7 @@ def _factor(block: np.ndarray, label: str):
 
 def build_exact(system: DoubleSaddleSystem) -> PreconditionerOperator:
     """Exact preconditioner: the leading block and both Schur complements."""
-    pair = schur_complements(system)
-    blocks = (_sym(system.A), pair.s1, pair.s2)
-    factors = tuple(_factor(b, lbl) for b, lbl in zip(blocks, _BLOCK_LABELS))
-    return PreconditionerOperator(
-        blocks=blocks,
-        strategy=("exact", "exact", "exact"),
-        dims=system.dims,
-        _factors=factors,
-    )
+    return build_approx(system, ("exact", "exact", "exact"))
 
 
 def build_approx(
@@ -155,59 +148,80 @@ def build_approx(
     """Assemble a preconditioner from per-block strategy names.
 
     Recognized strategies: ``exact``, ``jacobi`` (diagonal of the exact
-    block), ``scaled:<t>`` (the exact block times t > 0), ``pearson-wathen``
-    (square-completion tail block; needs distributed-control structure),
-    ``drop-term`` (tail regularization block alone; needs it SPD), and
-    ``user`` (matrix taken from ``user_blocks``).
+    block), ``scaled:<t>`` (the exact block times finite t > 0),
+    ``pearson-wathen`` (square-completion tail block; needs
+    distributed-control structure), ``drop-term`` (tail regularization block
+    alone; needs it SPD), and ``user`` (matrix taken from ``user_blocks``).
+    Exact leading and first-Schur blocks reuse the Schur pair's factors.
     """
     if len(strategies) != 3:
         raise ParameterError("need exactly three per-block strategies")
     pair = schur_complements(system)
     exact_blocks = (_sym(system.A), pair.s1, pair.s2)
-
-    blocks = []
-    for idx, strat in enumerate(strategies):
-        exact = exact_blocks[idx]
-        if strat == "exact":
-            blocks.append(exact)
-        elif strat == "jacobi":
-            blocks.append(np.diag(np.diag(exact)))
-        elif strat.startswith("scaled:"):
-            factor = float(strat.split(":", 1)[1])
-            if factor <= 0:
-                raise ParameterError(f"scale factor must be positive, got {factor}")
-            blocks.append(factor * exact)
-        elif strat == "pearson-wathen":
-            if idx != 2:
-                raise StrategyMismatchError(
-                    "the square-completion strategy only applies to the tail block"
-                )
-            if context is None:
-                raise StrategyMismatchError(
-                    "pearson-wathen needs the (mass, stiffness, beta) structure of a "
-                    "distributed control problem"
-                )
-            blocks.append(context.square_completion_block())
-        elif strat == "drop-term":
-            if idx != 2:
-                raise StrategyMismatchError(
-                    "the drop-term strategy only applies to the tail block"
-                )
-            blocks.append(_sym(system.E))
-        elif strat == "user":
-            if user_blocks is None or user_blocks[idx] is None:
-                raise ParameterError(f"no user block supplied for position {idx}")
-            blocks.append(_sym(np.asarray(user_blocks[idx], dtype=float)))
-        else:
-            raise ParameterError(f"unknown strategy {strat!r}")
-
-    factors = tuple(_factor(b, lbl) for b, lbl in zip(blocks, _BLOCK_LABELS))
+    # exact positions reuse the pair's factors; the Grams and the rest go now
+    reused = [f if s == "exact" else None
+              for f, s in zip((pair.cho_a, pair.cho_1, None), strategies)]
+    del pair
+    blocks = tuple(_approx_block(system, i, s, exact_blocks[i], context, user_blocks)
+                   for i, s in enumerate(strategies))
+    del exact_blocks
+    factors = tuple(f if f is not None else _factor(b, lbl)
+                    for f, b, lbl in zip(reused, blocks, _BLOCK_LABELS))
     return PreconditionerOperator(
-        blocks=tuple(blocks),
+        blocks=blocks,
         strategy=tuple(strategies),
         dims=system.dims,
         _factors=factors,
     )
+
+
+def _approx_block(system, idx, strat, exact, context, user_blocks) -> np.ndarray:
+    """The block one strategy puts at position ``idx``."""
+    if strat == "exact":
+        return exact
+    if strat == "jacobi":
+        return np.diag(np.diag(exact))
+    if strat.startswith("scaled:"):
+        return _scale_factor(strat) * exact
+    if strat in ("pearson-wathen", "drop-term") and idx != 2:
+        raise StrategyMismatchError(f"the {strat} strategy only applies to the tail block")
+    if strat == "pearson-wathen":
+        if context is None:
+            raise StrategyMismatchError(
+                "pearson-wathen needs the (mass, stiffness, beta) structure of a "
+                "distributed control problem"
+            )
+        return context.square_completion_block()
+    if strat == "drop-term":
+        return _sym(system.E)
+    if strat == "user":
+        if user_blocks is None or user_blocks[idx] is None:
+            raise ParameterError(f"no user block supplied for position {idx}")
+        return _sym(np.asarray(user_blocks[idx], dtype=float))
+    raise ParameterError(f"unknown strategy {strat!r}")
+
+
+def _scale_factor(strat: str) -> float:
+    try:
+        factor = float(strat.split(":", 1)[1])
+    except ValueError:
+        factor = math.nan
+    if not (math.isfinite(factor) and factor > 0):
+        raise ParameterError(f"scale factor must be finite and positive in {strat!r}")
+    return factor
+
+
+def strategy_tuple(name: str) -> tuple[str, str, str]:
+    """Per-block strategies (leading, first Schur, second Schur) for a
+    preconditioner name, checked without touching any matrix."""
+    if name in ("exact", "jacobi", "user"):
+        return (name, name, name)
+    if name.startswith("scaled:"):
+        _scale_factor(name)
+        return (name, name, name)
+    if name in ("pearson-wathen", "drop-term"):
+        return ("exact", "exact", name)
+    raise ParameterError(f"unknown preconditioner strategy {name!r}")
 
 
 def from_blocks(
@@ -229,11 +243,10 @@ def apply_inverse(op: PreconditionerOperator, vector: np.ndarray) -> np.ndarray:
     return op.apply_inverse(vector)
 
 
-def _inverse_sqrt(block: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(_sym(block))
-    floor = EIG_FLOOR * max(float(vals[-1]), np.finfo(float).tiny)
-    vals = np.maximum(vals, floor)
-    return _sym((vecs / np.sqrt(vals)) @ vecs.T)
+def _congruence(left, block: np.ndarray, right) -> np.ndarray:
+    """U_l^-T block U_r^-1 for two upper ``cho_factor`` results."""
+    half = sla.solve_triangular(left[0], block, trans=1)
+    return sla.solve_triangular(right[0], half.T, trans=1, overwrite_b=True).T
 
 
 def split_preconditioned_matrix(
@@ -241,21 +254,31 @@ def split_preconditioned_matrix(
     op: PreconditionerOperator,
     oracle_cutoff: int = ORACLE_CUTOFF,
 ) -> SplitPreconditioned:
-    """Form the dense symmetric split-preconditioned matrix.
+    """Form the dense split-preconditioned matrix as the Cholesky congruence
+    U^-T K U^-1, U = diag(U_i) from the operator's factors P_i = U_i^T U_i.
 
-    Inverse square roots come from per-block symmetric eigendecompositions
-    with an eigenvalue floor guarding round-off.  The result is congruent to
-    the system matrix and isospectral to the left-preconditioned operator.
+    Each nonzero block of K costs one pair of triangular solves.  The result
+    is exactly symmetric and isospectral to P^-1 K; for non-diagonal blocks
+    its entries differ from those of the symmetric-root form P^-1/2 K P^-1/2.
     """
     total = system.total
     if total > oracle_cutoff:
         raise OracleSizeError(
             f"split matrix refused for dimension {total} > cutoff {oracle_cutoff}"
         )
-    roots = [_inverse_sqrt(b) for b in op.blocks]
-    w = sla.block_diag(*roots)
-    k = assemble(system, "standard").data
-    return SplitPreconditioned(matrix=_sym(w @ k @ w))
+    n, m, _ = system.dims
+    f0, f1, f2 = op._factors
+    i0, i1, i2 = slice(0, n), slice(n, n + m), slice(n + m, total)
+    out = np.zeros((total, total))
+    out[i0, i0] = _sym(_congruence(f0, system.A, f0))
+    out[i1, i0] = _congruence(f1, system.B, f0)
+    if system.D.any():
+        out[i1, i1] = -_sym(_congruence(f1, system.D, f1))
+    out[i2, i1] = _congruence(f2, system.C, f1)
+    out[i2, i2] = _sym(_congruence(f2, system.E, f2))
+    out[i0, i1] = out[i1, i0].T
+    out[i1, i2] = out[i2, i1].T
+    return SplitPreconditioned(matrix=out)
 
 
 def equivalence_constants(
@@ -275,10 +298,9 @@ def equivalence_constants(
             f"shape mismatch: {exact.shape} vs {approx.shape}"
         )
     try:
-        sla.cho_factor(approx)
+        vals = sla.eigh(exact, approx, eigvals_only=True)
     except sla.LinAlgError as exc:
         raise DefinitenessError("approximation block is not positive definite") from exc
-    vals = sla.eigh(exact, approx, eigvals_only=True)
     raw = Interval(float(vals[0]), float(vals[-1]))
     if raw.lo <= 0:
         raise DefinitenessError("exact block is not positive definite")

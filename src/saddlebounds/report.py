@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -33,12 +33,12 @@ from .precond import (
     equivalence_constants,
     from_blocks,
     split_preconditioned_matrix,
+    strategy_tuple,
 )
 from .spectral import (
     ORACLE_CUTOFF,
     BlockExtremes,
     full_spectrum,
-    inertia,
     schur_complements,
 )
 from .system import DoubleSaddleSystem, assemble, validate
@@ -152,16 +152,6 @@ def _validation_dict(system: DoubleSaddleSystem) -> dict:
     }
 
 
-def _extremes_dict(x: BlockExtremes) -> dict:
-    return {
-        "mu_min_a": x.mu_min_a, "mu_max_a": x.mu_max_a,
-        "sigma_min_b": x.sigma_min_b, "sigma_max_b": x.sigma_max_b,
-        "sigma_min_c": x.sigma_min_c, "sigma_max_c": x.sigma_max_c,
-        "mu_min_d": x.mu_min_d, "mu_max_d": x.mu_max_d,
-        "mu_min_e": x.mu_min_e, "mu_max_e": x.mu_max_e,
-    }
-
-
 @dataclass
 class AnalysisReport:
     """Everything one analysis run computed, JSON-serializable."""
@@ -221,18 +211,6 @@ class AnalysisReport:
         return cls.from_dict(json.loads(text))
 
 
-def _strategy_tuple(name: str) -> tuple[str, str, str]:
-    if name in ("exact", "jacobi"):
-        return (name, name, name)
-    if name.startswith("scaled:"):
-        return (name, name, name)
-    if name in ("pearson-wathen", "drop-term"):
-        return ("exact", "exact", name)
-    if name == "user":
-        return ("user", "user", "user")
-    raise ParameterError(f"unknown preconditioner strategy {name!r}")
-
-
 def analyze(
     system: DoubleSaddleSystem,
     scenarios: Sequence[str] = ("unprec",),
@@ -256,6 +234,7 @@ def analyze(
     for name in scenarios:
         if name not in SCENARIOS:
             raise ParameterError(f"unknown scenario {name!r}")
+    strategies = strategy_tuple(precond) if "prec-inexact" in scenarios else None
 
     report = AnalysisReport(
         problem=problem or {},
@@ -268,7 +247,7 @@ def analyze(
 
     try:
         extremes = BlockExtremes.from_system(system)
-        report.extremes = _extremes_dict(extremes)
+        report.extremes = asdict(extremes)
     except (ParameterError, SaddleBoundsError):
         extremes = None
 
@@ -295,7 +274,7 @@ def analyze(
                 )
             else:
                 entry = _scenario_prec_inexact(
-                    system, precond, context, user_blocks,
+                    system, strategies, context, user_blocks,
                     d_zero, e_zero, tol, oracle_cutoff,
                 )
         except SaddleBoundsError as exc:
@@ -332,8 +311,7 @@ def _scenario_prec_exact(system, nullity_k, d_zero, e_zero, tol, oracle_cutoff) 
     if system.total > oracle_cutoff:
         entry["containment"] = {"status": "unverified"}
         return entry
-    split = split_preconditioned_matrix(system, op, oracle_cutoff)
-    values = full_spectrum(split.matrix, oracle_cutoff)
+    values = _split_spectrum(system, op, oracle_cutoff)
     entry["spectrum"] = [float(v) for v in values]
     entry["spectrum_summary"] = _spectrum_summary(values)
     entry["containment"] = _containment_dict(values, bounds, tol)
@@ -341,9 +319,8 @@ def _scenario_prec_exact(system, nullity_k, d_zero, e_zero, tol, oracle_cutoff) 
 
 
 def _scenario_prec_inexact(
-    system, precond, context, user_blocks, d_zero, e_zero, tol, oracle_cutoff
+    system, strategies, context, user_blocks, d_zero, e_zero, tol, oracle_cutoff
 ) -> dict:
-    strategies = _strategy_tuple(precond)
     exact_op = build_exact(system)
     approx_op = build_approx(system, strategies, context=context, user_blocks=user_blocks)
 
@@ -351,6 +328,7 @@ def _scenario_prec_inexact(
         equivalence_constants(exact_block, approx_block)
         for exact_block, approx_block in zip(exact_op.blocks, approx_op.blocks)
     ]
+    del exact_op
     consts = EquivalenceConstants(
         alpha0=measurements[0].alpha, beta0=measurements[0].beta,
         alpha1=measurements[1].alpha, beta1=measurements[1].beta,
@@ -359,6 +337,7 @@ def _scenario_prec_inexact(
     pair = schur_complements(system)
     eta_d = 0.0 if d_zero else pair.eta_d
     eta_e = 0.0 if e_zero else pair.eta_e
+    del pair
 
     entry = {
         "precond": {
@@ -395,8 +374,7 @@ def _scenario_prec_inexact(
         entry["containment"] = {"status": "unverified"}
         return entry
 
-    split = split_preconditioned_matrix(system, approx_op, oracle_cutoff)
-    values = full_spectrum(split.matrix, oracle_cutoff)
+    values = _split_spectrum(system, approx_op, oracle_cutoff)
     entry["spectrum"] = [float(v) for v in values]
     entry["spectrum_summary"] = _spectrum_summary(values)
 
@@ -409,10 +387,7 @@ def _scenario_prec_inexact(
             system.dims,
             strategy=approx_op.strategy,
         )
-        norm_values = full_spectrum(
-            split_preconditioned_matrix(system, normalized_op, oracle_cutoff).matrix,
-            oracle_cutoff,
-        )
+        norm_values = _split_spectrum(system, normalized_op, oracle_cutoff)
         entry["normalization_scales"] = scales
         entry["spectrum_normalized"] = [float(v) for v in norm_values]
     else:
@@ -425,6 +400,13 @@ def _scenario_prec_inexact(
     if reference is not None:
         entry["reference_containment"] = _containment_dict(values, reference, tol)
     return entry
+
+
+def _split_spectrum(system, op, oracle_cutoff) -> np.ndarray:
+    """Spectrum of the split-preconditioned matrix, which is dropped at once."""
+    return full_spectrum(
+        split_preconditioned_matrix(system, op, oracle_cutoff).matrix, oracle_cutoff
+    )
 
 
 def _reference_intervals(strategies, context, d_zero, e_zero):
@@ -454,16 +436,12 @@ def solve(
     problem: dict | None = None,
 ) -> dict:
     """Run (preconditioned) MINRES on the assembled system with b = ones."""
+    strategies = None if precond == "none" else strategy_tuple(precond)
     matrix = assemble(system, "standard").data
     rhs = np.ones(matrix.shape[0])
-    if precond == "none":
-        op = None
-    elif precond == "exact":
-        op = build_exact(system)
-    else:
-        op = build_approx(
-            system, _strategy_tuple(precond), context=context, user_blocks=user_blocks
-        )
+    op = None
+    if strategies is not None:
+        op = build_approx(system, strategies, context=context, user_blocks=user_blocks)
     result = minres(matrix, op, rhs, rtol=rtol, maxit=maxit)
     residual = float(
         np.linalg.norm(matrix @ result.solution - rhs) / np.linalg.norm(rhs)

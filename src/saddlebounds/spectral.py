@@ -9,7 +9,8 @@ inexact-preconditioner bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -22,7 +23,6 @@ from .errors import (
 )
 from .system import DoubleSaddleSystem, _sym
 
-DENSE_CUTOFF = 4096
 ORACLE_CUTOFF = 4096
 EIG_TOL = 1e-10
 ZERO_TOL = 1e-11
@@ -110,7 +110,8 @@ class Inertia:
 
 @dataclass(frozen=True)
 class SchurPair:
-    """Both Schur complements plus the regularization ratio constants.
+    """Both Schur complements, the ``cho_factor`` results of A and S1, and
+    the regularization ratio constants, each solved on first read.
 
     ``eta_d`` is the largest generalized eigenvalue of (D, B A^-1 B^T) and
     ``eta_e`` of (E, C S1^-1 C^T); either is ``inf`` when the corresponding
@@ -120,13 +121,23 @@ class SchurPair:
 
     s1: np.ndarray
     s2: np.ndarray
-    eta_d: float
-    eta_e: float
+    cho_a: tuple = field(repr=False)
+    cho_1: tuple = field(repr=False)
+    pencil_d: tuple = field(repr=False)
+    pencil_e: tuple = field(repr=False)
+
+    @cached_property
+    def eta_d(self) -> float:
+        return _regularization_ratio(*self.pencil_d)
+
+    @cached_property
+    def eta_e(self) -> float:
+        return _regularization_ratio(*self.pencil_e)
 
 
 def extremal_eigs(
     matrix,
-    dense_cutoff: int = DENSE_CUTOFF,
+    dense_cutoff: int = ORACLE_CUTOFF,
     eig_tol: float = EIG_TOL,
     max_iter: int = 600,
 ) -> tuple[float, float]:
@@ -243,52 +254,38 @@ def inertia(
         d = None
 
     if d is not None:
-        n_plus = n_minus = n_zero = 0
-        i = 0
+        vals, i = [], 0
         while i < dim:
             if i + 1 < dim and abs(d[i + 1, i]) > cut:
-                # 2x2 pivot block: classify its two eigenvalues directly
+                # 2x2 pivot block: take its two eigenvalues directly
                 t = 0.5 * (d[i, i] + d[i + 1, i + 1])
                 radius = np.hypot(0.5 * (d[i, i] - d[i + 1, i + 1]), d[i + 1, i])
-                for eig in (t - radius, t + radius):
-                    if eig > cut:
-                        n_plus += 1
-                    elif eig < -cut:
-                        n_minus += 1
-                    else:
-                        n_zero += 1
+                vals += [t - radius, t + radius]
                 i += 2
             else:
-                eig = d[i, i]
-                if eig > cut:
-                    n_plus += 1
-                elif eig < -cut:
-                    n_minus += 1
-                else:
-                    n_zero += 1
+                vals.append(d[i, i])
                 i += 1
-        return Inertia(n_plus, n_minus, n_zero)
-
-    if dim > oracle_cutoff:
+        vals = np.array(vals)
+    elif dim > oracle_cutoff:
         raise OracleSizeError(
             f"inertia fallback needs a dense spectrum; dimension {dim} exceeds "
             f"cutoff {oracle_cutoff}"
         )
-    vals = full_spectrum(a, oracle_cutoff)
-    return Inertia(
-        int(np.count_nonzero(vals > cut)),
-        int(np.count_nonzero(vals < -cut)),
-        int(np.count_nonzero(np.abs(vals) <= cut)),
-    )
+    else:
+        vals = full_spectrum(a, oracle_cutoff)
+    n_plus = int(np.count_nonzero(vals > cut))
+    n_minus = int(np.count_nonzero(vals < -cut))
+    return Inertia(n_plus, n_minus, vals.size - n_plus - n_minus)
 
 
 def schur_complements(system: DoubleSaddleSystem) -> SchurPair:
     """Form S1 = D + B A^-1 B^T and S2 = E + C S1^-1 C^T with their ratios.
 
     Both complements are built with triangular solves against Cholesky
-    factors.  The ratios are solved as symmetric generalized eigenproblems
-    (D v = eta * (B A^-1 B^T) v and its analogue), which needs the coupling
-    Gram to be definite, i.e. the coupling block to have full row rank.
+    factors, which the result keeps.  The ratios are symmetric generalized
+    eigenproblems (D v = eta * (B A^-1 B^T) v and its analogue), which need
+    the coupling Gram to be definite, i.e. the coupling block to have full
+    row rank.
     """
     try:
         cho_a = sla.cho_factor(_sym(system.A))
@@ -306,8 +303,10 @@ def schur_complements(system: DoubleSaddleSystem) -> SchurPair:
     return SchurPair(
         s1=s1,
         s2=s2,
-        eta_d=_regularization_ratio(system.D, gram_b),
-        eta_e=_regularization_ratio(system.E, gram_c),
+        cho_a=cho_a,
+        cho_1=cho_1,
+        pencil_d=(system.D, gram_b),
+        pencil_e=(system.E, gram_c),
     )
 
 
@@ -315,8 +314,7 @@ def _regularization_ratio(reg: np.ndarray, gram: np.ndarray) -> float:
     if not np.any(reg):
         return 0.0
     try:
-        sla.cho_factor(gram)
-    except sla.LinAlgError:
+        vals = sla.eigh(_sym(reg), gram, eigvals_only=True)
+    except sla.LinAlgError:  # the Gram is singular
         return float("inf")
-    vals = sla.eigh(_sym(reg), gram, eigvals_only=True)
     return max(float(vals[-1]), 0.0)

@@ -27,7 +27,6 @@ from .errors import StructuralError, UnsupportedLayoutError
 
 SYM_TOL = 1e-12
 RANK_TOL = 1e-10
-DENSE_CUTOFF = 4096
 
 Layout = Literal["standard", "flipped", "two-by-two"]
 
@@ -216,8 +215,6 @@ def validate(
                 s2 = _sym(E + C @ sla.cho_solve(cho_1, C.T))
                 lo2, hi2 = _eig_range(s2)
                 s2_pd = bool(lo2 > sym_tol * max(abs(lo2), abs(hi2), _TINY))
-        except np.linalg.LinAlgError:
-            pass
         except sla.LinAlgError:
             pass
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,39 @@ def test_indefinite_preconditioner_detected():
 def test_nonfinite_rhs_rejected():
     with pytest.raises(ParameterError):
         minres(np.eye(2), None, np.array([np.nan, 1.0]))
+
+
+@pytest.mark.parametrize("preconditioned", [False, True])
+def test_nan_in_operator_stops_at_once(preconditioned):
+    rng = np.random.default_rng(78)
+    system, _ = random_valid_system(rng, 8, 6, 4)
+    matrix = assemble(system).data
+    matrix[3, 9] = np.nan
+    op = build_exact(system) if preconditioned else None
+    result = minres(matrix, op, np.ones(system.total), rtol=1e-10)
+    assert result.breakdown == "non-finite"
+    assert not result.converged
+    assert result.iterations == 0
+    assert len(result.residual_history) == 1
+    assert np.all(np.isfinite(result.solution))
+
+
+def test_nonfinite_preconditioner_output_stops():
+    rng = np.random.default_rng(79)
+    system, _ = random_valid_system(rng, 8, 6, 4)
+    calls = []
+
+    def apply_inverse(v):
+        # finite on the first three solves, then NaN
+        calls.append(1)
+        return v if len(calls) <= 3 else np.full_like(v, np.nan)
+
+    fake = SimpleNamespace(apply_inverse=apply_inverse)
+    result = minres(assemble(system).data, fake, np.ones(system.total), rtol=1e-14)
+    assert result.breakdown == "non-finite"
+    assert not result.converged
+    assert result.iterations == 2
+    assert len(result.residual_history) == 3
 
 
 def test_zero_rhs_short_circuits():

@@ -20,6 +20,7 @@ from saddlebounds import (
     verify_containment,
 )
 from saddlebounds.errors import DefinitenessError, ParameterError, StrategyMismatchError
+from saddlebounds.precond import strategy_tuple
 
 from helpers import generalized_spectrum, random_valid_system
 
@@ -54,6 +55,15 @@ class TestBuildExact:
         assert np.allclose(op.blocks[1], s1, atol=1e-10)
         s2 = e + c @ np.linalg.solve(s1, c.T)
         assert np.allclose(op.blocks[2], s2, atol=1e-10)
+
+    def test_reused_factors_are_bitwise_fresh_factors(self):
+        rng = np.random.default_rng(50)
+        system, _ = random_valid_system(rng, 6, 4, 2)
+        for op in (build_exact(system), build_approx(system, ("exact",) * 3)):
+            for block, (c, lower) in zip(op.blocks, op._factors):
+                fresh, fresh_lower = sla.cho_factor(block)
+                assert lower == fresh_lower
+                assert np.array_equal(np.triu(c), np.triu(fresh))
 
     def test_indefinite_system_rejected(self):
         system = DoubleSaddleSystem(
@@ -173,6 +183,24 @@ class TestSplitPreconditioned:
         oracle = generalized_spectrum(assemble(system).data, op.as_matrix())
         assert np.allclose(direct, oracle, atol=1e-9)
 
+    @pytest.mark.parametrize(
+        "precond",
+        ["exact", "jacobi", "scaled:0.5", "drop-term", "user", "pearson-wathen"],
+    )
+    def test_spectrum_matches_generalized_oracle_per_strategy(self, precond):
+        h, beta = 2**-3, 1e-3
+        system, fem = poisson_distributed(h, beta)
+        context = distributed_context(fem, beta)
+        # non-diagonal SPD user blocks, so the congruence is not a scaling
+        user = [2.0 * b + np.diag(np.diag(b)) for b in build_exact(system).blocks]
+        op = build_approx(
+            system, strategy_tuple(precond), context=context, user_blocks=user
+        )
+        split = split_preconditioned_matrix(system, op)
+        direct = full_spectrum(split.matrix)
+        oracle = generalized_spectrum(assemble(system).data, op.as_matrix())
+        assert np.allclose(direct, oracle, atol=1e-9)
+
     def test_inertia_preserved_by_congruence(self):
         rng = np.random.default_rng(59)
         for _ in range(5):
@@ -180,6 +208,21 @@ class TestSplitPreconditioned:
             op = build_exact(system)
             split = split_preconditioned_matrix(system, op)
             assert inertia(split.matrix).astuple() == inertia(assemble(system).data).astuple()
+
+
+class TestStrategyTuple:
+    def test_named_strategies(self):
+        assert strategy_tuple("jacobi") == ("jacobi",) * 3
+        assert strategy_tuple("scaled:0.5") == ("scaled:0.5",) * 3
+        assert strategy_tuple("pearson-wathen") == ("exact", "exact", "pearson-wathen")
+        assert strategy_tuple("drop-term") == ("exact", "exact", "drop-term")
+
+    @pytest.mark.parametrize(
+        "name", ["scaled:abc", "scaled:-1", "scaled:0", "scaled:nan", "scaled:inf", "none"]
+    )
+    def test_bad_names_rejected(self, name):
+        with pytest.raises(ParameterError):
+            strategy_tuple(name)
 
 
 class TestEquivalenceConstants:

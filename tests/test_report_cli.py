@@ -192,6 +192,28 @@ class TestCli:
         capsys.readouterr()
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["analyze", "solve"])
+    @pytest.mark.parametrize("precond", ["scaled:abc", "scaled:-1"])
+    def test_bad_scale_factor_exits_one_before_dense_work(
+        self, command, precond, monkeypatch, capsys
+    ):
+        import saddlebounds.report as report_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense work ran before the strategy was parsed")
+
+        monkeypatch.setattr(report_mod, "validate", refuse)
+        monkeypatch.setattr(report_mod, "assemble", refuse)
+        argv = [command, "--problem", "random", "--dims", "6,4,2", "--seed", "5",
+                "--precond", precond]
+        if command == "analyze":
+            argv += ["--scenario", "unprec,prec-inexact"]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: scale factor")
+        assert err.count("\n") == 1
+
     def test_plotdata_round_trip(self, tmp_path, capsys):
         main([
             "analyze", "--problem", "random", "--dims", "6,4,2", "--seed", "8",

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from saddlebounds import (
     BlockExtremes,
@@ -190,6 +191,40 @@ class TestSchurComplements:
             pair = schur_complements(system)
             assert pair.eta_d >= 0.0
             assert pair.eta_e >= 0.0
+
+    def test_lazy_ratios_match_independent_pencils(self):
+        def top(reg, gram):
+            return float(sla.eigh(reg, gram, eigvals_only=True)[-1])
+
+        rng = np.random.default_rng(39)
+        for _ in range(4):
+            system, _ = random_valid_system(rng, 7, 5, 3)
+            a, b, c, d, e = system.A, system.B, system.C, system.D, system.E
+            gram_b = b @ np.linalg.solve(a, b.T)
+            gram_c = c @ np.linalg.solve(d + gram_b, c.T)
+            pair = schur_complements(system)
+            assert "eta_d" not in vars(pair) and "eta_e" not in vars(pair)
+            assert pair.eta_d == pytest.approx(top(d, gram_b), rel=1e-9)
+            assert pair.eta_e == pytest.approx(top(e, gram_c), rel=1e-9)
+
+        zero, _ = random_valid_system(rng, 6, 4, 3, d_zero=True, e_zero=True)
+        assert (schur_complements(zero).eta_d, schur_complements(zero).eta_e) == (0.0, 0.0)
+
+        # rank-deficient couplings under nonzero regularization: singular Grams
+        deficient = DoubleSaddleSystem(
+            A=np.eye(3),
+            B=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+            C=np.array([[0.4, 0.0], [0.8, 0.0]]),
+            D=np.eye(2),
+            E=np.eye(2),
+        )
+        gram_c = deficient.C @ np.linalg.solve(
+            deficient.D + deficient.B @ deficient.B.T, deficient.C.T
+        )
+        assert np.linalg.matrix_rank(gram_c) < 2
+        pair = schur_complements(deficient)
+        assert pair.eta_d == pytest.approx(top(deficient.D, deficient.B @ deficient.B.T))
+        assert pair.eta_e == np.inf
 
 
 class TestBlockExtremes:
