@@ -23,8 +23,6 @@ from .precond import (
     EquivalenceMeasurement,
     PoissonControlContext,
     PreconditionerOperator,
-    SplitPreconditioned,
-    apply_inverse,
     build_approx,
     build_exact,
     equivalence_constants,
@@ -45,19 +43,14 @@ from .spectral import (
     BlockExtremes,
     Inertia,
     SchurPair,
+    ValidationReport,
     extremal_eigs,
     extremal_svals,
     full_spectrum,
     inertia,
     schur_complements,
-)
-from .system import (
-    AssembledMatrix,
-    DoubleSaddleSystem,
-    ValidationReport,
-    assemble,
-    unregularized,
     validate,
 )
+from .system import AssembledMatrix, DoubleSaddleSystem, assemble
 
 __version__ = "0.1.0"

@@ -26,11 +26,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ClassificationError, ParameterError
-from .spectral import BlockExtremes
+from .spectral import RANK_TOL, BlockExtremes
 
 ROOT_TOL = 1e-10
 CLUSTER_TOL = 1e-8
-RANK_TOL = 1e-10
 
 GOLDEN_UPPER = (1.0 + math.sqrt(5.0)) / 2.0
 GOLDEN_LOWER = (1.0 - math.sqrt(5.0)) / 2.0
@@ -164,7 +163,7 @@ def cubic_from_params(a: float, b: float, c: float, d: float, e: float) -> Cubic
     )
 
 
-def solve_classified(cubic: CubicPoly, root_tol: float = ROOT_TOL) -> ClassifiedRoots:
+def solve_classified(cubic: CubicPoly) -> ClassifiedRoots:
     """Solve a saddle-point cubic and classify its roots by sign.
 
     The trigonometric three-real-root formula seeds the roots; each seed is
@@ -238,19 +237,19 @@ def solve_classified(cubic: CubicPoly, root_tol: float = ROOT_TOL) -> Classified
         xmax**3 + abs(c2) * xmax * xmax + abs(c1) * xmax + abs(c0), 1.0
     )
     worst = max(abs(cubic(x)) for x in roots)
-    if worst > 1e3 * root_tol * residual_scale:
+    if worst > 1e3 * ROOT_TOL * residual_scale:
         raise ClassificationError(f"root residual {worst:.3e} out of tolerance")
     return ClassifiedRoots(neg=neg, pos_min=mid, pos_max=top)
 
 
-def _newton(cubic: CubicPoly, x: float, steps: int = 30) -> float:
-    """Newton refinement keeping the best iterate seen.
+def _newton(cubic: CubicPoly, x: float) -> float:
+    """Newton refinement (at most 30 steps) keeping the best iterate seen.
 
     Plain updates (no step damping) so a seed may transit an uphill stretch
     before settling; the smallest-residual iterate wins.
     """
     best, best_val = x, abs(cubic(x))
-    for _ in range(steps):
+    for _ in range(30):
         slope = cubic.deriv(x)
         if slope == 0.0 or not math.isfinite(x):
             break
@@ -488,12 +487,11 @@ def verify_containment(
     spectrum: Sequence[float],
     bounds: BoundIntervals,
     tol: float = 1e-9,
-    cluster_tol: float = CLUSTER_TOL,
 ) -> ContainmentReport:
     """Check a computed spectrum against predicted bounds.
 
     Each eigenvalue is first matched against the discrete predictions
-    (within ``cluster_tol * max(1, |value|)``), then against the negative and
+    (within ``CLUSTER_TOL * max(1, |value|)``), then against the negative and
     positive intervals inflated by ``tol * max(1, |endpoint|)``.  When the
     bounds declare multiplicities or per-interval counts, those tallies must
     match exactly.  An empty spectrum passes vacuously.
@@ -514,7 +512,7 @@ def verify_containment(
     for value in values:
         matched = None
         for idx, (target, _mult) in enumerate(discrete):
-            if abs(value - target) <= cluster_tol * max(1.0, abs(target)):
+            if abs(value - target) <= CLUSTER_TOL * max(1.0, abs(target)):
                 discrete_hits[idx] += 1
                 matched = f"discrete:{target:.6g}"
                 slack = -abs(value - target)

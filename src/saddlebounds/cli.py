@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import io as sbio
-from .errors import ParameterError, SaddleBoundsError
+from .errors import ParameterError, SaddleBoundsError, StructuralError
 from .problems import (
     distributed_context,
     poisson_boundary,
@@ -36,15 +36,15 @@ DEFAULT_RANDOM_EXTREMES = BlockExtremes(
 )
 
 
-def _parse_dims(text: str) -> tuple[int, int, int]:
-    parts = [int(v) for v in text.split(",")]
-    if len(parts) != 3:
-        raise ParameterError(f"--dims wants n,m,p, got {text!r}")
-    return parts[0], parts[1], parts[2]
-
-
-def _parse_params(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
+def _parse_numbers(text: str, kind, flag: str, count: int) -> tuple:
+    """``count`` comma-separated numbers of type ``kind`` given to ``flag``."""
+    try:
+        values = tuple(kind(v) for v in text.split(","))
+    except ValueError:
+        values = ()
+    if len(values) != count:
+        raise ParameterError(f"{flag} wants {count} comma-separated numbers, got {text!r}")
+    return values
 
 
 def _build_problem(args):
@@ -62,7 +62,7 @@ def _build_problem(args):
         system = poisson_boundary(args.h, args.beta)
         return system, None, {"kind": "poisson-bnd", "h": args.h, "beta": args.beta}
     if kind == "random":
-        n, m, p = _parse_dims(args.dims)
+        n, m, p = _parse_numbers(args.dims, int, "--dims", 3)
         extremes = DEFAULT_RANDOM_EXTREMES
         if args.unregularized:
             extremes = extremes.without_regularization()
@@ -71,11 +71,11 @@ def _build_problem(args):
                 "unregularized": bool(args.unregularized)}
         return system, None, info
     if kind == "tight-neg":
-        params = _parse_params(args.params)
+        params = _parse_numbers(args.params, float, "--params", 5)
         return tightness_upper_negative(*params), None, {
             "kind": "tight-neg", "params": list(params)}
     if kind == "tight-pos":
-        params = _parse_params(args.params)
+        params = _parse_numbers(args.params, float, "--params", 5)
         return tightness_lower_positive(*params), None, {
             "kind": "tight-pos", "params": list(params)}
     raise ParameterError(f"unknown problem {kind!r}")
@@ -165,8 +165,15 @@ def cmd_solve(args) -> int:
     return 0 if data["converged"] else 1
 
 
+def _load_report(path: str) -> AnalysisReport:
+    try:
+        return AnalysisReport.from_json(Path(path).read_text())
+    except (ValueError, KeyError, TypeError) as exc:
+        raise StructuralError(f"{path} is not an analysis report ({exc})") from exc
+
+
 def cmd_plotdata(args) -> int:
-    reports = [AnalysisReport.from_json(Path(p).read_text()) for p in args.reports]
+    reports = [_load_report(p) for p in args.reports]
     for path, report in zip(args.reports, reports):
         entry = report.scenarios[0] if report.scenarios else None
         has_spectrum = report.spectrum or (entry and entry.get("spectrum"))

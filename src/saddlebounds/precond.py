@@ -100,19 +100,6 @@ class PreconditionerOperator:
 
 
 @dataclass(frozen=True)
-class SplitPreconditioned:
-    """Dense symmetric congruence of the system by the inverse Cholesky
-    factor of a block-diagonal preconditioner; shares its spectrum with the
-    left-preconditioned operator."""
-
-    matrix: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
 class EquivalenceMeasurement:
     """Measured generalized spectrum of an exact block against its approximation.
 
@@ -239,10 +226,6 @@ def from_blocks(
     )
 
 
-def apply_inverse(op: PreconditionerOperator, vector: np.ndarray) -> np.ndarray:
-    return op.apply_inverse(vector)
-
-
 def _congruence(left, block: np.ndarray, right) -> np.ndarray:
     """U_l^-T block U_r^-1 for two upper ``cho_factor`` results."""
     half = sla.solve_triangular(left[0], block, trans=1)
@@ -253,7 +236,7 @@ def split_preconditioned_matrix(
     system: DoubleSaddleSystem,
     op: PreconditionerOperator,
     oracle_cutoff: int = ORACLE_CUTOFF,
-) -> SplitPreconditioned:
+) -> np.ndarray:
     """Form the dense split-preconditioned matrix as the Cholesky congruence
     U^-T K U^-1, U = diag(U_i) from the operator's factors P_i = U_i^T U_i.
 
@@ -278,7 +261,7 @@ def split_preconditioned_matrix(
     out[i2, i2] = _sym(_congruence(f2, system.E, f2))
     out[i0, i1] = out[i1, i0].T
     out[i1, i2] = out[i2, i1].T
-    return SplitPreconditioned(matrix=out)
+    return out
 
 
 def equivalence_constants(

@@ -37,11 +37,13 @@ from .precond import (
 )
 from .spectral import (
     ORACLE_CUTOFF,
+    ZERO_TOL,
     BlockExtremes,
     full_spectrum,
     schur_complements,
+    validate,
 )
-from .system import DoubleSaddleSystem, assemble, validate
+from .system import DoubleSaddleSystem, assemble
 
 SCHEMA_VERSION = 1
 FLOAT_FMT = ".17g"
@@ -120,9 +122,9 @@ def _containment_dict(spectrum, bounds: BoundIntervals, tol: float) -> dict:
     }
 
 
-def _spectrum_summary(values: np.ndarray, zero_tol: float = 1e-11) -> dict:
+def _spectrum_summary(values: np.ndarray) -> dict:
     scale = float(np.abs(values).max(initial=0.0))
-    cut = zero_tol * max(scale, 1.0)
+    cut = ZERO_TOL * max(scale, 1.0)
     neg = values[values < -cut]
     pos = values[values > cut]
     summary = {
@@ -405,7 +407,7 @@ def _scenario_prec_inexact(
 def _split_spectrum(system, op, oracle_cutoff) -> np.ndarray:
     """Spectrum of the split-preconditioned matrix, which is dropped at once."""
     return full_spectrum(
-        split_preconditioned_matrix(system, op, oracle_cutoff).matrix, oracle_cutoff
+        split_preconditioned_matrix(system, op, oracle_cutoff), oracle_cutoff
     )
 
 

@@ -1,16 +1,19 @@
-"""Eigenvalue and singular-value kernels.
+"""Eigenvalue and singular-value kernels, and the structural checks built on them.
 
-Dense symmetric decompositions below a size cutoff, Lanczos with full
-reorthogonalization above it.  Also home to the Schur complements of a
-system and the two regularization ratios (largest generalized eigenvalues
-of the regularization blocks against the coupling Grams) that drive the
-inexact-preconditioner bounds.
+Extremal eigenvalues come from a dense symmetric decomposition up to
+``ORACLE_CUTOFF`` and from ARPACK (``eigsh``) above it.  Singular values,
+and with them every rank decision, come from one SVD helper.  Also home to
+the Schur complements of a system, the two regularization ratios (largest
+generalized eigenvalues of the regularization blocks against the coupling
+Grams) that drive the inexact-preconditioner bounds, and :func:`validate`,
+which checks the hypotheses of the bounds with these same kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import Mapping
 
 import numpy as np
 import scipy.linalg as sla
@@ -24,11 +27,19 @@ from .errors import (
 from .system import DoubleSaddleSystem, _sym
 
 ORACLE_CUTOFF = 4096
+SYM_TOL = 1e-12
+RANK_TOL = 1e-10
 EIG_TOL = 1e-10
 ZERO_TOL = 1e-11
 
-# fixed Lanczos start vector seed: identical runs give identical estimates
-_LANCZOS_SEED = 0x5ADD1E
+# fixed start vector seed: identical runs give identical estimates
+_ARPACK_SEED = 0x5ADD1E
+# work cap: a 32-vector Lanczos basis restarted at most 20 times is about
+# 630 matrix-vector products
+_ARPACK_NCV = 32
+_ARPACK_RESTARTS = 20
+
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -80,7 +91,7 @@ class BlockExtremes:
         def clamp(pair):
             lo, hi = pair
             scale = max(abs(lo), abs(hi), 1.0)
-            if lo < 0 and lo >= -1e-12 * scale:
+            if lo < 0 and lo >= -SYM_TOL * scale:
                 lo = 0.0
             return lo, max(hi, lo)
 
@@ -106,6 +117,34 @@ class Inertia:
 
     def astuple(self) -> tuple[int, int, int]:
         return self.n_plus, self.n_minus, self.n_zero
+
+
+@dataclass(frozen=True)
+class ValidationReport:
+    """Outcome of every structural check on a system.
+
+    ``kernel_conditions`` are the three necessary invertibility conditions
+    (no common kernel between stacked blocks); ``schur_definite`` records
+    positive definiteness of the two Schur complements, which is sufficient
+    for invertibility and implies every kernel condition.
+    """
+
+    symmetric_ok: Mapping[str, bool]
+    definiteness_ok: Mapping[str, bool]
+    kernel_conditions: tuple[bool, bool, bool]
+    schur_definite: tuple[bool, bool]
+    b_full_row_rank: bool
+    c_full_row_rank: bool
+    c_nullity_k: int
+
+    @property
+    def ok(self) -> bool:
+        return (
+            all(self.symmetric_ok.values())
+            and all(self.definiteness_ok.values())
+            and all(self.kernel_conditions)
+            and all(self.schur_definite)
+        )
 
 
 @dataclass(frozen=True)
@@ -135,17 +174,12 @@ class SchurPair:
         return _regularization_ratio(*self.pencil_e)
 
 
-def extremal_eigs(
-    matrix,
-    dense_cutoff: int = ORACLE_CUTOFF,
-    eig_tol: float = EIG_TOL,
-    max_iter: int = 600,
-) -> tuple[float, float]:
+def extremal_eigs(matrix, dense_cutoff: int = ORACLE_CUTOFF) -> tuple[float, float]:
     """Smallest and largest eigenvalues of a symmetric matrix.
 
-    Dense decomposition up to ``dense_cutoff``; beyond that a Lanczos
-    iteration with full reorthogonalization and a fixed-seed start vector,
-    certified by the residual test ||A v - t v|| <= eig_tol * ||A||.
+    Dense decomposition up to ``dense_cutoff``; beyond that ARPACK from a
+    fixed-seed start vector, certified by the residual test
+    ||A v - t v|| <= EIG_TOL * max|t|.
     """
     a = np.asarray(matrix, dtype=float)
     dim = a.shape[0]
@@ -154,70 +188,66 @@ def extremal_eigs(
     if dim <= dense_cutoff:
         vals = np.linalg.eigvalsh(_sym(a))
         return float(vals[0]), float(vals[-1])
-    return _lanczos_extremes(_sym(a), eig_tol, max_iter)
+    return _arpack_extremes(_sym(a))  # _sym copies, so the shift stays local
 
 
-def _lanczos_extremes(a: np.ndarray, eig_tol: float, max_iter: int):
+def _arpack_extremes(a: np.ndarray) -> tuple[float, float]:
+    # imported here: loading ARPACK adds about 2 MB of resident memory, and
+    # only blocks above the cutoff need it
+    import scipy.sparse.linalg as spla
+
     dim = a.shape[0]
-    rng = np.random.default_rng(_LANCZOS_SEED)
-    q = rng.standard_normal(dim)
-    q /= np.linalg.norm(q)
+    # ARPACK judges each Ritz value relative to itself.  Shifting by twice
+    # the infinity norm puts every eigenvalue in [|a|, 3 |a|], so its test
+    # becomes one relative to the norm, like the certificate; the factor
+    # 1e-3 covers the gap between the norm and the spectral radius.
+    shift = 2.0 * float(np.abs(a).sum(axis=1).max())
+    if shift == 0.0:
+        return 0.0, 0.0
+    a.flat[:: dim + 1] += shift
+    start = np.random.default_rng(_ARPACK_SEED).standard_normal(dim)
+    try:
+        theta, vecs = spla.eigsh(
+            a, k=2, which="BE", v0=start, ncv=min(dim, _ARPACK_NCV),
+            maxiter=_ARPACK_RESTARTS, tol=1e-3 * EIG_TOL,
+        )
+    except spla.ArpackNoConvergence as exc:
+        found = exc.eigenvalues - shift
+        best = (float(found.min()), float(found.max())) if len(found) else None
+        raise ConvergenceError(
+            "ARPACK did not converge to both extremal eigenvalues", best=best
+        ) from exc
+    residual = float(np.linalg.norm(a @ vecs - vecs * theta, axis=0).max())
+    best = (float(theta[0] - shift), float(theta[-1] - shift))
+    if residual > EIG_TOL * max(abs(best[0]), abs(best[1]), _TINY):
+        raise ConvergenceError(
+            f"ARPACK extremes failed the residual certificate ({residual:.3e})",
+            best=best,
+        )
+    return best
 
-    basis = np.empty((max_iter, dim))
-    alphas = np.empty(max_iter)
-    betas = np.empty(max_iter)
-    basis[0] = q
-    best = None
 
-    k = 0
-    while k < max_iter:
-        w = a @ basis[k]
-        alphas[k] = basis[k] @ w
-        w -= alphas[k] * basis[k]
-        if k > 0:
-            w -= betas[k - 1] * basis[k - 1]
-        # full reorthogonalization keeps the Ritz extremes trustworthy
-        w -= basis[: k + 1].T @ (basis[: k + 1] @ w)
-        beta = np.linalg.norm(w)
-        k += 1
+def _singular_values(matrix) -> np.ndarray:
+    """All singular values, descending: the one source of ranks and sigma extremes."""
+    return np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False)
 
-        scale_run = max(float(np.abs(alphas[:k]).max()), float(np.abs(betas[: k - 1]).max(initial=0.0)))
-        breakdown = beta <= 1e-14 * max(scale_run, np.finfo(float).tiny)
-        if k % 8 == 0 or breakdown or k == max_iter:
-            theta, vecs = sla.eigh_tridiagonal(
-                alphas[:k], betas[: k - 1], select="a", eigvals_only=False
-            )
-            scale = max(abs(theta[0]), abs(theta[-1]), np.finfo(float).tiny)
-            lo_vec = basis[:k].T @ vecs[:, 0]
-            hi_vec = basis[:k].T @ vecs[:, -1]
-            res_lo = np.linalg.norm(a @ lo_vec - theta[0] * lo_vec)
-            res_hi = np.linalg.norm(a @ hi_vec - theta[-1] * hi_vec)
-            best = (float(theta[0]), float(theta[-1]))
-            if max(res_lo, res_hi) <= eig_tol * scale:
-                return best
-        if breakdown or k == max_iter:
-            break
-        basis[k] = w / beta
-        betas[k - 1] = beta
 
-    raise ConvergenceError(
-        f"Lanczos failed to certify extremal eigenvalues after {k} iterations",
-        best=best,
-    )
+def _rank(svals: np.ndarray) -> int:
+    return int(np.count_nonzero(svals > RANK_TOL * max(float(svals[0]), _TINY)))
 
 
 def extremal_svals(matrix) -> tuple[float, float]:
     """Smallest and largest of the r singular values of an r x c matrix, r <= c.
 
     The smallest is the r-th largest singular value and is zero exactly when
-    the matrix is row-rank-deficient.  Computed from the r x r Gram matrix.
+    the matrix is row-rank-deficient.
     """
     a = np.asarray(matrix, dtype=float)
     r, c = a.shape
     if r > c:
         raise ParameterError(f"expected a wide matrix (rows <= cols), got {a.shape}")
-    lo, hi = extremal_eigs(a @ a.T)
-    return float(np.sqrt(max(lo, 0.0))), float(np.sqrt(max(hi, 0.0)))
+    svals = _singular_values(a)
+    return float(svals[-1]), float(svals[0])
 
 
 def full_spectrum(matrix, oracle_cutoff: int = ORACLE_CUTOFF) -> np.ndarray:
@@ -231,22 +261,18 @@ def full_spectrum(matrix, oracle_cutoff: int = ORACLE_CUTOFF) -> np.ndarray:
     return np.linalg.eigvalsh(_sym(a))
 
 
-def inertia(
-    matrix,
-    zero_tol: float = ZERO_TOL,
-    oracle_cutoff: int = ORACLE_CUTOFF,
-) -> Inertia:
+def inertia(matrix) -> Inertia:
     """Inertia of a symmetric matrix via a pivoted LDL^T factorization.
 
     Signs are counted on the 1x1 and 2x2 blocks of the block-diagonal
     factor, which Sylvester's law makes congruence-exact.  A factorization
     failure falls back to counting the dense spectrum; eigenvalues with
-    magnitude at most ``zero_tol * ||M||`` count as zero.
+    magnitude at most ``ZERO_TOL * ||M||`` count as zero.
     """
     a = _sym(np.asarray(matrix, dtype=float))
     dim = a.shape[0]
     scale = max(float(np.abs(a).sum(axis=0).max(initial=0.0)), np.finfo(float).tiny)
-    cut = zero_tol * scale
+    cut = ZERO_TOL * scale
 
     try:
         _, d, _ = sla.ldl(a)
@@ -266,13 +292,13 @@ def inertia(
                 vals.append(d[i, i])
                 i += 1
         vals = np.array(vals)
-    elif dim > oracle_cutoff:
+    elif dim > ORACLE_CUTOFF:
         raise OracleSizeError(
             f"inertia fallback needs a dense spectrum; dimension {dim} exceeds "
-            f"cutoff {oracle_cutoff}"
+            f"cutoff {ORACLE_CUTOFF}"
         )
     else:
-        vals = full_spectrum(a, oracle_cutoff)
+        vals = full_spectrum(a)
     n_plus = int(np.count_nonzero(vals > cut))
     n_minus = int(np.count_nonzero(vals < -cut))
     return Inertia(n_plus, n_minus, vals.size - n_plus - n_minus)
@@ -318,3 +344,73 @@ def _regularization_ratio(reg: np.ndarray, gram: np.ndarray) -> float:
     except sla.LinAlgError:  # the Gram is singular
         return float("inf")
     return max(float(vals[-1]), 0.0)
+
+
+def _symmetry_ok(block: np.ndarray) -> bool:
+    scale = max(float(np.abs(block).max(initial=0.0)), _TINY)
+    return bool(float(np.abs(block - block.T).max(initial=0.0)) <= SYM_TOL * scale)
+
+
+def _definite(eig_range: tuple[float, float]) -> bool:
+    lo, hi = eig_range
+    return bool(lo > SYM_TOL * max(abs(lo), abs(hi), _TINY))
+
+
+def _semidefinite(eig_range: tuple[float, float]) -> bool:
+    lo, hi = eig_range
+    return bool(lo >= -SYM_TOL * max(abs(lo), abs(hi), _TINY))
+
+
+def _full_column_rank(stacked: np.ndarray) -> bool:
+    return _rank(_singular_values(stacked)) == stacked.shape[1]
+
+
+def validate(system: DoubleSaddleSystem) -> ValidationReport:
+    """Run every structural invariant check and report the outcome.
+
+    Symmetry and definiteness are judged relative to ``SYM_TOL``, ranks by
+    singular values above ``RANK_TOL`` times the largest one; the nullity
+    of C^T is p - rank(C).  A kernel condition whose top block is injective
+    (A definite, B or C of full row rank) holds without a rank test of the
+    stack.  S1 and S2 come from :func:`schur_complements`.
+    """
+    A, B, C, D, E = system.A, system.B, system.C, system.D, system.E
+    _, m, p = system.dims
+
+    symmetric_ok = {name: _symmetry_ok(getattr(system, name)) for name in "ADE"}
+    a_pd = _definite(extremal_eigs(A))
+    definiteness_ok = {
+        "A": a_pd,
+        "D": _semidefinite(extremal_eigs(D)),
+        "E": _semidefinite(extremal_eigs(E)),
+    }
+
+    b_full_row_rank = _rank(_singular_values(B)) == m
+    rank_c = _rank(_singular_values(C))
+    c_full_row_rank = rank_c == p
+
+    kernel_conditions = (
+        a_pd or _full_column_rank(np.vstack([_sym(A), B])),
+        b_full_row_rank or _full_column_rank(np.vstack([B.T, _sym(D), C])),
+        c_full_row_rank or _full_column_rank(np.vstack([C.T, _sym(E)])),
+    )
+
+    s1_pd = s2_pd = False
+    if a_pd:
+        try:
+            pair = schur_complements(system)
+        except DefinitenessError:
+            pass
+        else:
+            s1_pd = _definite(extremal_eigs(pair.s1))
+            s2_pd = s1_pd and _definite(extremal_eigs(pair.s2))
+
+    return ValidationReport(
+        symmetric_ok=symmetric_ok,
+        definiteness_ok=definiteness_ok,
+        kernel_conditions=kernel_conditions,
+        schur_definite=(s1_pd, s2_pd),
+        b_full_row_rank=b_full_row_rank,
+        c_full_row_rank=c_full_row_rank,
+        c_nullity_k=p - rank_c,
+    )

@@ -141,7 +141,7 @@ def test_criterion_05_exact_preconditioner_unregularized():
     rng = np.random.default_rng(1005)
     system, _ = random_valid_system(rng, 10, 7, 4, d_zero=True, e_zero=True)
     op = build_exact(system)
-    spectrum = full_spectrum(split_preconditioned_matrix(system, op).matrix)
+    spectrum = full_spectrum(split_preconditioned_matrix(system, op))
     z = exact_preconditioner_roots()
     targets = np.array([1.0, GOLDEN, 1.0 - GOLDEN, z.neg, z.pos_min, z.pos_max])
     clustering = max(float(np.abs(targets - v).min()) for v in spectrum)
@@ -166,7 +166,7 @@ def test_criterion_06_exact_preconditioner_counts():
             rng, n, m, p, d_zero=(i % 3 == 0), e_zero=(i % 4 == 0)
         )
         op = build_exact(system)
-        values = full_spectrum(split_preconditioned_matrix(system, op).matrix)
+        values = full_spectrum(split_preconditioned_matrix(system, op))
         at_one = np.isclose(values, 1.0, atol=1e-8)
         counts = (
             int((values < 0).sum()),
@@ -190,7 +190,7 @@ def test_criterion_07_nullity_multiplicities():
         system = nullity_system(n, m, p, k, seed=500 + k)
         assert validate(system).c_nullity_k == k
         op = build_exact(system)
-        values = full_spectrum(split_preconditioned_matrix(system, op).matrix)
+        values = full_spectrum(split_preconditioned_matrix(system, op))
 
         def count_at(target):
             return int(np.isclose(values, target, atol=1e-8).sum())
@@ -231,7 +231,7 @@ def test_criterion_08_regularized_preconditioner_intervals():
         system, _ = random_valid_system(rng, n, m, p)
         assert system.D.any() and system.E.any()
         op = build_exact(system)
-        values = full_spectrum(split_preconditioned_matrix(system, op).matrix)
+        values = full_spectrum(split_preconditioned_matrix(system, op))
         neg = values[values < 0]
         pos = values[values > 0]
         printed_ok = printed_ok and bool(
@@ -283,12 +283,12 @@ def test_criterion_09_inexact_bounds():
             [meas.scale * block for meas, block in zip(measurements, approx.blocks)],
             system.dims,
         )
-        values = full_spectrum(split_preconditioned_matrix(system, normalized).matrix)
+        values = full_spectrum(split_preconditioned_matrix(system, normalized))
         ok_containment = ok_containment and verify_containment(
             values, iv, tol=1e-9
         ).passed
 
-        split = split_preconditioned_matrix(system, normalized).matrix
+        split = split_preconditioned_matrix(system, normalized)
         lead = split[:n, :n]
         mid = split[n:n + m, :n]
         tail = split[n + m:, n:n + m]
@@ -413,7 +413,7 @@ def test_boundary_control_dropterm_tracking():
 
     # exact-preconditioner counts, as in criterion 6
     op = build_exact(system)
-    values = full_spectrum(split_preconditioned_matrix(system, op).matrix)
+    values = full_spectrum(split_preconditioned_matrix(system, op))
     at_one = np.isclose(values, 1.0, atol=1e-8)
     counts_ok = (
         int((values < 0).sum()),
@@ -427,11 +427,11 @@ def test_boundary_control_dropterm_tracking():
     beta_dominant = 10.0
     dom_system = poisson_boundary(h, beta_dominant)
     dom_exact = full_spectrum(
-        split_preconditioned_matrix(dom_system, build_exact(dom_system)).matrix
+        split_preconditioned_matrix(dom_system, build_exact(dom_system))
     )
     drop = build_approx(dom_system, ("exact", "exact", "drop-term"))
     dom_drop = full_spectrum(
-        split_preconditioned_matrix(dom_system, drop).matrix
+        split_preconditioned_matrix(dom_system, drop)
     )
     rel = np.abs(dom_drop[1:-1] - dom_exact[1:-1]) / np.abs(dom_exact[1:-1])
     interior_ok = bool(rel.max() <= 0.10)

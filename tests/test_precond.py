@@ -4,7 +4,6 @@ import scipy.linalg as sla
 
 from saddlebounds import (
     DoubleSaddleSystem,
-    apply_inverse,
     assemble,
     bounds_precond_exact,
     build_approx,
@@ -131,7 +130,7 @@ class TestApplyInverse:
     def test_identity_blocks_leave_vector_unchanged(self):
         op = build_exact(identity_system())
         v = np.arange(9.0)
-        assert np.allclose(apply_inverse(op, v), v, atol=1e-14)
+        assert np.allclose(op.apply_inverse(v), v, atol=1e-14)
 
     def test_inverse_consistency(self):
         rng = np.random.default_rng(56)
@@ -139,7 +138,7 @@ class TestApplyInverse:
         op = build_exact(system)
         w = rng.standard_normal(system.total)
         v = op.as_matrix() @ w
-        assert np.allclose(apply_inverse(op, v), w, rtol=1e-10, atol=1e-12)
+        assert np.allclose(op.apply_inverse(v), w, rtol=1e-10, atol=1e-12)
 
     def test_scalar_blocks_divide_componentwise(self):
         system = DoubleSaddleSystem(
@@ -147,13 +146,13 @@ class TestApplyInverse:
         )
         op = build_exact(system)
         # blocks are (4, s1, s2) = (4, 1, 1)
-        out = apply_inverse(op, np.array([8.0, 3.0, 5.0]))
+        out = op.apply_inverse(np.array([8.0, 3.0, 5.0]))
         assert np.allclose(out, [2.0, 3.0, 5.0])
 
     def test_length_mismatch_rejected(self):
         op = build_exact(identity_system())
         with pytest.raises(ParameterError):
-            apply_inverse(op, np.ones(4))
+            op.apply_inverse(np.ones(4))
 
 
 class TestSplitPreconditioned:
@@ -161,7 +160,7 @@ class TestSplitPreconditioned:
         system = identity_system(4)
         op = build_exact(system)
         split = split_preconditioned_matrix(system, op)
-        values = full_spectrum(split.matrix)
+        values = full_spectrum(split)
         iv = bounds_precond_exact(system.dims, d_zero=True, e_zero=True)
         assert verify_containment(values, iv, tol=1e-9).passed
 
@@ -172,14 +171,14 @@ class TestSplitPreconditioned:
         split = split_preconditioned_matrix(system, op)
         n = 6
         root = sla.fractional_matrix_power(op.blocks[0], -0.5).real
-        assert np.allclose(split.matrix[:n, :n], root @ system.A @ root, atol=1e-9)
+        assert np.allclose(split[:n, :n], root @ system.A @ root, atol=1e-9)
 
     def test_spectrum_matches_generalized_oracle(self):
         rng = np.random.default_rng(58)
         system, _ = random_valid_system(rng, 6, 4, 3)
         op = build_approx(system, ("jacobi", "jacobi", "jacobi"))
         split = split_preconditioned_matrix(system, op)
-        direct = full_spectrum(split.matrix)
+        direct = full_spectrum(split)
         oracle = generalized_spectrum(assemble(system).data, op.as_matrix())
         assert np.allclose(direct, oracle, atol=1e-9)
 
@@ -197,7 +196,7 @@ class TestSplitPreconditioned:
             system, strategy_tuple(precond), context=context, user_blocks=user
         )
         split = split_preconditioned_matrix(system, op)
-        direct = full_spectrum(split.matrix)
+        direct = full_spectrum(split)
         oracle = generalized_spectrum(assemble(system).data, op.as_matrix())
         assert np.allclose(direct, oracle, atol=1e-9)
 
@@ -207,7 +206,7 @@ class TestSplitPreconditioned:
             system, _ = random_valid_system(rng, 6, 4, 2)
             op = build_exact(system)
             split = split_preconditioned_matrix(system, op)
-            assert inertia(split.matrix).astuple() == inertia(assemble(system).data).astuple()
+            assert inertia(split).astuple() == inertia(assemble(system).data).astuple()
 
 
 class TestStrategyTuple:
@@ -267,7 +266,7 @@ class TestSpectralStructure:
         for _ in range(5):
             system, _ = random_valid_system(rng, 7, 5, 3)
             op = build_exact(system)
-            values = full_spectrum(split_preconditioned_matrix(system, op).matrix)
+            values = full_spectrum(split_preconditioned_matrix(system, op))
             n, m, p = system.dims
             at_one = np.isclose(values, 1.0, atol=1e-8)
             assert int((values < 0).sum()) == m
@@ -300,7 +299,7 @@ class TestSpectralStructure:
             for eb, ab in zip(exact.blocks, approx.blocks)
         ]
         pair = schur_complements(system)
-        split = split_preconditioned_matrix(system, approx).matrix
+        split = split_preconditioned_matrix(system, approx)
         lead = split[:n, :n]
         mid_coupling = split[n:n + m, :n]
         tail_coupling = split[n + m:, n:n + m]

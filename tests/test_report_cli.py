@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,6 +215,36 @@ class TestCli:
         assert err.startswith("error: scale factor")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "--problem", "tight-neg", "--params", "1,2"], "--params wants 5"),
+        (["solve", "--problem", "random", "--dims", "a,b,c"], "--dims wants 3"),
+        (["plotdata", "{notes}"], "{notes} is not an analysis report"),
+        (["analyze", "--problem", "manifest:{manifest}"], "block A has non-finite"),
+        (["solve", "--problem", "manifest:{manifest}", "--precond", "exact"],
+         "block A has non-finite"),
+    ])
+    def test_bad_input_exits_one_with_one_error_line(
+        self, argv, message, tmp_path, capsys
+    ):
+        from saddlebounds import random_system
+        from saddlebounds.cli import DEFAULT_RANDOM_EXTREMES
+
+        notes = tmp_path / "README.md"
+        notes.write_text("# saddlebounds\n\nNot a report.\n")
+        system = random_system(8, 6, 4, 0, DEFAULT_RANDOM_EXTREMES)
+        blocks = {key: getattr(system, key).tolist() for key in "ABCDE"}
+        blocks["A"][0][1] = blocks["A"][1][0] = float("nan")
+        manifest = tmp_path / "nan.json"
+        manifest.write_text(json.dumps(
+            {"schema": 1, "dims": [8, 6, 4], "format": "inline", "blocks": blocks}
+        ))
+        paths = {"notes": notes, "manifest": manifest}
+        code = main([arg.format(**paths) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {message.format(**paths)}")
+        assert err.count("\n") == 1
+
     def test_plotdata_round_trip(self, tmp_path, capsys):
         main([
             "analyze", "--problem", "random", "--dims", "6,4,2", "--seed", "8",
@@ -253,7 +284,7 @@ class TestCli:
         ])
         assert code == 0
         manifest = capsys.readouterr().out.strip()
-        data = json.loads(open(manifest).read())
+        data = json.loads(Path(manifest).read_text())
         assert data["dims"] == [2, 2, 1]
 
     def test_user_preconditioner_blocks(self, tmp_path, capsys):
@@ -293,7 +324,7 @@ class TestCli:
         ])
         assert code == 0
         manifest = capsys.readouterr().out.strip()
-        data = json.loads(open(manifest).read())
+        data = json.loads(Path(manifest).read_text())
         assert sorted(data["blocks"]) == ["A", "B", "C", "D", "E"]
         assert data["dims"] == [49, 49, 49]
         # deterministic output: a second run writes identical bytes

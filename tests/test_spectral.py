@@ -10,10 +10,13 @@ from saddlebounds import (
     extremal_svals,
     full_spectrum,
     inertia,
+    nullity_system,
     schur_complements,
     tightness_upper_negative,
+    validate,
 )
-from saddlebounds.errors import OracleSizeError, ParameterError
+from saddlebounds.bounds import bounds_unpreconditioned
+from saddlebounds.errors import ConvergenceError, OracleSizeError, ParameterError
 
 from helpers import random_valid_system, svd_extremes
 
@@ -56,6 +59,23 @@ class TestExtremalEigs:
         assert lo == pytest.approx(1.0, abs=1e-12)
         assert hi == pytest.approx(1.0, abs=1e-12)
 
+    def test_arpack_path_semidefinite_and_zero(self):
+        # zero eigenvalues are certified relative to the norm, not to themselves
+        rng = np.random.default_rng(10)
+        q, _ = np.linalg.qr(rng.standard_normal((300, 300)))
+        vals = np.concatenate([np.zeros(50), rng.uniform(0.1, 2.0, 250)])
+        lo, hi = extremal_eigs((q * vals) @ q.T, dense_cutoff=50)
+        assert lo == pytest.approx(0.0, abs=1e-9)
+        assert hi == pytest.approx(vals.max(), abs=1e-9)
+        assert extremal_eigs(np.zeros((60, 60)), dense_cutoff=20) == (0.0, 0.0)
+        assert extremal_eigs(-np.eye(60), dense_cutoff=20) == pytest.approx((-1.0, -1.0))
+
+    def test_arpack_no_convergence_is_a_convergence_error(self):
+        # the clustered ends of a 1-d Laplacian need more than the capped work
+        t = 2.0 * np.eye(300) - np.eye(300, k=1) - np.eye(300, k=-1)
+        with pytest.raises(ConvergenceError, match="ARPACK"):
+            extremal_eigs(t, dense_cutoff=50)
+
 
 class TestExtremalSvals:
     def test_rectangular_diagonal(self):
@@ -84,6 +104,22 @@ class TestExtremalSvals:
     def test_tall_matrix_rejected(self):
         with pytest.raises(ParameterError):
             extremal_svals(np.ones((3, 2)))
+
+
+class TestRankDecisions:
+    def test_nullity_systems_agree_across_validate_and_bounds(self):
+        # rank tests on squared Grams missed these nullities at some seeds
+        for seed in range(40):
+            for k in (0, 2):
+                system = nullity_system(10, 8, 5, k, seed)
+                no_e = DoubleSaddleSystem(
+                    system.A, system.B, system.C, system.D, np.zeros((5, 5))
+                )
+                assert validate(no_e).kernel_conditions[2] is (k == 0), seed
+                nullity = validate(system).c_nullity_k
+                assert nullity == k, seed
+                bounds = bounds_unpreconditioned(BlockExtremes.from_system(system))
+                assert bounds.degenerate_interior is (nullity > 0), seed
 
 
 class TestFullSpectrum:

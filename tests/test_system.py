@@ -6,7 +6,6 @@ from saddlebounds import (
     assemble,
     full_spectrum,
     inertia,
-    unregularized,
     validate,
 )
 from saddlebounds.errors import StructuralError, UnsupportedLayoutError
@@ -59,6 +58,16 @@ class TestValidate:
                 A=np.eye(3), B=np.ones((2, 3)), C=np.ones((1, 3)),
                 D=np.zeros((2, 2)), E=np.zeros((1, 1)),
             )
+
+    @pytest.mark.parametrize("name", "ABCDE")
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_block_rejected(self, name, value):
+        rng = np.random.default_rng(8)
+        system, _ = random_valid_system(rng, 8, 6, 4)
+        blocks = {key: getattr(system, key).copy() for key in "ABCDE"}
+        blocks[name][0, 0] = value
+        with pytest.raises(StructuralError, match=f"block {name} has non-finite"):
+            DoubleSaddleSystem(**blocks)
 
     def test_ordering_enforced(self):
         with pytest.raises(StructuralError, match="n >= m >= p"):
@@ -125,15 +134,15 @@ class TestUnregularized:
     def test_zeroes_both_blocks(self):
         rng = np.random.default_rng(5)
         system, _ = random_valid_system(rng, 5, 4, 2)
-        bare = unregularized(system)
+        bare = system.unregularized()
         assert not bare.D.any() and not bare.E.any()
         assert np.array_equal(bare.A, system.A)
 
     def test_idempotent(self):
         rng = np.random.default_rng(6)
         system, _ = random_valid_system(rng, 5, 4, 2)
-        once = unregularized(system)
-        twice = unregularized(once)
+        once = system.unregularized()
+        twice = once.unregularized()
         assert np.array_equal(once.D, twice.D)
         assert np.array_equal(once.E, twice.E)
 
@@ -144,4 +153,4 @@ class TestUnregularized:
         full = assemble(system).data.copy()
         full[n:n + m, n:n + m] = 0.0
         full[n + m:, n + m:] = 0.0
-        assert np.array_equal(assemble(unregularized(system)).data, full)
+        assert np.array_equal(assemble(system.unregularized()).data, full)
