@@ -97,6 +97,7 @@ def load_spd_blocks(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
     The manifest maps ``"blocks"`` to a list of three ``.mtx`` file names
     (or inline dense arrays) ordered as (leading, first Schur, second Schur).
+    Non-finite entries raise :class:`StructuralError`.
     """
     path = Path(path)
     with open(path) as handle:
@@ -108,4 +109,7 @@ def load_spd_blocks(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarra
         _dense(scipy.io.mmread(path.parent / entry) if isinstance(entry, str) else entry)
         for entry in entries
     ]
+    for idx, block in enumerate(out):
+        if not np.isfinite(block).all():
+            raise StructuralError(f"user block {idx} has non-finite entries")
     return out[0], out[1], out[2]

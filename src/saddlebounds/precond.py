@@ -2,12 +2,15 @@
 
 The exact preconditioner stacks the leading block with the two nested Schur
 complements.  Approximate variants replace individual blocks by cheaper
-spectrally equivalent matrices; every admissible block is an explicit SPD
-matrix at desk scale so that equivalence constants stay measurable.
+spectrally equivalent matrices.  Every block is also kept as an explicit SPD
+matrix at desk scale so that equivalence constants stay measurable; what
+MINRES applies is its upper Cholesky factor U_i (P_i = U_i^T U_i), which is
+the 1-D vector sqrt(diag) for a ``jacobi`` block and a dense ``cho_factor``
+result for every other block.
 
 The dense split-preconditioned matrix is the Cholesky congruence U^-T K U^-1,
-U = diag(U_i) with P_i = U_i^T U_i: isospectral to P^-1 K, but for
-non-diagonal blocks its entries differ from the form P^-1/2 K P^-1/2.
+U = diag(U_i): isospectral to P^-1 K, but for non-diagonal blocks its
+entries differ from the form P^-1/2 K P^-1/2.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .errors import (
     OracleSizeError,
     ParameterError,
     StrategyMismatchError,
+    StructuralError,
 )
 from .spectral import ORACLE_CUTOFF, _regularization_ratio, schur_complements
 from .system import DoubleSaddleSystem, _sym
@@ -75,7 +79,13 @@ class PoissonControlContext:
 
 @dataclass(frozen=True)
 class PreconditionerOperator:
-    """Three factorized SPD blocks applied block-diagonally."""
+    """Three factorized SPD blocks applied block-diagonally.
+
+    ``_factors`` holds one upper Cholesky factor per block: a 1-D array
+    sqrt(diag) for a diagonal (``jacobi``) block, applied by division, or a
+    ``cho_factor`` result, applied by triangular solves.  Blocks and factors
+    are checked finite once, when they are built, so the solves skip it.
+    """
 
     blocks: tuple[np.ndarray, np.ndarray, np.ndarray]
     strategy: tuple[str, str, str]
@@ -83,7 +93,7 @@ class PreconditionerOperator:
     _factors: tuple = field(repr=False, default=None)
 
     def apply_inverse(self, vector: np.ndarray) -> np.ndarray:
-        """Blockwise triangular solves: the action of the inverse on a vector."""
+        """Blockwise solves: the action of the inverse on a vector."""
         v = np.asarray(vector, dtype=float)
         n, m, p = self.dims
         if v.shape[0] != n + m + p:
@@ -92,7 +102,7 @@ class PreconditionerOperator:
             )
         pieces = (v[:n], v[n : n + m], v[n + m :])
         return np.concatenate(
-            [sla.cho_solve(f, piece) for f, piece in zip(self._factors, pieces)]
+            [_factored_solve(f, piece) for f, piece in zip(self._factors, pieces)]
         )
 
     def as_matrix(self) -> np.ndarray:
@@ -121,6 +131,29 @@ def _factor(block: np.ndarray, label: str):
         raise DefinitenessError(f"{label} block is not positive definite") from exc
 
 
+def _diagonal_factor(block: np.ndarray, label: str) -> np.ndarray:
+    """sqrt(diag): the upper Cholesky factor of a diagonal block, as a vector."""
+    diag = np.diag(block)
+    if not (diag > 0).all():
+        raise DefinitenessError(f"{label} block is not positive definite")
+    return np.sqrt(diag)
+
+
+def _factored_solve(factor, rhs: np.ndarray) -> np.ndarray:
+    """P^-1 rhs for P = U^T U."""
+    if isinstance(factor, np.ndarray):
+        return rhs / factor / factor
+    return sla.cho_solve(factor, rhs, check_finite=False)
+
+
+def _solve_upper_t(factor, rhs: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """U^-T rhs for the upper factor U of P = U^T U."""
+    if isinstance(factor, np.ndarray):
+        return rhs / factor[:, None]
+    return sla.solve_triangular(factor[0], rhs, trans=1, overwrite_b=overwrite,
+                                check_finite=False)
+
+
 def build_exact(system: DoubleSaddleSystem) -> PreconditionerOperator:
     """Exact preconditioner: the leading block and both Schur complements."""
     return build_approx(system, ("exact", "exact", "exact"))
@@ -135,10 +168,11 @@ def build_approx(
     """Assemble a preconditioner from per-block strategy names.
 
     Recognized strategies: ``exact``, ``jacobi`` (diagonal of the exact
-    block), ``scaled:<t>`` (the exact block times finite t > 0),
-    ``pearson-wathen`` (square-completion tail block; needs
-    distributed-control structure), ``drop-term`` (tail regularization block
-    alone; needs it SPD), and ``user`` (matrix taken from ``user_blocks``).
+    block, factored as the vector sqrt(diag)), ``scaled:<t>`` (the exact
+    block times finite t > 0), ``pearson-wathen`` (square-completion tail
+    block; needs distributed-control structure), ``drop-term`` (tail
+    regularization block alone; needs it SPD), and ``user`` (matrix taken
+    from ``user_blocks``).
     Exact leading and first-Schur blocks reuse the Schur pair's factors.
     """
     if len(strategies) != 3:
@@ -152,8 +186,12 @@ def build_approx(
     blocks = tuple(_approx_block(system, i, s, exact_blocks[i], context, user_blocks)
                    for i, s in enumerate(strategies))
     del exact_blocks
-    factors = tuple(f if f is not None else _factor(b, lbl)
-                    for f, b, lbl in zip(reused, blocks, _BLOCK_LABELS))
+    factors = tuple(
+        f if f is not None
+        else _diagonal_factor(b, lbl) if s == "jacobi"
+        else _factor(b, lbl)
+        for f, s, b, lbl in zip(reused, strategies, blocks, _BLOCK_LABELS)
+    )
     return PreconditionerOperator(
         blocks=blocks,
         strategy=tuple(strategies),
@@ -184,7 +222,10 @@ def _approx_block(system, idx, strat, exact, context, user_blocks) -> np.ndarray
     if strat == "user":
         if user_blocks is None or user_blocks[idx] is None:
             raise ParameterError(f"no user block supplied for position {idx}")
-        return _sym(np.asarray(user_blocks[idx], dtype=float))
+        block = np.asarray(user_blocks[idx], dtype=float)
+        if not np.isfinite(block).all():
+            raise StructuralError(f"user block {idx} has non-finite entries")
+        return _sym(block)
     raise ParameterError(f"unknown strategy {strat!r}")
 
 
@@ -227,9 +268,9 @@ def from_blocks(
 
 
 def _congruence(left, block: np.ndarray, right) -> np.ndarray:
-    """U_l^-T block U_r^-1 for two upper ``cho_factor`` results."""
-    half = sla.solve_triangular(left[0], block, trans=1)
-    return sla.solve_triangular(right[0], half.T, trans=1, overwrite_b=True).T
+    """U_l^-T block U_r^-1 for two upper factors of the operator."""
+    half = _solve_upper_t(left, block)
+    return _solve_upper_t(right, half.T, overwrite=True).T
 
 
 def split_preconditioned_matrix(
@@ -240,7 +281,8 @@ def split_preconditioned_matrix(
     """Form the dense split-preconditioned matrix as the Cholesky congruence
     U^-T K U^-1, U = diag(U_i) from the operator's factors P_i = U_i^T U_i.
 
-    Each nonzero block of K costs one pair of triangular solves.  The result
+    Each nonzero block of K costs one pair of triangular solves, or of row
+    and column scalings where a factor is diagonal.  The result
     is exactly symmetric and isospectral to P^-1 K; for non-diagonal blocks
     its entries differ from those of the symmetric-root form P^-1/2 K P^-1/2.
     """

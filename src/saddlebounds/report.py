@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse
 
 from .bounds import (
     BoundIntervals,
@@ -437,9 +438,12 @@ def solve(
     user_blocks=None,
     problem: dict | None = None,
 ) -> dict:
-    """Run (preconditioned) MINRES on the assembled system with b = ones."""
+    """Run (preconditioned) MINRES on the assembled system with b = ones.
+
+    MINRES applies K in CSR form; the dense assembly is dropped once converted.
+    """
     strategies = None if precond == "none" else strategy_tuple(precond)
-    matrix = assemble(system, "standard").data
+    matrix = scipy.sparse.csr_array(assemble(system, "standard").data)
     rhs = np.ones(matrix.shape[0])
     op = None
     if strategies is not None:

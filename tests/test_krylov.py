@@ -2,16 +2,24 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
 
+import saddlebounds.precond as precond_mod
+import saddlebounds.report as report_mod
 from saddlebounds import (
     DoubleSaddleSystem,
     assemble,
+    build_approx,
     build_exact,
+    distributed_context,
     minres,
+    poisson_distributed,
     residual_report,
 )
 from saddlebounds.errors import DefinitenessError, ParameterError
-from saddlebounds.precond import PreconditionerOperator
+from saddlebounds.precond import PreconditionerOperator, strategy_tuple
+from saddlebounds.report import solve
 
 from helpers import random_valid_system
 
@@ -157,3 +165,92 @@ class TestResidualReport:
         )
         assert not result.converged
         assert len(residual_report(result)) == 6
+
+
+class TestSolveOnCsr:
+    """``solve`` hands MINRES the assembled K in CSR form; its runs match
+    MINRES on the dense K with the same preconditioner."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        system, fem = poisson_distributed(2**-4, 1e-3)
+        return system, distributed_context(fem, 1e-3)
+
+    @staticmethod
+    def _capture_minres(monkeypatch) -> list:
+        runs = []
+
+        def run(operator, *args, **kwargs):
+            result = minres(operator, *args, **kwargs)
+            runs.append((operator, result))
+            return result
+
+        monkeypatch.setattr(report_mod, "minres", run)
+        return runs
+
+    @staticmethod
+    def _dense_run(system, context, precond):
+        op = build_approx(system, strategy_tuple(precond), context=context)
+        return minres(assemble(system).data, op, np.ones(system.total))
+
+    @pytest.mark.parametrize("precond, iterations", [("exact", 16), ("pearson-wathen", 23)])
+    def test_same_iterations_and_history_as_dense(
+        self, problem, precond, iterations, monkeypatch
+    ):
+        system, context = problem
+        runs = self._capture_minres(monkeypatch)
+        data = solve(system, precond=precond, context=context)
+        [(operator, _)] = runs
+        assert isinstance(operator, sp.csr_array)
+        dense = self._dense_run(system, context, precond)
+        assert data["iterations"] == dense.iterations == iterations
+        np.testing.assert_allclose(
+            data["residual_history"], dense.residual_history, rtol=1e-10, atol=0
+        )
+
+    def test_jacobi_same_iterations_and_solution(self, problem, monkeypatch):
+        # the jacobi history mid-run is roundoff-sensitive (it moves with the
+        # BLAS thread count), so only the count and the solution are compared
+        system, context = problem
+        runs = self._capture_minres(monkeypatch)
+        data = solve(system, precond="jacobi", context=context)
+        [(_, result)] = runs
+        dense = self._dense_run(system, context, "jacobi")
+        assert data["iterations"] == dense.iterations == 129
+        direct = np.linalg.solve(assemble(system).data, np.ones(system.total))
+        error = np.linalg.norm(result.solution - direct) / np.linalg.norm(direct)
+        assert error <= 1e-6
+
+    def test_jacobi_solve_runs_no_dense_factor_or_solve(self, monkeypatch):
+        # the Schur build (for diag(S1), diag(S2)) is the one place a jacobi
+        # solve needs dense Cholesky factors; nothing else may use them
+        rng = np.random.default_rng(79)
+        system, _ = random_valid_system(rng, 9, 6, 4)
+        dense_calls = []
+        in_schur = [False]
+
+        def counted(name, fn):
+            def run(*args, **kwargs):
+                if not in_schur[0]:
+                    dense_calls.append(name)
+                return fn(*args, **kwargs)
+            return run
+
+        for name in ("cho_factor", "cho_solve"):
+            monkeypatch.setattr(sla, name, counted(name, getattr(sla, name)))
+        schur = precond_mod.schur_complements
+
+        def schur_only(*args):
+            in_schur[0] = True
+            try:
+                return schur(*args)
+            finally:
+                in_schur[0] = False
+
+        monkeypatch.setattr(precond_mod, "schur_complements", schur_only)
+        runs = self._capture_minres(monkeypatch)
+        data = solve(system, precond="jacobi", rtol=1e-10)
+        [(operator, _)] = runs
+        assert data["converged"]
+        assert not isinstance(operator, np.ndarray)
+        assert dense_calls == []

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import saddlebounds.precond as precond_mod
 from saddlebounds import (
     DoubleSaddleSystem,
     assemble,
@@ -18,7 +21,12 @@ from saddlebounds import (
     split_preconditioned_matrix,
     verify_containment,
 )
-from saddlebounds.errors import DefinitenessError, ParameterError, StrategyMismatchError
+from saddlebounds.errors import (
+    DefinitenessError,
+    ParameterError,
+    StrategyMismatchError,
+    StructuralError,
+)
 from saddlebounds.precond import strategy_tuple
 
 from helpers import generalized_spectrum, random_valid_system
@@ -90,6 +98,44 @@ class TestBuildApprox:
         for approx, full in zip(op.blocks, exact.blocks):
             assert np.allclose(approx, np.diag(np.diag(full)))
 
+    def test_jacobi_factors_are_square_roots_of_the_diagonal(self):
+        rng = np.random.default_rng(52)
+        system, _ = random_valid_system(rng, 6, 4, 2)
+        op = build_approx(system, ("jacobi", "jacobi", "jacobi"))
+        for block, factor in zip(op.blocks, op._factors):
+            assert factor.ndim == 1
+            assert np.allclose(factor, np.sqrt(np.diag(block)))
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    @pytest.mark.parametrize("position, label", list(enumerate(
+        ("leading", "first-schur", "second-schur")
+    )))
+    def test_jacobi_rejects_non_positive_diagonal(
+        self, position, label, value, monkeypatch
+    ):
+        # the Schur build would reject a non-definite A or S1 before the
+        # jacobi factor is formed, so the blocks are planted in its result
+        rng = np.random.default_rng(67)
+        system, _ = random_valid_system(rng, 6, 4, 2)
+        pair = schur_complements(system)
+        blocks = [system.A.copy(), pair.s1.copy(), pair.s2.copy()]
+        blocks[position][1, 1] = value
+        system = dataclasses.replace(system, A=blocks[0])
+        pair = dataclasses.replace(pair, s1=blocks[1], s2=blocks[2])
+        monkeypatch.setattr(precond_mod, "schur_complements", lambda _: pair)
+        strategies = ["exact"] * 3
+        strategies[position] = "jacobi"
+        with pytest.raises(DefinitenessError, match=label):
+            build_approx(system, tuple(strategies))
+
+    def test_non_finite_user_block_rejected(self):
+        rng = np.random.default_rng(68)
+        system, _ = random_valid_system(rng, 6, 4, 2)
+        user = [b.copy() for b in build_exact(system).blocks]
+        user[2][0, 0] = np.inf
+        with pytest.raises(StructuralError, match="user block 2 has non-finite"):
+            build_approx(system, ("user", "user", "user"), user_blocks=user)
+
     def test_square_completion_tail_block(self):
         h, beta = 2**-3, 1e-3
         system, fem = poisson_distributed(h, beta)
@@ -139,6 +185,17 @@ class TestApplyInverse:
         w = rng.standard_normal(system.total)
         v = op.as_matrix() @ w
         assert np.allclose(op.apply_inverse(v), w, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("strategies", [
+        ("jacobi", "jacobi", "jacobi"), ("jacobi", "exact", "jacobi"),
+    ])
+    def test_matches_dense_solve_with_diagonal_factors(self, strategies):
+        rng = np.random.default_rng(69)
+        system, _ = random_valid_system(rng, 7, 5, 3)
+        op = build_approx(system, strategies)
+        v = rng.standard_normal(system.total)
+        expected = np.linalg.solve(op.as_matrix(), v)
+        np.testing.assert_allclose(op.apply_inverse(v), expected, rtol=1e-12, atol=0)
 
     def test_scalar_blocks_divide_componentwise(self):
         system = DoubleSaddleSystem(

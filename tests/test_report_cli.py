@@ -222,6 +222,10 @@ class TestCli:
         (["analyze", "--problem", "manifest:{manifest}"], "block A has non-finite"),
         (["solve", "--problem", "manifest:{manifest}", "--precond", "exact"],
          "block A has non-finite"),
+        (["solve", "--problem", "random", "--precond", "user:{user}"],
+         "user block 1 has non-finite"),
+        (["analyze", "--problem", "random", "--scenario", "prec-inexact",
+          "--precond", "user:{user}"], "user block 1 has non-finite"),
     ])
     def test_bad_input_exits_one_with_one_error_line(
         self, argv, message, tmp_path, capsys
@@ -238,7 +242,11 @@ class TestCli:
         manifest.write_text(json.dumps(
             {"schema": 1, "dims": [8, 6, 4], "format": "inline", "blocks": blocks}
         ))
-        paths = {"notes": notes, "manifest": manifest}
+        user_blocks = [np.eye(k).tolist() for k in (8, 6, 4)]
+        user_blocks[1][2][2] = float("nan")
+        user = tmp_path / "user.json"
+        user.write_text(json.dumps({"blocks": user_blocks}))
+        paths = {"notes": notes, "manifest": manifest, "user": user}
         code = main([arg.format(**paths) for arg in argv])
         err = capsys.readouterr().err
         assert code == 1
