@@ -24,7 +24,7 @@ from .problems import (
     tightness_lower_positive,
     tightness_upper_negative,
 )
-from .report import AnalysisReport, analyze, plot_rows, solve, solve_rows
+from .report import AnalysisReport, analyze, pick_scenario, plot_rows, solve, solve_rows
 from .spectral import BlockExtremes
 
 DEFAULT_RANDOM_EXTREMES = BlockExtremes(
@@ -175,10 +175,9 @@ def _load_report(path: str) -> AnalysisReport:
 def cmd_plotdata(args) -> int:
     reports = [_load_report(p) for p in args.reports]
     for path, report in zip(args.reports, reports):
-        entry = report.scenarios[0] if report.scenarios else None
-        has_spectrum = report.spectrum or (entry and entry.get("spectrum"))
-        if not has_spectrum:
-            raise ParameterError(f"report {path} carries no spectrum to plot")
+        if not pick_scenario(report, args.scenario)[1]:
+            which = f"{args.scenario} " if args.scenario else ""
+            raise ParameterError(f"report {path} carries no {which}spectrum to plot")
     rows = plot_rows(reports, scenario=args.scenario)
     _write_text("\n".join(rows) + "\n", args.out)
     return 0

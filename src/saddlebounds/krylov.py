@@ -55,6 +55,10 @@ def minres(
     b = np.asarray(rhs, dtype=float)
     if not np.all(np.isfinite(b)):
         raise ParameterError("right-hand side must be finite")
+    if not (math.isfinite(rtol) and rtol > 0):
+        raise ParameterError(f"rtol must be finite and positive, got {rtol}")
+    if maxit is not None and maxit < 0:
+        raise ParameterError(f"maxit must be non-negative, got {maxit}")
     dim = b.shape[0]
     if callable(operator):
         matvec = operator

@@ -5,8 +5,8 @@ complements.  Approximate variants replace individual blocks by cheaper
 spectrally equivalent matrices.  Every block is also kept as an explicit SPD
 matrix at desk scale so that equivalence constants stay measurable; what
 MINRES applies is its upper Cholesky factor U_i (P_i = U_i^T U_i), which is
-the 1-D vector sqrt(diag) for a ``jacobi`` block and a dense ``cho_factor``
-result for every other block.
+the 1-D vector sqrt(diag) for a diagonal block (such as ``jacobi``) and a
+dense ``cho_factor`` result for every other block.
 
 The dense split-preconditioned matrix is the Cholesky congruence U^-T K U^-1,
 U = diag(U_i): isospectral to P^-1 K, but for non-diagonal blocks its
@@ -82,7 +82,7 @@ class PreconditionerOperator:
     """Three factorized SPD blocks applied block-diagonally.
 
     ``_factors`` holds one upper Cholesky factor per block: a 1-D array
-    sqrt(diag) for a diagonal (``jacobi``) block, applied by division, or a
+    sqrt(diag) for a diagonal block, applied by division, or a
     ``cho_factor`` result, applied by triangular solves.  Blocks and factors
     are checked finite once, when they are built, so the solves skip it.
     """
@@ -125,18 +125,17 @@ class EquivalenceMeasurement:
 
 
 def _factor(block: np.ndarray, label: str):
+    """Upper Cholesky factor of an SPD block: the vector sqrt(diag) when every
+    nonzero lies on the diagonal, else a ``cho_factor`` result."""
+    diag = np.diagonal(block)
+    if np.count_nonzero(block) == np.count_nonzero(diag):
+        if (diag > 0).all():
+            return np.sqrt(diag)
+        raise DefinitenessError(f"{label} block is not positive definite")
     try:
         return sla.cho_factor(_sym(block))
     except sla.LinAlgError as exc:
         raise DefinitenessError(f"{label} block is not positive definite") from exc
-
-
-def _diagonal_factor(block: np.ndarray, label: str) -> np.ndarray:
-    """sqrt(diag): the upper Cholesky factor of a diagonal block, as a vector."""
-    diag = np.diag(block)
-    if not (diag > 0).all():
-        raise DefinitenessError(f"{label} block is not positive definite")
-    return np.sqrt(diag)
 
 
 def _factored_solve(factor, rhs: np.ndarray) -> np.ndarray:
@@ -168,12 +167,12 @@ def build_approx(
     """Assemble a preconditioner from per-block strategy names.
 
     Recognized strategies: ``exact``, ``jacobi`` (diagonal of the exact
-    block, factored as the vector sqrt(diag)), ``scaled:<t>`` (the exact
-    block times finite t > 0), ``pearson-wathen`` (square-completion tail
-    block; needs distributed-control structure), ``drop-term`` (tail
-    regularization block alone; needs it SPD), and ``user`` (matrix taken
-    from ``user_blocks``).
-    Exact leading and first-Schur blocks reuse the Schur pair's factors.
+    block), ``scaled:<t>`` (the exact block times finite t > 0),
+    ``pearson-wathen`` (square-completion tail block; needs
+    distributed-control structure), ``drop-term`` (tail regularization
+    block alone; needs it SPD), and ``user`` (matrix taken from
+    ``user_blocks``).  Exact leading and first-Schur blocks reuse the Schur
+    pair's factors; any diagonal block is factored as the vector sqrt(diag).
     """
     if len(strategies) != 3:
         raise ParameterError("need exactly three per-block strategies")
@@ -186,12 +185,8 @@ def build_approx(
     blocks = tuple(_approx_block(system, i, s, exact_blocks[i], context, user_blocks)
                    for i, s in enumerate(strategies))
     del exact_blocks
-    factors = tuple(
-        f if f is not None
-        else _diagonal_factor(b, lbl) if s == "jacobi"
-        else _factor(b, lbl)
-        for f, s, b, lbl in zip(reused, strategies, blocks, _BLOCK_LABELS)
-    )
+    factors = tuple(f if f is not None else _factor(b, lbl)
+                    for f, b, lbl in zip(reused, blocks, _BLOCK_LABELS))
     return PreconditionerOperator(
         blocks=blocks,
         strategy=tuple(strategies),

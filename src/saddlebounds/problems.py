@@ -65,7 +65,7 @@ def random_system(
     """
     if not (n >= m >= p >= 1):
         raise ParameterError(f"dims must satisfy n >= m >= p >= 1, got {(n, m, p)}")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
 
     def sym_block(dim, lo, hi):
         if hi == 0.0:
@@ -98,7 +98,7 @@ def nullity_system(
     """
     if not 0 <= nullity_k <= p:
         raise ParameterError(f"nullity {nullity_k} out of range [0, {p}]")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
 
     qa = haar_orthogonal(rng, n)
     a = (qa * rng.uniform(0.5, 3.0, n)) @ qa.T
@@ -164,6 +164,12 @@ def tightness_lower_positive(
     )
 
 
+def _seeded_rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ParameterError(f"seed must be non-negative, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _require_positive(**params: float) -> None:
     for name, value in params.items():
         if not value > 0:
@@ -211,10 +217,6 @@ class FemDiscretization:
     control: np.ndarray
     boundary_mass: np.ndarray
     coupling: np.ndarray
-
-    @property
-    def node_count(self) -> int:
-        return self.mass.shape[0]
 
     @property
     def mass_interior(self) -> np.ndarray:

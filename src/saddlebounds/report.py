@@ -39,7 +39,7 @@ from .precond import (
 from .spectral import (
     ORACLE_CUTOFF,
     ZERO_TOL,
-    BlockExtremes,
+    ValidationReport,
     full_spectrum,
     schur_complements,
     validate,
@@ -141,8 +141,7 @@ def _spectrum_summary(values: np.ndarray) -> dict:
     return summary
 
 
-def _validation_dict(system: DoubleSaddleSystem) -> dict:
-    rep = validate(system)
+def _validation_dict(rep: ValidationReport) -> dict:
     return {
         "ok": rep.ok,
         "symmetric_ok": dict(rep.symmetric_ok),
@@ -237,22 +236,21 @@ def analyze(
     for name in scenarios:
         if name not in SCENARIOS:
             raise ParameterError(f"unknown scenario {name!r}")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ParameterError(f"tol must be finite and non-negative, got {tol}")
     strategies = strategy_tuple(precond) if "prec-inexact" in scenarios else None
 
+    validation = validate(system)
+    extremes = validation.extremes
     report = AnalysisReport(
         problem=problem or {},
         dims=list(system.dims),
-        validation=_validation_dict(system),
+        validation=_validation_dict(validation),
         scenarios=[],
+        extremes=None if extremes is None else asdict(extremes),
         timings=timings,
     )
     timings["validate"] = time.perf_counter() - t_start
-
-    try:
-        extremes = BlockExtremes.from_system(system)
-        report.extremes = asdict(extremes)
-    except (ParameterError, SaddleBoundsError):
-        extremes = None
 
     desk_scale = system.total <= oracle_cutoff
     spectrum = None
@@ -489,12 +487,9 @@ def plot_rows(
     spectra: list[list[float]] = []
     bounds_values = None
     for report in reports:
-        entry = _pick_scenario(report, scenario)
+        entry, values = pick_scenario(report, scenario)
         if entry is None:
             continue
-        values = entry.get("spectrum")
-        if values is None:
-            values = report.spectrum
         spectra.append(values or [])
         if bounds_values is None and entry.get("intervals"):
             iv = entry["intervals"]
@@ -520,12 +515,16 @@ def plot_rows(
     return rows
 
 
-def _pick_scenario(report: AnalysisReport, scenario: str | None):
-    if not report.scenarios:
-        return None
-    if scenario is None:
-        return report.scenarios[0]
-    for entry in report.scenarios:
-        if entry.get("name") == scenario:
-            return entry
-    return None
+def pick_scenario(report: AnalysisReport, scenario: str | None):
+    """The selected scenario entry of a report (the first when ``scenario``
+    is None; None when the report lacks it) and the spectrum to plot for it:
+    the entry's own, or the spectrum of K for an ``unprec`` entry, else None.
+    """
+    entry = next((e for e in report.scenarios
+                  if scenario is None or e.get("name") == scenario), None)
+    if entry is None:
+        return None, None
+    values = entry.get("spectrum")
+    if values is None and entry.get("name") == "unprec":
+        values = report.spectrum
+    return entry, values

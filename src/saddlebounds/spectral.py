@@ -44,7 +44,8 @@ _TINY = float(np.finfo(float).tiny)
 
 @dataclass(frozen=True)
 class BlockExtremes:
-    """The ten extremal eigen/singular values feeding every bound formula."""
+    """The ten extremal eigen/singular values feeding every bound formula;
+    an analysis measures them once, in :func:`validate`."""
 
     mu_min_a: float
     mu_max_a: float
@@ -77,16 +78,17 @@ class BlockExtremes:
 
     @classmethod
     def from_system(cls, system: DoubleSaddleSystem) -> "BlockExtremes":
-        """Measure the extremes of each block of a system.
+        """Measure the extremes of each block of a system on their own."""
+        return cls._measured(extremal_eigs(system.A), _singular_values(system.B),
+                             _singular_values(system.C), extremal_eigs(system.D),
+                             extremal_eigs(system.E))
 
-        Semidefinite blocks may report tiny negative minima from round-off;
-        those are clamped to zero.
+    @classmethod
+    def _measured(cls, mu_a, svals_b, svals_c, mu_d, mu_e) -> "BlockExtremes":
+        """Extremes from the eigen-ranges of A, D, E and the descending singular
+        values of B, C.  Semidefinite blocks may report tiny negative minima
+        from round-off; those are clamped to zero.
         """
-        mu_a = extremal_eigs(system.A)
-        sig_b = extremal_svals(system.B)
-        sig_c = extremal_svals(system.C)
-        mu_d = extremal_eigs(system.D)
-        mu_e = extremal_eigs(system.E)
 
         def clamp(pair):
             lo, hi = pair
@@ -95,9 +97,8 @@ class BlockExtremes:
                 lo = 0.0
             return lo, max(hi, lo)
 
-        mu_d = clamp(mu_d)
-        mu_e = clamp(mu_e)
-        return cls(*mu_a, *sig_b, *sig_c, *mu_d, *mu_e)
+        return cls(*mu_a, float(svals_b[-1]), float(svals_b[0]),
+                   float(svals_c[-1]), float(svals_c[0]), *clamp(mu_d), *clamp(mu_e))
 
     def without_regularization(self) -> "BlockExtremes":
         return replace(self, mu_min_d=0.0, mu_max_d=0.0, mu_min_e=0.0, mu_max_e=0.0)
@@ -126,7 +127,9 @@ class ValidationReport:
     ``kernel_conditions`` are the three necessary invertibility conditions
     (no common kernel between stacked blocks); ``schur_definite`` records
     positive definiteness of the two Schur complements, which is sufficient
-    for invertibility and implies every kernel condition.
+    for invertibility and implies every kernel condition.  ``extremes`` are
+    the block extremes measured on the way, or ``None`` when they are not
+    admissible (for example when A is not positive definite).
     """
 
     symmetric_ok: Mapping[str, bool]
@@ -136,6 +139,7 @@ class ValidationReport:
     b_full_row_rank: bool
     c_full_row_rank: bool
     c_nullity_k: int
+    extremes: BlockExtremes | None
 
     @property
     def ok(self) -> bool:
@@ -372,21 +376,24 @@ def validate(system: DoubleSaddleSystem) -> ValidationReport:
     singular values above ``RANK_TOL`` times the largest one; the nullity
     of C^T is p - rank(C).  A kernel condition whose top block is injective
     (A definite, B or C of full row rank) holds without a rank test of the
-    stack.  S1 and S2 come from :func:`schur_complements`.
+    stack.  S1 and S2 come from :func:`schur_complements`.  The eigen-ranges
+    and singular values measured here also give ``extremes``.
     """
     A, B, C, D, E = system.A, system.B, system.C, system.D, system.E
     _, m, p = system.dims
 
     symmetric_ok = {name: _symmetry_ok(getattr(system, name)) for name in "ADE"}
-    a_pd = _definite(extremal_eigs(A))
-    definiteness_ok = {
-        "A": a_pd,
-        "D": _semidefinite(extremal_eigs(D)),
-        "E": _semidefinite(extremal_eigs(E)),
-    }
+    mu_a, mu_d, mu_e = extremal_eigs(A), extremal_eigs(D), extremal_eigs(E)
+    svals_b, svals_c = _singular_values(B), _singular_values(C)
+    try:
+        extremes = BlockExtremes._measured(mu_a, svals_b, svals_c, mu_d, mu_e)
+    except ParameterError:
+        extremes = None
+    a_pd = _definite(mu_a)
+    definiteness_ok = {"A": a_pd, "D": _semidefinite(mu_d), "E": _semidefinite(mu_e)}
 
-    b_full_row_rank = _rank(_singular_values(B)) == m
-    rank_c = _rank(_singular_values(C))
+    b_full_row_rank = _rank(svals_b) == m
+    rank_c = _rank(svals_c)
     c_full_row_rank = rank_c == p
 
     kernel_conditions = (
@@ -413,4 +420,5 @@ def validate(system: DoubleSaddleSystem) -> ValidationReport:
         b_full_row_rank=b_full_row_rank,
         c_full_row_rank=c_full_row_rank,
         c_nullity_k=p - rank_c,
+        extremes=extremes,
     )

@@ -102,9 +102,11 @@ class TestBuildApprox:
         rng = np.random.default_rng(52)
         system, _ = random_valid_system(rng, 6, 4, 2)
         op = build_approx(system, ("jacobi", "jacobi", "jacobi"))
-        for block, factor in zip(op.blocks, op._factors):
-            assert factor.ndim == 1
-            assert np.allclose(factor, np.sqrt(np.diag(block)))
+        wrapped = precond_mod.from_blocks(op.blocks, system.dims)
+        for ops in (op, wrapped):
+            for block, factor in zip(ops.blocks, ops._factors):
+                assert factor.ndim == 1
+                assert np.allclose(factor, np.sqrt(np.diag(block)))
 
     @pytest.mark.parametrize("value", [0.0, -1.0])
     @pytest.mark.parametrize("position, label", list(enumerate(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -92,6 +93,26 @@ class TestAnalysisReport:
         assert AnalysisReport.from_json(text).to_json() == text
 
 
+    def test_analyze_measures_each_block_once(self, monkeypatch):
+        import saddlebounds.spectral as spectral_mod
+
+        rng = np.random.default_rng(94)
+        system, _ = random_valid_system(rng, 6, 4, 2)
+        seen = []
+
+        def counted(fn):
+            def run(matrix, *args, **kwargs):
+                seen.append(next((k for k in "ABC" if matrix is getattr(system, k)), None))
+                return fn(matrix, *args, **kwargs)
+            return run
+
+        for name in ("extremal_eigs", "_singular_values"):
+            monkeypatch.setattr(spectral_mod, name, counted(getattr(spectral_mod, name)))
+        report = analyze(system, scenarios=("unprec",))
+        assert report.passed and report.extremes is not None
+        assert [seen.count(k) for k in "ABC"] == [1, 1, 1]
+
+
 class TestPlotRows:
     def test_single_report_columns(self, small_report):
         rows = plot_rows([small_report])
@@ -111,6 +132,15 @@ class TestPlotRows:
         rows = plot_rows([])
         assert len(rows) == 1
         assert rows[0].startswith("index,eigenvalue")
+
+    def test_failed_preconditioned_entry_plots_no_spectrum_of_k(self):
+        rng = np.random.default_rng(95)
+        system, _ = random_valid_system(rng, 6, 4, 2)
+        system = dataclasses.replace(system, A=np.diag(np.linspace(-1.0, 2.0, 6)))
+        report = analyze(system, scenarios=("unprec", "prec-exact"))
+        assert report.spectrum and "error" in report.scenarios[1]
+        assert len(plot_rows([report], scenario="unprec")) == 1 + system.total
+        assert len(plot_rows([report], scenario="prec-exact")) == 1
 
     def test_byte_identical_across_runs(self):
         rng1 = np.random.default_rng(93)
@@ -226,6 +256,14 @@ class TestCli:
          "user block 1 has non-finite"),
         (["analyze", "--problem", "random", "--scenario", "prec-inexact",
           "--precond", "user:{user}"], "user block 1 has non-finite"),
+        (["analyze", "--problem", "random", "--tol", "nan"], "tol must be finite"),
+        (["analyze", "--problem", "random", "--tol", "-1"], "tol must be finite"),
+        (["solve", "--problem", "random", "--rtol", "nan"], "rtol must be finite"),
+        (["solve", "--problem", "random", "--rtol", "-1"], "rtol must be finite"),
+        (["solve", "--problem", "random", "--maxit", "-3"], "maxit must be non-negative"),
+        (["analyze", "--problem", "random", "--seed", "-1"], "seed must be non-negative"),
+        (["plotdata", "{report}", "--scenario", "prec-exact"],
+         "report {report} carries no prec-exact spectrum"),
     ])
     def test_bad_input_exits_one_with_one_error_line(
         self, argv, message, tmp_path, capsys
@@ -246,7 +284,9 @@ class TestCli:
         user_blocks[1][2][2] = float("nan")
         user = tmp_path / "user.json"
         user.write_text(json.dumps({"blocks": user_blocks}))
-        paths = {"notes": notes, "manifest": manifest, "user": user}
+        report = tmp_path / "unprec.json"
+        report.write_text(analyze(system).to_json())
+        paths = {"notes": notes, "manifest": manifest, "user": user, "report": report}
         code = main([arg.format(**paths) for arg in argv])
         err = capsys.readouterr().err
         assert code == 1

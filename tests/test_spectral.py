@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -282,3 +284,20 @@ class TestBlockExtremes:
             BlockExtremes(0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
         with pytest.raises(ParameterError):
             BlockExtremes(1.0, 0.5, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("d_zero, e_zero", [(False, False), (True, False), (True, True)])
+    def test_validate_hands_over_the_measured_extremes(self, d_zero, e_zero):
+        rng = np.random.default_rng(41)
+        for n, m, p in ((6, 4, 2), (9, 6, 4), (12, 12, 5)):
+            system, _ = random_valid_system(rng, n, m, p, d_zero=d_zero, e_zero=e_zero)
+            assert validate(system).extremes == BlockExtremes.from_system(system)
+        system = nullity_system(10, 8, 5, 2, seed=3)
+        assert validate(system).extremes == BlockExtremes.from_system(system)
+
+    def test_indefinite_leading_block_has_no_extremes(self):
+        rng = np.random.default_rng(42)
+        system, _ = random_valid_system(rng, 6, 4, 2)
+        system = dataclasses.replace(system, A=np.diag(np.linspace(-1.0, 2.0, 6)))
+        assert validate(system).extremes is None
+        with pytest.raises(ParameterError):
+            BlockExtremes.from_system(system)
