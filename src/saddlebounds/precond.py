@@ -2,11 +2,15 @@
 
 The exact preconditioner stacks the leading block with the two nested Schur
 complements.  Approximate variants replace individual blocks by cheaper
-spectrally equivalent matrices.  Every block is also kept as an explicit SPD
-matrix at desk scale so that equivalence constants stay measurable; what
-MINRES applies is its upper Cholesky factor U_i (P_i = U_i^T U_i), which is
-the 1-D vector sqrt(diag) for a diagonal block (such as ``jacobi``) and a
-dense ``cho_factor`` result for every other block.
+spectrally equivalent matrices.  :func:`build_approx` takes S1 and the
+factors of A and S1 from one :func:`~saddlebounds.spectral.schur_complements`
+pair and reads S2 only when the tail strategy derives its block from it
+(``exact``, ``jacobi``, ``scaled:<t>``), so ``pearson-wathen``,
+``drop-term`` and ``user`` never form it.  Every block is also kept as an
+explicit SPD matrix at desk scale so that equivalence constants stay
+measurable; what MINRES applies is its upper Cholesky factor U_i
+(P_i = U_i^T U_i), which is the 1-D vector sqrt(diag) for a diagonal block
+(such as ``jacobi``) and a dense ``cho_factor`` result for every other block.
 
 The dense split-preconditioned matrix is the Cholesky congruence U^-T K U^-1,
 U = diag(U_i): isospectral to P^-1 K, but for non-diagonal blocks its
@@ -30,7 +34,12 @@ from .errors import (
     StrategyMismatchError,
     StructuralError,
 )
-from .spectral import ORACLE_CUTOFF, _regularization_ratio, schur_complements
+from .spectral import (
+    ORACLE_CUTOFF,
+    _regularization_ratio,
+    _solve_upper_t,
+    schur_complements,
+)
 from .system import DoubleSaddleSystem, _sym
 
 _BLOCK_LABELS = ("leading", "first-schur", "second-schur")
@@ -145,14 +154,6 @@ def _factored_solve(factor, rhs: np.ndarray) -> np.ndarray:
     return sla.cho_solve(factor, rhs, check_finite=False)
 
 
-def _solve_upper_t(factor, rhs: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    """U^-T rhs for the upper factor U of P = U^T U."""
-    if isinstance(factor, np.ndarray):
-        return rhs / factor[:, None]
-    return sla.solve_triangular(factor[0], rhs, trans=1, overwrite_b=overwrite,
-                                check_finite=False)
-
-
 def build_exact(system: DoubleSaddleSystem) -> PreconditionerOperator:
     """Exact preconditioner: the leading block and both Schur complements."""
     return build_approx(system, ("exact", "exact", "exact"))
@@ -172,12 +173,14 @@ def build_approx(
     distributed-control structure), ``drop-term`` (tail regularization
     block alone; needs it SPD), and ``user`` (matrix taken from
     ``user_blocks``).  Exact leading and first-Schur blocks reuse the Schur
-    pair's factors; any diagonal block is factored as the vector sqrt(diag).
+    pair's factors; S2 is formed only for a tail strategy that reads it; any
+    diagonal block is factored as the vector sqrt(diag).
     """
     if len(strategies) != 3:
         raise ParameterError("need exactly three per-block strategies")
     pair = schur_complements(system)
-    exact_blocks = (_sym(system.A), pair.s1, pair.s2)
+    tail = pair.s2 if _reads_exact(strategies[2]) else None
+    exact_blocks = (_sym(system.A), pair.s1, tail)
     # exact positions reuse the pair's factors; the Grams and the rest go now
     reused = [f if s == "exact" else None
               for f, s in zip((pair.cho_a, pair.cho_1, None), strategies)]
@@ -193,6 +196,11 @@ def build_approx(
         dims=system.dims,
         _factors=factors,
     )
+
+
+def _reads_exact(strat: str) -> bool:
+    """Whether a strategy derives its block from the exact one."""
+    return strat in ("exact", "jacobi") or strat.startswith("scaled:")
 
 
 def _approx_block(system, idx, strat, exact, context, user_blocks) -> np.ndarray:

@@ -172,8 +172,10 @@ def _seeded_rng(seed: int) -> np.random.Generator:
 
 def _require_positive(**params: float) -> None:
     for name, value in params.items():
-        if not value > 0:
-            raise ParameterError(f"parameter {name} must be positive, got {value}")
+        if not (math.isfinite(value) and value > 0):
+            raise ParameterError(
+                f"parameter {name} must be finite and positive, got {value}"
+            )
 
 
 # --- Q1 finite elements on the unit square ---------------------------------
@@ -237,6 +239,7 @@ class FemDiscretization:
 
 def q1_discretize(h: float) -> FemDiscretization:
     """Assemble Q1 mass and stiffness matrices for mesh width h = 1/N."""
+    _require_positive(h=h)
     nx = int(round(1.0 / h))
     if nx < 2 or abs(nx * h - 1.0) > 1e-12:
         raise ParameterError(f"mesh width must be 1/N with integer N >= 2, got {h}")
@@ -315,8 +318,7 @@ def poisson_distributed(
     ordering (M, K, -M, 0, beta M) is returned; the two assemblies are
     permutation-similar.
     """
-    if beta <= 0:
-        raise ParameterError(f"regularization weight must be positive, got {beta}")
+    _require_positive(beta=beta)
     fem = q1_discretize(h)
     mi = fem.mass_interior
     ki = fem.stiffness_interior
@@ -344,8 +346,7 @@ def poisson_boundary(h: float, beta: float) -> DoubleSaddleSystem:
     space is strictly smaller than the state space.  Roles:
     (M, K, -coupling^T, 0, beta * boundary mass).
     """
-    if beta <= 0:
-        raise ParameterError(f"regularization weight must be positive, got {beta}")
+    _require_positive(beta=beta)
     fem = q1_discretize(h)
     mf = fem.mass_free
     kf = fem.stiffness_free

@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse
 
 from .bounds import (
     BoundIntervals,
@@ -44,7 +43,7 @@ from .spectral import (
     schur_complements,
     validate,
 )
-from .system import DoubleSaddleSystem, assemble
+from .system import DoubleSaddleSystem, assemble, assemble_csr
 
 SCHEMA_VERSION = 1
 FLOAT_FMT = ".17g"
@@ -233,6 +232,8 @@ def analyze(
     t_start = time.perf_counter()
     timings: dict[str, float] = {}
 
+    if not scenarios:
+        raise ParameterError("no scenario given")
     for name in scenarios:
         if name not in SCENARIOS:
             raise ParameterError(f"unknown scenario {name!r}")
@@ -438,10 +439,10 @@ def solve(
 ) -> dict:
     """Run (preconditioned) MINRES on the assembled system with b = ones.
 
-    MINRES applies K in CSR form; the dense assembly is dropped once converted.
+    MINRES applies K in CSR form, built from the blocks without a dense K.
     """
     strategies = None if precond == "none" else strategy_tuple(precond)
-    matrix = scipy.sparse.csr_array(assemble(system, "standard").data)
+    matrix = assemble_csr(system)
     rhs = np.ones(matrix.shape[0])
     op = None
     if strategies is not None:

@@ -3,7 +3,9 @@
 Extremal eigenvalues come from a dense symmetric decomposition up to
 ``ORACLE_CUTOFF`` and from ARPACK (``eigsh``) above it.  Singular values,
 and with them every rank decision, come from one SVD helper.  Also home to
-the Schur complements of a system, the two regularization ratios (largest
+the Schur complements of a system (each Gram from one U^-T solve against an
+upper Cholesky factor, the helper the preconditioners' congruence shares),
+the two regularization ratios (largest
 generalized eigenvalues of the regularization blocks against the coupling
 Grams) that drive the inexact-preconditioner bounds, and :func:`validate`,
 which checks the hypotheses of the bounds with these same kernels.
@@ -153,8 +155,14 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class SchurPair:
-    """Both Schur complements, the ``cho_factor`` results of A and S1, and
-    the regularization ratio constants, each solved on first read.
+    """The Schur complements of a system, the ``cho_factor`` results of A
+    and S1, and the regularization ratio constants.
+
+    S1 = D + B A^-1 B^T is formed with the pair.  The tail Gram
+    C S1^-1 C^T, S2 = E + C S1^-1 C^T and both ratios are formed on first
+    read, so a caller that replaces S2 never pays for it.  Each Gram is
+    W^T W with W = U^-T (coupling)^T for the upper Cholesky factor U, so it
+    and both complements are exactly symmetric.
 
     ``eta_d`` is the largest generalized eigenvalue of (D, B A^-1 B^T) and
     ``eta_e`` of (E, C S1^-1 C^T); either is ``inf`` when the corresponding
@@ -162,20 +170,27 @@ class SchurPair:
     nonzero, and exactly zero when the regularization block vanishes.
     """
 
+    system: DoubleSaddleSystem = field(repr=False)
     s1: np.ndarray
-    s2: np.ndarray
+    gram_b: np.ndarray = field(repr=False)
     cho_a: tuple = field(repr=False)
     cho_1: tuple = field(repr=False)
-    pencil_d: tuple = field(repr=False)
-    pencil_e: tuple = field(repr=False)
+
+    @cached_property
+    def gram_c(self) -> np.ndarray:
+        return _gram(self.cho_1, self.system.C)
+
+    @cached_property
+    def s2(self) -> np.ndarray:
+        return _sym(self.system.E) + self.gram_c
 
     @cached_property
     def eta_d(self) -> float:
-        return _regularization_ratio(*self.pencil_d)
+        return _regularization_ratio(self.system.D, self.gram_b)
 
     @cached_property
     def eta_e(self) -> float:
-        return _regularization_ratio(*self.pencil_e)
+        return _regularization_ratio(self.system.E, self.gram_c)
 
 
 def extremal_eigs(matrix, dense_cutoff: int = ORACLE_CUTOFF) -> tuple[float, float]:
@@ -309,35 +324,42 @@ def inertia(matrix) -> Inertia:
 
 
 def schur_complements(system: DoubleSaddleSystem) -> SchurPair:
-    """Form S1 = D + B A^-1 B^T and S2 = E + C S1^-1 C^T with their ratios.
+    """Factor A, form S1 = D + B A^-1 B^T and factor it; S2 = E + C S1^-1 C^T
+    and the ratios follow on first read of the returned pair.
 
-    Both complements are built with triangular solves against Cholesky
-    factors, which the result keeps.  The ratios are symmetric generalized
-    eigenproblems (D v = eta * (B A^-1 B^T) v and its analogue), which need
-    the coupling Gram to be definite, i.e. the coupling block to have full
-    row rank.
+    Each Gram costs one triangular solve against the upper Cholesky factor
+    and one symmetric product (see :class:`SchurPair`).  The ratios are
+    symmetric generalized eigenproblems (D v = eta * (B A^-1 B^T) v and its
+    analogue), which need the coupling Gram to be definite, i.e. the
+    coupling block to have full row rank.
     """
     try:
         cho_a = sla.cho_factor(_sym(system.A))
     except sla.LinAlgError as exc:
         raise DefinitenessError("leading block is not positive definite") from exc
-    gram_b = _sym(system.B @ sla.cho_solve(cho_a, system.B.T))
-    s1 = _sym(system.D + gram_b)
+    gram_b = _gram(cho_a, system.B)
+    s1 = _sym(system.D) + gram_b
     try:
         cho_1 = sla.cho_factor(s1)
     except sla.LinAlgError as exc:
         raise DefinitenessError("first Schur complement is not positive definite") from exc
-    gram_c = _sym(system.C @ sla.cho_solve(cho_1, system.C.T))
-    s2 = _sym(system.E + gram_c)
+    return SchurPair(system=system, s1=s1, gram_b=gram_b, cho_a=cho_a, cho_1=cho_1)
 
-    return SchurPair(
-        s1=s1,
-        s2=s2,
-        cho_a=cho_a,
-        cho_1=cho_1,
-        pencil_d=(system.D, gram_b),
-        pencil_e=(system.E, gram_c),
-    )
+
+def _solve_upper_t(factor, rhs: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """U^-T rhs for the upper factor U of P = U^T U: a 1-D vector sqrt(diag)
+    or a ``cho_factor`` result, both checked finite when formed."""
+    if isinstance(factor, np.ndarray):
+        return rhs / factor[:, None]
+    return sla.solve_triangular(factor[0], rhs, trans=1, overwrite_b=overwrite,
+                                check_finite=False)
+
+
+def _gram(factor, coupling: np.ndarray) -> np.ndarray:
+    """coupling P^-1 coupling^T as W^T W, W = U^-T coupling^T; numpy forms
+    the product of an array with its own transpose symmetrically."""
+    half = _solve_upper_t(factor, coupling.T)
+    return half.T @ half
 
 
 def _regularization_ratio(reg: np.ndarray, gram: np.ndarray) -> float:

@@ -11,7 +11,8 @@ regularization blocks D (m x m) and E (p x p).  The assembled matrix
 
 is symmetric indefinite.  This module holds only the data model: the
 immutable :class:`DoubleSaddleSystem`, which rejects inconsistent shapes and
-non-finite entries when it is built, and :func:`assemble`.  Everything
+non-finite entries when it is built, :func:`assemble` (dense, every layout)
+and :func:`assemble_csr` (the standard layout in CSR form).  Everything
 downstream (validation and spectral kernels, bound formulas,
 preconditioners, solvers) consumes it.
 """
@@ -169,3 +170,16 @@ def _place(out, offsets, diagonal, couplings):
     out[i2, i1] = lower_tail
     out[i1, i2] = lower_tail.T
 
+
+def assemble_csr(system: DoubleSaddleSystem) -> sp.csr_array:
+    """The standard layout as a CSR array, built from the five blocks with no
+    dense intermediate of the full size.
+
+    Equal entry for entry (``indptr``, ``indices`` and ``data``) to
+    ``csr_array(assemble(system).data)``, so its products with a vector are
+    bitwise equal too.
+    """
+    A, B, C, D, E = system.A, system.B, system.C, system.D, system.E
+    return sp.block_array(
+        [[_sym(A), B.T, None], [B, -_sym(D), C.T], [None, C, _sym(E)]], format="csr"
+    )

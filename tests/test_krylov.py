@@ -7,6 +7,7 @@ import scipy.sparse as sp
 
 import saddlebounds.precond as precond_mod
 import saddlebounds.report as report_mod
+import saddlebounds.spectral as spectral_mod
 from saddlebounds import (
     DoubleSaddleSystem,
     assemble,
@@ -254,3 +255,42 @@ class TestSolveOnCsr:
         assert data["converged"]
         assert not isinstance(operator, np.ndarray)
         assert dense_calls == []
+
+    @pytest.mark.parametrize("which", ["random", "poisson"])
+    def test_csr_k_equals_the_converted_dense_assembly(self, which, problem, monkeypatch):
+        if which == "random":
+            system, _ = random_valid_system(np.random.default_rng(80), 9, 6, 4)
+        else:
+            system, _ = problem
+        runs = self._capture_minres(monkeypatch)
+        solve(system, precond="none", maxit=1)
+        [(operator, _)] = runs
+        reference = sp.csr_array(assemble(system).data)
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(operator, part), getattr(reference, part))
+        v = np.random.default_rng(81).standard_normal(system.total)
+        assert np.array_equal(operator @ v, reference @ v)
+
+    @pytest.mark.parametrize("precond, grams", [
+        ("pearson-wathen", 1), ("drop-term", 1), ("exact", 2), ("jacobi", 2),
+    ])
+    def test_tail_gram_formed_only_when_the_tail_reads_s2(
+        self, problem, precond, grams, monkeypatch
+    ):
+        # each Gram is one U^-T solve; one Schur build per solve
+        system, context = problem
+        calls = {"schur": 0, "gram": 0}
+
+        def counted(key, fn):
+            def run(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return run
+
+        monkeypatch.setattr(spectral_mod, "_solve_upper_t",
+                            counted("gram", spectral_mod._solve_upper_t))
+        monkeypatch.setattr(precond_mod, "schur_complements",
+                            counted("schur", precond_mod.schur_complements))
+        data = solve(system, precond=precond, context=context)
+        assert data["converged"]
+        assert calls == {"schur": 1, "gram": grams}

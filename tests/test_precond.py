@@ -123,7 +123,8 @@ class TestBuildApprox:
         blocks = [system.A.copy(), pair.s1.copy(), pair.s2.copy()]
         blocks[position][1, 1] = value
         system = dataclasses.replace(system, A=blocks[0])
-        pair = dataclasses.replace(pair, s1=blocks[1], s2=blocks[2])
+        pair = dataclasses.replace(pair, s1=blocks[1])
+        vars(pair)["s2"] = blocks[2]  # S2 is formed on first read: fill its cache
         monkeypatch.setattr(precond_mod, "schur_complements", lambda _: pair)
         strategies = ["exact"] * 3
         strategies[position] = "jacobi"

@@ -264,6 +264,13 @@ class TestCli:
         (["analyze", "--problem", "random", "--seed", "-1"], "seed must be non-negative"),
         (["plotdata", "{report}", "--scenario", "prec-exact"],
          "report {report} carries no prec-exact spectrum"),
+        (["analyze", "--problem", "poisson-dist", "--h", "nan"],
+         "parameter h must be finite and positive"),
+        (["solve", "--problem", "poisson-dist", "--h", "0"],
+         "parameter h must be finite and positive"),
+        (["analyze", "--problem", "poisson-bnd", "--beta", "nan"],
+         "parameter beta must be finite and positive"),
+        (["analyze", "--problem", "random", "--scenario", ","], "no scenario given"),
     ])
     def test_bad_input_exits_one_with_one_error_line(
         self, argv, message, tmp_path, capsys

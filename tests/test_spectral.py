@@ -19,6 +19,8 @@ from saddlebounds import (
 )
 from saddlebounds.bounds import bounds_unpreconditioned
 from saddlebounds.errors import ConvergenceError, OracleSizeError, ParameterError
+from saddlebounds.spectral import _regularization_ratio
+from saddlebounds.system import _sym
 
 from helpers import random_valid_system, svd_extremes
 
@@ -263,6 +265,48 @@ class TestSchurComplements:
         pair = schur_complements(deficient)
         assert pair.eta_d == pytest.approx(top(deficient.D, deficient.B @ deficient.B.T))
         assert pair.eta_e == np.inf
+
+    @staticmethod
+    def _cho_solve_gemm(system):
+        """S1, S2, eta_d and eta_e by the cho_solve + GEMM formulas the
+        half-Gram products replaced, kept as the reference."""
+        a, b, c, d, e = (getattr(system, k) for k in "ABCDE")
+        gram_b = _sym(b @ sla.cho_solve(sla.cho_factor(_sym(a)), b.T))
+        s1 = _sym(d + gram_b)
+        gram_c = _sym(c @ sla.cho_solve(sla.cho_factor(s1), c.T))
+        return (s1, _sym(e + gram_c), _regularization_ratio(d, gram_b),
+                _regularization_ratio(e, gram_c))
+
+    @staticmethod
+    def _schur_inputs():
+        """(system, whether C has full row rank) pairs."""
+        rng = np.random.default_rng(43)
+        for dims in ((6, 4, 2), (9, 6, 4), (12, 12, 5), (20, 15, 15)):
+            for d_zero, e_zero in ((False, False), (True, False), (True, True)):
+                system, _ = random_valid_system(rng, *dims, d_zero=d_zero, e_zero=e_zero)
+                yield system, True
+        for k in (0, 2):
+            for seed in range(4):
+                yield nullity_system(10, 8, 5, k, seed=seed), k == 0
+
+    def test_half_gram_products_match_cho_solve_gemm(self):
+        for system, c_full_rank in self._schur_inputs():
+            s1, s2, eta_d, eta_e = self._cho_solve_gemm(system)
+            pair = schur_complements(system)
+            assert "gram_c" not in vars(pair) and "s2" not in vars(pair)
+            for new, old in ((pair.s1, s1), (pair.s2, s2)):
+                assert np.linalg.norm(new - old) <= 1e-12 * np.linalg.norm(old)
+            assert pair.eta_d == pytest.approx(eta_d, rel=1e-12, abs=0)
+            # with C row-rank-deficient the Gram is singular, and either
+            # form gives inf or a round-off value near 1/eps
+            if c_full_rank:
+                assert pair.eta_e == pytest.approx(eta_e, rel=1e-12, abs=0)
+
+    def test_complements_are_exactly_symmetric(self):
+        for system, _ in self._schur_inputs():
+            pair = schur_complements(system)
+            assert np.array_equal(pair.s1, pair.s1.T)
+            assert np.array_equal(pair.s2, pair.s2.T)
 
 
 class TestBlockExtremes:
