@@ -3,7 +3,8 @@
 Two on-disk forms are supported, both driven by a JSON manifest:
 
 * ``matrix-market`` -- the manifest names five ``.mtx`` files (one per
-  block) stored next to it;
+  block) stored next to it: coordinate format for a sparse block, array
+  format for a dense one; a coordinate file loads as a sparse block;
 * ``inline`` -- the manifest embeds the five blocks as dense arrays, which
   is convenient for tiny systems and for tests.
 
@@ -41,14 +42,14 @@ def save_manifest(
     if inline:
         manifest["format"] = "inline"
         manifest["blocks"] = {
-            key: getattr(system, key).tolist() for key in BLOCK_NAMES
+            key: _dense(getattr(system, key)).tolist() for key in BLOCK_NAMES
         }
     else:
         manifest["format"] = "matrix-market"
         blocks = {}
         for key in BLOCK_NAMES:
             fname = f"{name}_{key}.mtx"
-            scipy.io.mmwrite(out_dir / fname, np.asarray(getattr(system, key)))
+            scipy.io.mmwrite(out_dir / fname, getattr(system, key))
             blocks[key] = fname
         manifest["blocks"] = blocks
 
@@ -78,7 +79,6 @@ def load_manifest(path: str | Path) -> DoubleSaddleSystem:
         if fmt == "inline":
             loaded[key] = np.asarray(blocks[key], dtype=float)
         elif fmt == "matrix-market":
-            # sparse reads are made dense by DoubleSaddleSystem
             loaded[key] = scipy.io.mmread(path.parent / blocks[key])
         else:
             raise StructuralError(f"unknown manifest format {fmt!r}")

@@ -5,16 +5,25 @@ complements.  Approximate variants replace individual blocks by cheaper
 spectrally equivalent matrices.  :func:`build_approx` takes S1 and the
 factors of A and S1 from one :func:`~saddlebounds.spectral.schur_complements`
 pair and reads S2 only when the tail strategy derives its block from it
-(``exact``, ``jacobi``, ``scaled:<t>``), so ``pearson-wathen``,
-``drop-term`` and ``user`` never form it.  Every block is also kept as an
-explicit SPD matrix at desk scale so that equivalence constants stay
-measurable; what MINRES applies is its upper Cholesky factor U_i
-(P_i = U_i^T U_i), which is the 1-D vector sqrt(diag) for a diagonal block
-(such as ``jacobi``) and a dense ``cho_factor`` result for every other block.
+(``exact``, ``scaled:<t>``; ``jacobi`` reads only diag(S2)), so
+``pearson-wathen``, ``drop-term``, ``user`` and ``jacobi`` never form it.
+Every block is kept as a matrix (or, for the square-completion block of a
+sparse context, an implicit block that can form its dense self) so that
+equivalence constants stay measurable at desk scale.  What MINRES applies
+is one factor per block, chosen from the block's own type:
+
+* a diagonal block (such as ``jacobi``): the 1-D vector sqrt(diag);
+* any other dense block: a ``cho_factor`` result;
+* any other sparse block: a pivot-free symmetric sparse LU
+  (:func:`sparse_spd_factor`);
+* the square-completion block X M^-1 X of a sparse context: one sparse LU
+  of X, applied as X^-1 M X^-1, so X M^-1 X is never formed.
 
 The dense split-preconditioned matrix is the Cholesky congruence U^-T K U^-1,
-U = diag(U_i): isospectral to P^-1 K, but for non-diagonal blocks its
-entries differ from the form P^-1/2 K P^-1/2.
+U = diag(U_i) from the dense factors P_i = U_i^T U_i: isospectral to
+P^-1 K, but for non-diagonal blocks its entries differ from the form
+P^-1/2 K P^-1/2.  Like every dense-oracle entry point it densifies a
+sparse system first.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from .bounds import Interval
 from .errors import (
@@ -40,7 +50,7 @@ from .spectral import (
     _solve_upper_t,
     schur_complements,
 )
-from .system import DoubleSaddleSystem, _sym
+from .system import DoubleSaddleSystem, _dense, _sym
 
 _BLOCK_LABELS = ("leading", "first-schur", "second-schur")
 
@@ -49,24 +59,39 @@ _BLOCK_LABELS = ("leading", "first-schur", "second-schur")
 class PoissonControlContext:
     """Structure metadata a distributed-control system carries along.
 
-    ``mass`` and ``stiffness`` are the interior finite-element matrices and
-    ``beta`` the control regularization weight.  The square-completion
-    approximation of the tail Schur complement and the reference
-    regularization-ratio constant used when reporting inexact bounds for
-    this problem family both live here.
+    ``mass`` and ``stiffness`` are the interior finite-element matrices
+    (dense or sparse) and ``beta`` the control regularization weight.  The
+    square-completion approximation of the tail Schur complement and the
+    reference regularization-ratio constant used when reporting inexact
+    bounds for this problem family both live here; both are dense oracle
+    quantities and densify sparse matrices.
     """
 
-    mass: np.ndarray
-    stiffness: np.ndarray
+    mass: np.ndarray | sp.csr_array
+    stiffness: np.ndarray | sp.csr_array
     beta: float
 
+    @property
+    def is_sparse(self) -> bool:
+        return sp.issparse(self.mass) or sp.issparse(self.stiffness)
+
+    def dense(self) -> "PoissonControlContext":
+        """The context with dense matrices; itself when they already are."""
+        if not self.is_sparse:
+            return self
+        return PoissonControlContext(_dense(self.mass), _dense(self.stiffness), self.beta)
+
+    def shifted(self):
+        """X = M + sqrt(beta) K, in the matrices' own form."""
+        return self.mass + math.sqrt(self.beta) * self.stiffness
+
     def square_completion_block(self) -> np.ndarray:
-        """(M + sqrt(beta) K) M^-1 (M + sqrt(beta) K): the square-completion
-        approximation of M + beta K M^-1 K, whose equivalence constants are
-        [1/2, 1]."""
-        m, k = self.mass, self.stiffness
-        shifted = m + math.sqrt(self.beta) * k
-        cho_m = sla.cho_factor(_sym(m))
+        """(M + sqrt(beta) K) M^-1 (M + sqrt(beta) K), dense: the
+        square-completion approximation of M + beta K M^-1 K, whose
+        equivalence constants are [1/2, 1]."""
+        dense = self.dense()
+        shifted = dense.shifted()
+        cho_m = sla.cho_factor(_sym(dense.mass))
         return _sym(shifted @ sla.cho_solve(cho_m, shifted))
 
     def reference_regularization_ratio(self) -> float:
@@ -77,9 +102,10 @@ class PoissonControlContext:
         stiffness-to-mass generalized eigenvalue, which is O(beta) and tiny
         for practical beta.
         """
-        cho_m = sla.cho_factor(_sym(self.mass))
-        gram = _sym(self.stiffness @ sla.cho_solve(cho_m, self.stiffness))
-        return self.beta * _regularization_ratio(self.mass, gram)
+        dense = self.dense()
+        cho_m = sla.cho_factor(_sym(dense.mass))
+        gram = _sym(dense.stiffness @ sla.cho_solve(cho_m, dense.stiffness))
+        return self.beta * _regularization_ratio(dense.mass, gram)
 
     def assumed_constants(self) -> tuple[float, float]:
         """Equivalence interval guaranteed for the square-completion block."""
@@ -87,16 +113,40 @@ class PoissonControlContext:
 
 
 @dataclass(frozen=True)
+class SquareCompletion:
+    """The square-completion block X M^-1 X, X = M + sqrt(beta) K, of a
+    sparse context, kept implicit: its factor is one sparse LU of X, and
+    ``toarray`` forms the dense block for the oracle."""
+
+    context: PoissonControlContext
+
+    def toarray(self) -> np.ndarray:
+        return self.context.square_completion_block()
+
+
+@dataclass(frozen=True)
+class _SquareCompletionFactor:
+    """Applies (X M^-1 X)^-1 = X^-1 M X^-1 from a sparse LU of X."""
+
+    lu_x: object
+    mass: sp.csr_array
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return self.lu_x.solve(self.mass @ self.lu_x.solve(rhs))
+
+
+@dataclass(frozen=True)
 class PreconditionerOperator:
     """Three factorized SPD blocks applied block-diagonally.
 
-    ``_factors`` holds one upper Cholesky factor per block: a 1-D array
-    sqrt(diag) for a diagonal block, applied by division, or a
-    ``cho_factor`` result, applied by triangular solves.  Blocks and factors
-    are checked finite once, when they are built, so the solves skip it.
+    ``_factors`` holds one factor per block: a 1-D array sqrt(diag) for a
+    diagonal block, applied by division; a ``cho_factor`` result, applied
+    by triangular solves; or a sparse factor with a ``solve`` method (see
+    the module docstring).  Blocks and factors are checked finite once,
+    when they are built, so the solves skip it.
     """
 
-    blocks: tuple[np.ndarray, np.ndarray, np.ndarray]
+    blocks: tuple
     strategy: tuple[str, str, str]
     dims: tuple[int, int, int]
     _factors: tuple = field(repr=False, default=None)
@@ -115,7 +165,7 @@ class PreconditionerOperator:
         )
 
     def as_matrix(self) -> np.ndarray:
-        return sla.block_diag(*self.blocks)
+        return sla.block_diag(*(_dense(b) for b in self.blocks))
 
 
 @dataclass(frozen=True)
@@ -133,14 +183,49 @@ class EquivalenceMeasurement:
     scale: float
 
 
-def _factor(block: np.ndarray, label: str):
-    """Upper Cholesky factor of an SPD block: the vector sqrt(diag) when every
-    nonzero lies on the diagonal, else a ``cho_factor`` result."""
-    diag = np.diagonal(block)
-    if np.count_nonzero(block) == np.count_nonzero(diag):
+def sparse_spd_factor(block, label: str):
+    """Pivot-free symmetric sparse LU (SuperLU) of a sparse SPD block.
+
+    Symmetric mode with a zero pivot threshold keeps every pivot on the
+    diagonal of the symmetrically reordered block, so the block is
+    positive definite exactly when the row and column orderings agree and
+    every pivot is positive; otherwise, or when SuperLU finds the block
+    singular, :class:`DefinitenessError` names ``label``.  The result
+    applies P^-1 through its ``solve``.
+    """
+    # imported here: loading it adds about 2 MB of resident memory to every
+    # process, and only sparse blocks need it
+    import scipy.sparse.linalg as spla
+
+    error = DefinitenessError(f"{label} block is not positive definite")
+    try:
+        lu = spla.splu(sp.csc_array(block), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError as exc:  # SuperLU: the factor is exactly singular
+        raise error from exc
+    if not (np.array_equal(lu.perm_r, lu.perm_c) and (lu.U.diagonal() > 0).all()):
+        raise error
+    return lu
+
+
+def _factor(block, label: str):
+    """Factor of an SPD block, by the block's type: the vector sqrt(diag)
+    when every nonzero lies on the diagonal, a sparse LU of X for a
+    :class:`SquareCompletion`, a pivot-free symmetric sparse LU for any
+    other sparse block, else a ``cho_factor`` result."""
+    if isinstance(block, SquareCompletion):
+        context = block.context
+        return _SquareCompletionFactor(
+            sparse_spd_factor(_sym(context.shifted()), label), context.mass)
+    diag = block.diagonal()
+    sparse = sp.issparse(block)
+    nonzeros = block.count_nonzero() if sparse else np.count_nonzero(block)
+    if nonzeros == np.count_nonzero(diag):
         if (diag > 0).all():
             return np.sqrt(diag)
         raise DefinitenessError(f"{label} block is not positive definite")
+    if sparse:
+        return sparse_spd_factor(_sym(block), label)
     try:
         return sla.cho_factor(_sym(block))
     except sla.LinAlgError as exc:
@@ -148,10 +233,12 @@ def _factor(block: np.ndarray, label: str):
 
 
 def _factored_solve(factor, rhs: np.ndarray) -> np.ndarray:
-    """P^-1 rhs for P = U^T U."""
+    """P^-1 rhs for the factor of P."""
     if isinstance(factor, np.ndarray):
         return rhs / factor / factor
-    return sla.cho_solve(factor, rhs, check_finite=False)
+    if isinstance(factor, tuple):
+        return sla.cho_solve(factor, rhs, check_finite=False)
+    return factor.solve(rhs)
 
 
 def build_exact(system: DoubleSaddleSystem) -> PreconditionerOperator:
@@ -173,17 +260,25 @@ def build_approx(
     distributed-control structure), ``drop-term`` (tail regularization
     block alone; needs it SPD), and ``user`` (matrix taken from
     ``user_blocks``).  Exact leading and first-Schur blocks reuse the Schur
-    pair's factors; S2 is formed only for a tail strategy that reads it; any
-    diagonal block is factored as the vector sqrt(diag).
+    pair's Cholesky factors (the leading one only when A is dense); S2 is
+    formed only for a tail strategy that reads it (``jacobi`` reads only its
+    diagonal); every other block is factored by its type (see
+    :func:`_factor`).  The ``jacobi`` blocks of a system with
+    sparse blocks are sparse diagonal matrices.
     """
     if len(strategies) != 3:
         raise ParameterError("need exactly three per-block strategies")
     pair = schur_complements(system)
-    tail = pair.s2 if _reads_exact(strategies[2]) else None
+    tail = None
+    if strategies[2] == "jacobi":
+        tail = _diagonal_matrix(pair.s2_diagonal, system.is_sparse)
+    elif _reads_exact(strategies[2]):
+        tail = pair.s2
     exact_blocks = (_sym(system.A), pair.s1, tail)
-    # exact positions reuse the pair's factors; the Grams and the rest go now
+    # exact dense positions reuse the pair's factors; the rest go now
+    cho_a = None if sp.issparse(system.A) else pair.cho_a
     reused = [f if s == "exact" else None
-              for f, s in zip((pair.cho_a, pair.cho_1, None), strategies)]
+              for f, s in zip((cho_a, pair.cho_1, None), strategies)]
     del pair
     blocks = tuple(_approx_block(system, i, s, exact_blocks[i], context, user_blocks)
                    for i, s in enumerate(strategies))
@@ -199,16 +294,20 @@ def build_approx(
 
 
 def _reads_exact(strat: str) -> bool:
-    """Whether a strategy derives its block from the exact one."""
-    return strat in ("exact", "jacobi") or strat.startswith("scaled:")
+    """Whether a strategy derives its block from the whole exact one."""
+    return strat == "exact" or strat.startswith("scaled:")
 
 
-def _approx_block(system, idx, strat, exact, context, user_blocks) -> np.ndarray:
+def _diagonal_matrix(diag: np.ndarray, sparse: bool):
+    return sp.diags_array(diag, format="csr") if sparse else np.diag(diag)
+
+
+def _approx_block(system, idx, strat, exact, context, user_blocks):
     """The block one strategy puts at position ``idx``."""
     if strat == "exact":
         return exact
     if strat == "jacobi":
-        return np.diag(np.diag(exact))
+        return _diagonal_matrix(exact.diagonal(), system.is_sparse)
     if strat.startswith("scaled:"):
         return _scale_factor(strat) * exact
     if strat in ("pearson-wathen", "drop-term") and idx != 2:
@@ -219,6 +318,8 @@ def _approx_block(system, idx, strat, exact, context, user_blocks) -> np.ndarray
                 "pearson-wathen needs the (mass, stiffness, beta) structure of a "
                 "distributed control problem"
             )
+        if context.is_sparse:
+            return SquareCompletion(context)
         return context.square_completion_block()
     if strat == "drop-term":
         return _sym(system.E)
@@ -260,10 +361,11 @@ def from_blocks(
     dims: tuple[int, int, int],
     strategy: tuple[str, str, str] = ("user", "user", "user"),
 ) -> PreconditionerOperator:
-    """Wrap three explicit SPD matrices as a preconditioner."""
+    """Wrap three explicit SPD matrices as a preconditioner; sparse and
+    implicit blocks are densified."""
     if len(blocks) != 3:
         raise ParameterError("need exactly three blocks")
-    blocks = tuple(_sym(np.asarray(b, dtype=float)) for b in blocks)
+    blocks = tuple(_sym(_dense(b)) for b in blocks)
     factors = tuple(_factor(b, lbl) for b, lbl in zip(blocks, _BLOCK_LABELS))
     return PreconditionerOperator(
         blocks=blocks, strategy=tuple(strategy), dims=dims, _factors=factors
@@ -288,12 +390,17 @@ def split_preconditioned_matrix(
     and column scalings where a factor is diagonal.  The result
     is exactly symmetric and isospectral to P^-1 K; for non-diagonal blocks
     its entries differ from those of the symmetric-root form P^-1/2 K P^-1/2.
+    A sparse system is densified, and an operator with sparse factors is
+    refactored from its densified blocks (:func:`from_blocks`).
     """
     total = system.total
     if total > oracle_cutoff:
         raise OracleSizeError(
             f"split matrix refused for dimension {total} > cutoff {oracle_cutoff}"
         )
+    system = system.dense()
+    if not all(isinstance(f, (np.ndarray, tuple)) for f in op._factors):
+        op = from_blocks(op.blocks, op.dims, op.strategy)
     n, m, _ = system.dims
     f0, f1, f2 = op._factors
     i0, i1, i2 = slice(0, n), slice(n, n + m), slice(n + m, total)
@@ -317,16 +424,22 @@ def equivalence_constants(
     The raw interval is reported as-is; for the bound formulas it is also
     normalized to straddle 1 by rescaling the approximation (scaling the
     approximation by s divides the whole interval by s), and the applied
-    scale is part of the measurement.
+    scale is part of the measurement.  Bitwise-identical blocks give the
+    exact interval [1, 1] and scale 1 (only a Cholesky factorization checks
+    that they are definite), so round-off never normalizes them.
     """
-    exact = _sym(np.asarray(exact, dtype=float))
-    approx = _sym(np.asarray(approx, dtype=float))
+    exact = _sym(_dense(exact))
+    approx = _sym(_dense(approx))
     if exact.shape != approx.shape:
         raise ParameterError(
             f"shape mismatch: {exact.shape} vs {approx.shape}"
         )
     try:
-        vals = sla.eigh(exact, approx, eigvals_only=True)
+        if np.array_equal(exact, approx):
+            sla.cho_factor(approx)
+            vals = (1.0, 1.0)
+        else:
+            vals = sla.eigh(exact, approx, eigvals_only=True)
     except sla.LinAlgError as exc:
         raise DefinitenessError("approximation block is not positive definite") from exc
     raw = Interval(float(vals[0]), float(vals[-1]))

@@ -5,7 +5,8 @@ Three families:
 * seeded random systems whose block extremes are prescribed exactly,
 * tiny fixed matrices that attain individual bound endpoints,
 * bilinear (Q1) finite-element discretizations of Poisson control problems
-  on the unit square, in distributed and boundary-control flavors.
+  on the unit square, in distributed and boundary-control flavors, whose
+  blocks are sparse (CSR) from assembly on.
 
 All generators are pure functions of their parameters (and seed), so
 repeated calls reproduce systems bit for bit.
@@ -17,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ParameterError
 from .precond import PoissonControlContext
@@ -198,7 +200,8 @@ _STIFF_REF = np.array(
 
 @dataclass(frozen=True)
 class FemDiscretization:
-    """Uniform Q1 discretization of the unit square.
+    """Uniform Q1 discretization of the unit square; every matrix is a CSR
+    array.
 
     ``mass`` and ``stiffness`` are the full matrices before any boundary
     treatment.  ``interior`` indexes the nodes kept when every edge carries
@@ -212,33 +215,37 @@ class FemDiscretization:
 
     h: float
     cells_per_side: int
-    mass: np.ndarray
-    stiffness: np.ndarray
+    mass: sp.csr_array
+    stiffness: sp.csr_array
     interior: np.ndarray
     free: np.ndarray
     control: np.ndarray
-    boundary_mass: np.ndarray
-    coupling: np.ndarray
+    boundary_mass: sp.csr_array
+    coupling: sp.csr_array
 
     @property
-    def mass_interior(self) -> np.ndarray:
-        return self.mass[np.ix_(self.interior, self.interior)]
+    def mass_interior(self) -> sp.csr_array:
+        return self.mass[self.interior][:, self.interior]
 
     @property
-    def stiffness_interior(self) -> np.ndarray:
-        return self.stiffness[np.ix_(self.interior, self.interior)]
+    def stiffness_interior(self) -> sp.csr_array:
+        return self.stiffness[self.interior][:, self.interior]
 
     @property
-    def mass_free(self) -> np.ndarray:
-        return self.mass[np.ix_(self.free, self.free)]
+    def mass_free(self) -> sp.csr_array:
+        return self.mass[self.free][:, self.free]
 
     @property
-    def stiffness_free(self) -> np.ndarray:
-        return self.stiffness[np.ix_(self.free, self.free)]
+    def stiffness_free(self) -> sp.csr_array:
+        return self.stiffness[self.free][:, self.free]
 
 
 def q1_discretize(h: float) -> FemDiscretization:
-    """Assemble Q1 mass and stiffness matrices for mesh width h = 1/N."""
+    """Assemble Q1 mass and stiffness matrices for mesh width h = 1/N.
+
+    Every matrix comes from one vectorized COO assembly (duplicate entries
+    are summed) and is returned as a CSR array.
+    """
     _require_positive(h=h)
     nx = int(round(1.0 / h))
     if nx < 2 or abs(nx * h - 1.0) > 1e-12:
@@ -246,26 +253,19 @@ def q1_discretize(h: float) -> FemDiscretization:
     nn = nx + 1
     n_all = nn * nn
 
-    def node(i, j):
-        return j * nn + i
+    # node (i, j) is j * nn + i; cell corners counterclockwise from lower-left
+    ci, cj = np.meshgrid(np.arange(nx), np.arange(nx), indexing="xy")
+    lower_left = (cj * nn + ci).ravel()
+    cells = lower_left[:, None] + np.array([0, 1, nn + 1, nn])
+    rows = np.repeat(cells, 4, axis=1).ravel()
+    cols = np.tile(cells, (1, 4)).ravel()
 
-    cells = np.empty((nx * nx, 4), dtype=int)
-    idx = 0
-    for cj in range(nx):
-        for ci in range(nx):
-            cells[idx] = (
-                node(ci, cj), node(ci + 1, cj), node(ci + 1, cj + 1), node(ci, cj + 1)
-            )
-            idx += 1
+    def element_sum(reference):
+        data = np.broadcast_to(reference.ravel(), (cells.shape[0], 16)).ravel()
+        return _coo_csr(data, rows, cols, (n_all, n_all))
 
-    mass = np.zeros((n_all, n_all))
-    stiffness = np.zeros((n_all, n_all))
-    me = h * h * _MASS_REF
-    ke = _STIFF_REF
-    for a in range(4):
-        for b in range(4):
-            np.add.at(mass, (cells[:, a], cells[:, b]), me[a, b])
-            np.add.at(stiffness, (cells[:, a], cells[:, b]), ke[a, b])
+    mass = element_sum(h * h * _MASS_REF)
+    stiffness = element_sum(_STIFF_REF)
 
     ii, jj = np.meshgrid(np.arange(nn), np.arange(nn), indexing="ij")
     flat_i, flat_j = ii.ravel(), jj.ravel()
@@ -276,23 +276,29 @@ def q1_discretize(h: float) -> FemDiscretization:
 
     # control path: up the left edge, across the top, down the right edge;
     # its two endpoints are the Dirichlet corners of the bottom edge
-    path = (
-        [node(0, j) for j in range(nn)]
-        + [node(i, nx) for i in range(1, nn)]
-        + [node(nx, j) for j in range(nx - 1, -1, -1)]
-    )
-    n_path = len(path)
-    path_mass = np.zeros((n_path, n_path))
+    path = np.concatenate([
+        np.arange(nn) * nn,
+        nx * nn + np.arange(1, nn),
+        np.arange(nx - 1, -1, -1) * nn + nx,
+    ])
+    n_path = path.size
     seg = h * np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
-    for s in range(n_path - 1):
-        path_mass[s : s + 2, s : s + 2] += seg
+    ends = np.arange(n_path - 1)[:, None] + np.array([0, 1])
+    path_mass = _coo_csr(
+        np.broadcast_to(seg.ravel(), (n_path - 1, 4)).ravel(),
+        np.repeat(ends, 2, axis=1).ravel(), np.tile(ends, (1, 2)).ravel(),
+        (n_path, n_path),
+    )
     boundary_mass = path_mass[1:-1, 1:-1]
-    control = np.array(path[1:-1])
+    control = path[1:-1]
 
-    free_pos = {g: i for i, g in enumerate(free)}
-    coupling = np.zeros((free.size, control.size))
-    for s, g in enumerate(control):
-        coupling[free_pos[g], :] = boundary_mass[s, :]
+    # row s of the boundary mass goes to the free-node row of control node s
+    placement = sp.csr_array(
+        (np.ones(control.size), (np.searchsorted(free, control), np.arange(control.size))),
+        shape=(free.size, control.size),
+    )
+    coupling = placement @ boundary_mass
+    coupling.sort_indices()
 
     return FemDiscretization(
         h=h,
@@ -305,6 +311,14 @@ def q1_discretize(h: float) -> FemDiscretization:
         boundary_mass=boundary_mass,
         coupling=coupling,
     )
+
+
+def _coo_csr(data, rows, cols, shape) -> sp.csr_array:
+    """CSR array of COO triplets, duplicates summed, no stored zeros."""
+    out = sp.coo_array((data, (rows, cols)), shape=shape).tocsr()
+    out.sum_duplicates()
+    out.eliminate_zeros()
+    return out
 
 
 def poisson_distributed(
@@ -323,7 +337,7 @@ def poisson_distributed(
     mi = fem.mass_interior
     ki = fem.stiffness_interior
     size = mi.shape[0]
-    zero = np.zeros((size, size))
+    zero = sp.csr_array((size, size))
     if flipped:
         system = DoubleSaddleSystem(A=beta * mi, B=-mi, C=ki, D=zero, E=mi)
     else:
@@ -355,6 +369,6 @@ def poisson_boundary(h: float, beta: float) -> DoubleSaddleSystem:
         A=mf,
         B=kf,
         C=-fem.coupling.T,
-        D=np.zeros((size, size)),
+        D=sp.csr_array((size, size)),
         E=beta * fem.boundary_mass,
     )

@@ -227,7 +227,8 @@ def analyze(
     ``scenarios`` picks any of ``unprec``, ``prec-exact``, ``prec-inexact``;
     the last uses ``precond`` to choose the approximation strategy.  Above
     ``oracle_cutoff`` the spectra are skipped and verdicts are reported as
-    ``unverified``; bounds are emitted either way.
+    ``unverified``; bounds are emitted either way.  A sparse system or
+    context is densified once, here: everything below is the dense oracle.
     """
     t_start = time.perf_counter()
     timings: dict[str, float] = {}
@@ -240,6 +241,9 @@ def analyze(
     if not (np.isfinite(tol) and tol >= 0):
         raise ParameterError(f"tol must be finite and non-negative, got {tol}")
     strategies = strategy_tuple(precond) if "prec-inexact" in scenarios else None
+    system = system.dense()
+    if context is not None:
+        context = context.dense()
 
     validation = validate(system)
     extremes = validation.extremes
@@ -277,6 +281,7 @@ def analyze(
             else:
                 entry = _scenario_prec_inexact(
                     system, strategies, context, user_blocks,
+                    (validation.b_full_row_rank, validation.c_full_row_rank),
                     d_zero, e_zero, tol, oracle_cutoff,
                 )
         except SaddleBoundsError as exc:
@@ -321,7 +326,8 @@ def _scenario_prec_exact(system, nullity_k, d_zero, e_zero, tol, oracle_cutoff) 
 
 
 def _scenario_prec_inexact(
-    system, strategies, context, user_blocks, d_zero, e_zero, tol, oracle_cutoff
+    system, strategies, context, user_blocks, full_row_rank,
+    d_zero, e_zero, tol, oracle_cutoff,
 ) -> dict:
     exact_op = build_exact(system)
     approx_op = build_approx(system, strategies, context=context, user_blocks=user_blocks)
@@ -336,7 +342,7 @@ def _scenario_prec_inexact(
         alpha1=measurements[1].alpha, beta1=measurements[1].beta,
         alpha2=measurements[2].alpha, beta2=measurements[2].beta,
     )
-    pair = schur_complements(system)
+    pair = schur_complements(system, full_row_rank=full_row_rank)
     eta_d = 0.0 if d_zero else pair.eta_d
     eta_e = 0.0 if e_zero else pair.eta_e
     del pair
@@ -439,7 +445,9 @@ def solve(
 ) -> dict:
     """Run (preconditioned) MINRES on the assembled system with b = ones.
 
-    MINRES applies K in CSR form, built from the blocks without a dense K.
+    MINRES applies K in CSR form, built from the blocks without a dense K;
+    sparse blocks stay sparse, and the preconditioner picks each block's
+    factor from its type (see :mod:`saddlebounds.precond`).
     """
     strategies = None if precond == "none" else strategy_tuple(precond)
     matrix = assemble_csr(system)

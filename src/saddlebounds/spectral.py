@@ -3,12 +3,13 @@
 Extremal eigenvalues come from a dense symmetric decomposition up to
 ``ORACLE_CUTOFF`` and from ARPACK (``eigsh``) above it.  Singular values,
 and with them every rank decision, come from one SVD helper.  Also home to
-the Schur complements of a system (each Gram from one U^-T solve against an
-upper Cholesky factor, the helper the preconditioners' congruence shares),
-the two regularization ratios (largest
-generalized eigenvalues of the regularization blocks against the coupling
-Grams) that drive the inexact-preconditioner bounds, and :func:`validate`,
-which checks the hypotheses of the bounds with these same kernels.
+the Schur complements of a system (dense; each Gram from one U^-T solve
+against an upper Cholesky factor, the helper the preconditioners'
+congruence shares), the two regularization ratios (largest generalized
+eigenvalues of the regularization blocks against the coupling Grams) that
+drive the inexact-preconditioner bounds, and :func:`validate`, which checks
+the hypotheses of the bounds with these same kernels on the densified
+system.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
     OracleSizeError,
     ParameterError,
 )
-from .system import DoubleSaddleSystem, _sym
+from .system import DoubleSaddleSystem, _dense, _sym
 
 ORACLE_CUTOFF = 4096
 SYM_TOL = 1e-12
@@ -158,16 +159,20 @@ class SchurPair:
     """The Schur complements of a system, the ``cho_factor`` results of A
     and S1, and the regularization ratio constants.
 
-    S1 = D + B A^-1 B^T is formed with the pair.  The tail Gram
-    C S1^-1 C^T, S2 = E + C S1^-1 C^T and both ratios are formed on first
-    read, so a caller that replaces S2 never pays for it.  Each Gram is
-    W^T W with W = U^-T (coupling)^T for the upper Cholesky factor U, so it
-    and both complements are exactly symmetric.
+    S1 = D + B A^-1 B^T is formed (dense) with the pair.  The tail Gram
+    C S1^-1 C^T, S2 = E + C S1^-1 C^T, diag(S2) and both ratios are formed
+    on first read, so a caller that replaces S2 never pays for it.  Each
+    Gram is W^T W with W = U^-T (coupling)^T for the upper Cholesky factor
+    U, so it and both complements are exactly symmetric; A is densified
+    for its factor when it is sparse, since the Gram is dense anyway.
 
     ``eta_d`` is the largest generalized eigenvalue of (D, B A^-1 B^T) and
     ``eta_e`` of (E, C S1^-1 C^T); either is ``inf`` when the corresponding
     coupling block is row-rank-deficient while the regularization block is
-    nonzero, and exactly zero when the regularization block vanishes.
+    nonzero, and exactly zero when the regularization block vanishes.  The
+    rank is the SVD rank :func:`validate` reports; ``full_row_rank`` holds
+    its (B, C) verdicts when the caller has them, else they are measured on
+    first read of a ratio.
     """
 
     system: DoubleSaddleSystem = field(repr=False)
@@ -175,6 +180,7 @@ class SchurPair:
     gram_b: np.ndarray = field(repr=False)
     cho_a: tuple = field(repr=False)
     cho_1: tuple = field(repr=False)
+    full_row_rank: tuple[bool, bool] | None = field(default=None, repr=False)
 
     @cached_property
     def gram_c(self) -> np.ndarray:
@@ -182,15 +188,38 @@ class SchurPair:
 
     @cached_property
     def s2(self) -> np.ndarray:
-        return _sym(self.system.E) + self.gram_c
+        return self.gram_c + _sym(self.system.E)
+
+    @cached_property
+    def s2_diagonal(self) -> np.ndarray:
+        """diag(S2): read off S2 when the pair already holds it, else diag(E)
+        plus the column sums of W * W, W = U^-T C^T, which forms neither the
+        tail Gram nor S2."""
+        if "s2" in vars(self):
+            return np.diagonal(self.s2).copy()
+        half = _solve_upper_t(self.cho_1, _dense(self.system.C.T))
+        return self.system.E.diagonal() + np.einsum("ij,ij->j", half, half)
 
     @cached_property
     def eta_d(self) -> float:
-        return _regularization_ratio(self.system.D, self.gram_b)
+        return self._ratio(self.system.D, 0, "gram_b")
 
     @cached_property
     def eta_e(self) -> float:
-        return _regularization_ratio(self.system.E, self.gram_c)
+        return self._ratio(self.system.E, 1, "gram_c")
+
+    def _ratio(self, reg, which: int, gram: str) -> float:
+        reg = _dense(reg)
+        if not np.any(reg):
+            return 0.0
+        if self.full_row_rank is not None:
+            full = self.full_row_rank[which]
+        else:
+            coupling = (self.system.B, self.system.C)[which]
+            full = _rank(_singular_values(coupling)) == coupling.shape[0]
+        if not full:
+            return float("inf")
+        return _regularization_ratio(reg, getattr(self, gram))
 
 
 def extremal_eigs(matrix, dense_cutoff: int = ORACLE_CUTOFF) -> tuple[float, float]:
@@ -200,7 +229,7 @@ def extremal_eigs(matrix, dense_cutoff: int = ORACLE_CUTOFF) -> tuple[float, flo
     fixed-seed start vector, certified by the residual test
     ||A v - t v|| <= EIG_TOL * max|t|.
     """
-    a = np.asarray(matrix, dtype=float)
+    a = _dense(matrix)
     dim = a.shape[0]
     if a.shape != (dim, dim):
         raise ParameterError(f"matrix must be square, got {a.shape}")
@@ -248,7 +277,7 @@ def _arpack_extremes(a: np.ndarray) -> tuple[float, float]:
 
 def _singular_values(matrix) -> np.ndarray:
     """All singular values, descending: the one source of ranks and sigma extremes."""
-    return np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False)
+    return np.linalg.svd(_dense(matrix), compute_uv=False)
 
 
 def _rank(svals: np.ndarray) -> int:
@@ -323,27 +352,30 @@ def inertia(matrix) -> Inertia:
     return Inertia(n_plus, n_minus, vals.size - n_plus - n_minus)
 
 
-def schur_complements(system: DoubleSaddleSystem) -> SchurPair:
+def schur_complements(
+    system: DoubleSaddleSystem, full_row_rank: tuple[bool, bool] | None = None
+) -> SchurPair:
     """Factor A, form S1 = D + B A^-1 B^T and factor it; S2 = E + C S1^-1 C^T
     and the ratios follow on first read of the returned pair.
 
     Each Gram costs one triangular solve against the upper Cholesky factor
     and one symmetric product (see :class:`SchurPair`).  The ratios are
     symmetric generalized eigenproblems (D v = eta * (B A^-1 B^T) v and its
-    analogue), which need the coupling Gram to be definite, i.e. the
-    coupling block to have full row rank.
+    analogue), defined when the coupling block has full row rank;
+    ``full_row_rank`` passes validate's (B, C) rank verdicts on to the pair.
     """
     try:
-        cho_a = sla.cho_factor(_sym(system.A))
+        cho_a = sla.cho_factor(_dense(_sym(system.A)))
     except sla.LinAlgError as exc:
         raise DefinitenessError("leading block is not positive definite") from exc
     gram_b = _gram(cho_a, system.B)
-    s1 = _sym(system.D) + gram_b
+    s1 = gram_b + _sym(system.D)  # dense + sparse is dense
     try:
         cho_1 = sla.cho_factor(s1)
     except sla.LinAlgError as exc:
         raise DefinitenessError("first Schur complement is not positive definite") from exc
-    return SchurPair(system=system, s1=s1, gram_b=gram_b, cho_a=cho_a, cho_1=cho_1)
+    return SchurPair(system=system, s1=s1, gram_b=gram_b, cho_a=cho_a,
+                     cho_1=cho_1, full_row_rank=full_row_rank)
 
 
 def _solve_upper_t(factor, rhs: np.ndarray, overwrite: bool = False) -> np.ndarray:
@@ -355,10 +387,10 @@ def _solve_upper_t(factor, rhs: np.ndarray, overwrite: bool = False) -> np.ndarr
                                 check_finite=False)
 
 
-def _gram(factor, coupling: np.ndarray) -> np.ndarray:
-    """coupling P^-1 coupling^T as W^T W, W = U^-T coupling^T; numpy forms
-    the product of an array with its own transpose symmetrically."""
-    half = _solve_upper_t(factor, coupling.T)
+def _gram(factor, coupling) -> np.ndarray:
+    """coupling P^-1 coupling^T as W^T W, W = U^-T coupling^T (dense); numpy
+    forms the product of an array with its own transpose symmetrically."""
+    half = _solve_upper_t(factor, _dense(coupling.T))
     return half.T @ half
 
 
@@ -399,8 +431,10 @@ def validate(system: DoubleSaddleSystem) -> ValidationReport:
     of C^T is p - rank(C).  A kernel condition whose top block is injective
     (A definite, B or C of full row rank) holds without a rank test of the
     stack.  S1 and S2 come from :func:`schur_complements`.  The eigen-ranges
-    and singular values measured here also give ``extremes``.
+    and singular values measured here also give ``extremes``.  A sparse
+    system is checked densified.
     """
+    system = system.dense()
     A, B, C, D, E = system.A, system.B, system.C, system.D, system.E
     _, m, p = system.dims
 

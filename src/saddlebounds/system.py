@@ -15,6 +15,11 @@ non-finite entries when it is built, :func:`assemble` (dense, every layout)
 and :func:`assemble_csr` (the standard layout in CSR form).  Everything
 downstream (validation and spectral kernels, bound formulas,
 preconditioners, solvers) consumes it.
+
+A block is either a dense array or a ``scipy.sparse`` matrix; a sparse block
+stays sparse (as a canonical CSR array) and is checked finite on its stored
+entries.  The dense oracle works on :meth:`DoubleSaddleSystem.dense`, the one
+place a sparse system is densified; :func:`assemble_csr` never densifies.
 """
 
 from __future__ import annotations
@@ -31,34 +36,49 @@ Layout = Literal["standard", "flipped", "two-by-two"]
 
 
 def _dense(block) -> np.ndarray:
-    if sp.issparse(block):
-        return np.asarray(block.todense(), dtype=float)
+    """A block as a dense float array.  Sparse matrices, and implicit blocks
+    that know their dense form, are expanded through ``toarray``."""
+    if hasattr(block, "toarray"):
+        block = block.toarray()
     arr = np.asarray(block, dtype=float)
     if arr.ndim != 2:
         raise StructuralError(f"blocks must be 2-d matrices, got shape {arr.shape}")
     return arr
 
 
-def _sym(block: np.ndarray) -> np.ndarray:
+def _sym(block):
     return (block + block.T) / 2.0
+
+
+def _checked(block, name: str):
+    """A block in its stored form (canonical CSR for sparse input, else a
+    dense 2-d array), checked finite."""
+    if sp.issparse(block):
+        block = sp.csr_array(block, dtype=float, copy=True)
+        block.sum_duplicates()
+        block.eliminate_zeros()
+        values = block.data
+    else:
+        block = values = _dense(block)
+    if not np.isfinite(values).all():
+        raise StructuralError(f"block {name} has non-finite entries")
+    return block
 
 
 @dataclass(frozen=True)
 class DoubleSaddleSystem:
-    """Immutable container for the five blocks of a double saddle-point system."""
+    """Immutable container for the five blocks of a double saddle-point
+    system; each block is a dense array or a CSR array."""
 
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-    E: np.ndarray
+    A: np.ndarray | sp.csr_array
+    B: np.ndarray | sp.csr_array
+    C: np.ndarray | sp.csr_array
+    D: np.ndarray | sp.csr_array
+    E: np.ndarray | sp.csr_array
 
     def __post_init__(self):
         for name in "ABCDE":
-            block = _dense(getattr(self, name))
-            if not np.isfinite(block).all():
-                raise StructuralError(f"block {name} has non-finite entries")
-            object.__setattr__(self, name, block)
+            object.__setattr__(self, name, _checked(getattr(self, name), name))
         n = self.A.shape[0]
         if self.A.shape != (n, n):
             raise StructuralError(f"block A must be square, got {self.A.shape}")
@@ -93,12 +113,22 @@ class DoubleSaddleSystem:
     def total(self) -> int:
         return sum(self.dims)
 
+    @property
+    def is_sparse(self) -> bool:
+        return any(sp.issparse(getattr(self, name)) for name in "ABCDE")
+
+    def dense(self) -> "DoubleSaddleSystem":
+        """The system with every block dense; the system itself when it
+        already is.  The dense oracle's entry points densify through here."""
+        if not self.is_sparse:
+            return self
+        return DoubleSaddleSystem(*(_dense(getattr(self, name)) for name in "ABCDE"))
+
     def unregularized(self) -> "DoubleSaddleSystem":
         """Copy of the system with both regularization blocks zeroed."""
-        n, m, p = self.dims
-        return DoubleSaddleSystem(
-            self.A, self.B, self.C, np.zeros((m, m)), np.zeros((p, p))
-        )
+        _, m, p = self.dims
+        zeros = sp.csr_array if self.is_sparse else np.zeros
+        return DoubleSaddleSystem(self.A, self.B, self.C, zeros((m, m)), zeros((p, p)))
 
 
 @dataclass(frozen=True)
@@ -124,8 +154,10 @@ def assemble(system: DoubleSaddleSystem, layout: Layout = "standard") -> Assembl
     when all blocks are square (n = m = p).
 
     Symmetry of the result is exact by construction: diagonal blocks are
-    symmetrized and off-diagonal blocks are mirrored.
+    symmetrized and off-diagonal blocks are mirrored.  The result is dense
+    whatever the blocks are.
     """
+    system = system.dense()
     A, B, C, D, E = system.A, system.B, system.C, system.D, system.E
     n, m, p = system.dims
     a_s, d_s, e_s = _sym(A), _sym(D), _sym(E)
@@ -173,7 +205,7 @@ def _place(out, offsets, diagonal, couplings):
 
 def assemble_csr(system: DoubleSaddleSystem) -> sp.csr_array:
     """The standard layout as a CSR array, built from the five blocks with no
-    dense intermediate of the full size.
+    dense intermediate of the full size; sparse blocks are never densified.
 
     Equal entry for entry (``indptr``, ``indices`` and ``data``) to
     ``csr_array(assemble(system).data)``, so its products with a vector are

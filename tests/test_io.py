@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from saddlebounds import load_manifest, save_manifest
+from saddlebounds import load_manifest, poisson_distributed, save_manifest
 from saddlebounds.errors import StructuralError
 from saddlebounds.io import load_spd_blocks
+from saddlebounds.system import _dense
 
 from helpers import random_valid_system
 
@@ -19,6 +20,22 @@ def test_manifest_round_trip(tmp_path, inline):
     for key in "ABCDE":
         assert np.allclose(getattr(back, key), getattr(system, key), atol=1e-14)
     assert back.dims == system.dims
+
+
+@pytest.mark.parametrize("inline", [False, True])
+def test_sparse_manifest_round_trip(tmp_path, inline):
+    system, _ = poisson_distributed(2**-3, 1e-3)
+    manifest = save_manifest(system, tmp_path, inline=inline)
+    back = load_manifest(manifest)
+    assert back.dims == system.dims
+    # coordinate Matrix Market files load as sparse blocks again
+    assert back.is_sparse is not inline
+    for key in "ABCDE":
+        expected = getattr(system, key).toarray()
+        assert np.allclose(_dense(getattr(back, key)), expected, rtol=1e-15, atol=0)
+    if not inline:
+        header = (tmp_path / "system_A.mtx").read_text().splitlines()[0]
+        assert "coordinate" in header
 
 
 def test_manifest_rejects_bad_dims(tmp_path):

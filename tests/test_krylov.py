@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -271,13 +272,75 @@ class TestSolveOnCsr:
         v = np.random.default_rng(81).standard_normal(system.total)
         assert np.array_equal(operator @ v, reference @ v)
 
+    @pytest.mark.parametrize("precond, iterations", [
+        ("exact", 16), ("pearson-wathen", 23), ("jacobi", 129),
+    ])
+    def test_sparse_blocks_match_the_fully_dense_path(
+        self, problem, precond, iterations, monkeypatch
+    ):
+        # the same solve with every block, the context and K dense: the
+        # path the sparse blocks replaced
+        system, context = problem
+        assert system.is_sparse and context.is_sparse
+        runs = self._capture_minres(monkeypatch)
+        data = solve(system, precond=precond, context=context)
+        [(_, result)] = runs
+        dense_system, dense_context = system.dense(), context.dense()
+        dense = self._dense_run(dense_system, dense_context, precond)
+        assert data["iterations"] == dense.iterations == iterations
+        if precond != "jacobi":  # see test_jacobi_same_iterations_and_solution
+            np.testing.assert_allclose(
+                data["residual_history"], dense.residual_history, rtol=1e-10, atol=0
+            )
+        error = np.linalg.norm(result.solution - dense.solution)
+        assert error <= 1e-6 * np.linalg.norm(dense.solution)
+
+    @pytest.mark.parametrize("precond, kinds", [
+        ("exact", ("SuperLU", "tuple", "tuple")),
+        ("pearson-wathen", ("SuperLU", "tuple", "_SquareCompletionFactor")),
+        ("drop-term", ("SuperLU", "tuple", "SuperLU")),
+        ("jacobi", ("ndarray", "ndarray", "ndarray")),
+    ])
+    def test_factor_kind_follows_the_block_type(self, problem, precond, kinds):
+        # sparse blocks get sparse LU factors; S1 and S2 are dense; diagonal
+        # blocks get sqrt(diag); the square-completion tail is one LU of X
+        system, context = problem
+        op = build_approx(system, strategy_tuple(precond), context=context)
+        assert tuple(type(f).__name__ for f in op._factors) == kinds
+        v = np.random.default_rng(82).standard_normal(system.total)
+        expected = np.linalg.solve(op.as_matrix(), v)
+        np.testing.assert_allclose(op.apply_inverse(v), expected, rtol=1e-8, atol=0)
+
+    @pytest.mark.parametrize("make, label", [
+        (lambda s: -s.A, "leading"),
+        (lambda s: s.A - s.A.diagonal().max() * sp.eye_array(s.dims[0]), "leading"),
+        (lambda s: sp.diags_array(np.r_[0.0, np.ones(s.dims[0] - 1)]), "leading"),
+    ])
+    @pytest.mark.parametrize("precond", ["exact", "jacobi"])
+    def test_sparse_leading_block_not_definite_is_typed(self, problem, make, label, precond):
+        system, context = problem
+        bad = DoubleSaddleSystem(make(system), system.B, system.C, system.D, system.E)
+        with pytest.raises(DefinitenessError, match=label):
+            solve(bad, precond=precond, context=context)
+
+    @pytest.mark.parametrize("scale", [-100.0, None])
+    def test_square_completion_tail_not_definite_is_typed(self, problem, scale):
+        # X = M + sqrt(beta) K indefinite (K scaled by -100) or zero
+        system, context = problem
+        stiffness = (scale * context.stiffness if scale is not None
+                     else -context.mass / np.sqrt(context.beta))
+        bad = dataclasses.replace(context, stiffness=stiffness)
+        with pytest.raises(DefinitenessError, match="second-schur"):
+            solve(system, precond="pearson-wathen", context=bad)
+
     @pytest.mark.parametrize("precond, grams", [
-        ("pearson-wathen", 1), ("drop-term", 1), ("exact", 2), ("jacobi", 2),
+        ("pearson-wathen", 1), ("drop-term", 1), ("exact", 2), ("jacobi", 1),
     ])
     def test_tail_gram_formed_only_when_the_tail_reads_s2(
         self, problem, precond, grams, monkeypatch
     ):
-        # each Gram is one U^-T solve; one Schur build per solve
+        # one Gram for S1, a tail Gram only for a tail that reads all of S2
+        # (jacobi reads diag(S2) without it); one Schur build per solve
         system, context = problem
         calls = {"schur": 0, "gram": 0}
 
@@ -287,8 +350,7 @@ class TestSolveOnCsr:
                 return fn(*args, **kwargs)
             return run
 
-        monkeypatch.setattr(spectral_mod, "_solve_upper_t",
-                            counted("gram", spectral_mod._solve_upper_t))
+        monkeypatch.setattr(spectral_mod, "_gram", counted("gram", spectral_mod._gram))
         monkeypatch.setattr(precond_mod, "schur_complements",
                             counted("schur", precond_mod.schur_complements))
         data = solve(system, precond=precond, context=context)

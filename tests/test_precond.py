@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from saddlebounds import (
     inertia,
     poisson_boundary,
     poisson_distributed,
+    random_system,
     schur_complements,
     split_preconditioned_matrix,
     verify_containment,
@@ -27,7 +29,9 @@ from saddlebounds.errors import (
     StrategyMismatchError,
     StructuralError,
 )
+from saddlebounds.bounds import Interval
 from saddlebounds.precond import strategy_tuple
+from saddlebounds.report import analyze
 
 from helpers import generalized_spectrum, random_valid_system
 
@@ -47,9 +51,9 @@ class TestBuildExact:
         h, beta = 2**-3, 1e-3
         system, fem = poisson_distributed(h, beta)
         op = build_exact(system)
-        m = fem.mass_interior
-        k = fem.stiffness_interior
-        assert np.allclose(op.blocks[0], beta * m, atol=1e-14)
+        m = fem.mass_interior.toarray()
+        k = fem.stiffness_interior.toarray()
+        assert np.allclose(op.blocks[0].toarray(), beta * m, atol=1e-14)
         assert np.allclose(op.blocks[1], m / beta, atol=1e-9)
         expected_tail = m + beta * k @ np.linalg.solve(m, k)
         assert np.allclose(op.blocks[2], expected_tail, atol=1e-11)
@@ -57,7 +61,8 @@ class TestBuildExact:
     def test_boundary_control_blocks(self):
         system = poisson_boundary(2**-3, 1e-2)
         op = build_exact(system)
-        a, b, c, e = system.A, system.B, system.C, system.E
+        dense = system.dense()
+        a, b, c, e = dense.A, dense.B, dense.C, dense.E
         s1 = b @ np.linalg.solve(a, b.T)
         assert np.allclose(op.blocks[1], s1, atol=1e-10)
         s2 = e + c @ np.linalg.solve(s1, c.T)
@@ -144,11 +149,11 @@ class TestBuildApprox:
         system, fem = poisson_distributed(h, beta)
         ctx = distributed_context(fem, beta)
         op = build_approx(system, ("exact", "exact", "pearson-wathen"), context=ctx)
-        m = fem.mass_interior
-        k = fem.stiffness_interior
+        m = fem.mass_interior.toarray()
+        k = fem.stiffness_interior.toarray()
         shifted = m + np.sqrt(beta) * k
         expected = shifted @ np.linalg.solve(m, shifted)
-        assert np.allclose(op.blocks[2], expected, atol=1e-10)
+        assert np.allclose(op.blocks[2].toarray(), expected, atol=1e-10)
 
     def test_square_completion_needs_context(self):
         rng = np.random.default_rng(53)
@@ -159,7 +164,7 @@ class TestBuildApprox:
     def test_drop_term_keeps_tail_block(self):
         system = poisson_boundary(2**-3, 1e-2)
         op = build_approx(system, ("exact", "exact", "drop-term"))
-        assert np.allclose(op.blocks[2], system.E)
+        assert np.allclose(op.blocks[2].toarray(), system.E.toarray())
 
     def test_drop_term_rejects_singular_tail(self):
         rng = np.random.default_rng(54)
@@ -251,7 +256,7 @@ class TestSplitPreconditioned:
         system, fem = poisson_distributed(h, beta)
         context = distributed_context(fem, beta)
         # non-diagonal SPD user blocks, so the congruence is not a scaling
-        user = [2.0 * b + np.diag(np.diag(b)) for b in build_exact(system).blocks]
+        user = [2.0 * b + np.diag(np.diag(b)) for b in build_exact(system.dense()).blocks]
         op = build_approx(
             system, strategy_tuple(precond), context=context, user_blocks=user
         )
@@ -313,6 +318,42 @@ class TestEquivalenceConstants:
         meas = equivalence_constants(exact_tail, ctx.square_completion_block())
         assert meas.raw.lo >= 0.5 - 1e-6
         assert meas.raw.hi <= 1.0 + 1e-6
+
+    def test_identical_blocks_measure_exactly_one(self, monkeypatch):
+        # eigh would put the generalized eigenvalues of (S, S) a few ulps off
+        # 1 and normalize by round-off; identical blocks never reach it
+        rng = np.random.default_rng(66)
+        system, _ = random_valid_system(rng, 14, 9, 2)
+        blocks = build_exact(system).blocks
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(sla, "eigh", no_eigh)
+        for block in blocks:
+            meas = equivalence_constants(block, block.copy())
+            assert meas.raw == Interval(1.0, 1.0)
+            assert (meas.alpha, meas.beta, meas.scale) == (1.0, 1.0, 1.0)
+        with pytest.raises(DefinitenessError):
+            equivalence_constants(-blocks[0], -blocks[0])
+
+    def test_exact_strategy_never_normalized_on_desk_inputs(self, monkeypatch):
+        # the exact-strategy prec-inexact entries of desk seeds 0-5
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+        from perfbench.workloads import desk_inputs
+
+        entries = []
+        for seed in range(6):
+            for item in desk_inputs(seed):
+                if item.strategy != "exact":
+                    continue
+                system = random_system(*item.dims, item.system_seed, item.extremes)
+                report = analyze(system, ("prec-inexact",), precond="exact")
+                entries.append(report.scenarios[0])
+        assert len(entries) == 108
+        assert [e for e in entries if "normalization_scales" in e] == []
+        assert all(m["raw"] == [1.0, 1.0] for e in entries
+                   for m in e["precond"]["equivalence"])
 
     def test_indefinite_approximation_rejected(self):
         with pytest.raises(DefinitenessError):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from saddlebounds import (
     BlockExtremes,
@@ -23,6 +24,7 @@ from saddlebounds import (
     verify_containment,
 )
 from saddlebounds.errors import ParameterError
+from saddlebounds.problems import _MASS_REF, _STIFF_REF
 
 from helpers import random_extremes
 
@@ -139,7 +141,57 @@ class TestNullitySystem:
             nullity_system(8, 6, 4, 5, seed=1)
 
 
+def _add_at_assembly(h: float) -> dict:
+    """The dense np.add.at assembly that the COO assembly replaced, kept as
+    the reference: mass, stiffness, boundary mass and coupling."""
+    nx = int(round(1.0 / h))
+    nn = nx + 1
+
+    def node(i, j):
+        return j * nn + i
+
+    cells = np.array([
+        (node(ci, cj), node(ci + 1, cj), node(ci + 1, cj + 1), node(ci, cj + 1))
+        for cj in range(nx) for ci in range(nx)
+    ])
+    mass = np.zeros((nn * nn, nn * nn))
+    stiffness = np.zeros((nn * nn, nn * nn))
+    for a in range(4):
+        for b in range(4):
+            np.add.at(mass, (cells[:, a], cells[:, b]), h * h * _MASS_REF[a, b])
+            np.add.at(stiffness, (cells[:, a], cells[:, b]), _STIFF_REF[a, b])
+
+    path = (
+        [node(0, j) for j in range(nn)]
+        + [node(i, nx) for i in range(1, nn)]
+        + [node(nx, j) for j in range(nx - 1, -1, -1)]
+    )
+    path_mass = np.zeros((len(path), len(path)))
+    seg = h * np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
+    for s in range(len(path) - 1):
+        path_mass[s : s + 2, s : s + 2] += seg
+    boundary_mass = path_mass[1:-1, 1:-1]
+    free = [g for g in range(nn * nn) if g >= nn]
+    free_pos = {g: i for i, g in enumerate(free)}
+    coupling = np.zeros((len(free), len(path) - 2))
+    for s, g in enumerate(path[1:-1]):
+        coupling[free_pos[g], :] = boundary_mass[s, :]
+    return {"mass": mass, "stiffness": stiffness,
+            "boundary_mass": boundary_mass, "coupling": coupling}
+
+
 class TestQ1Discretization:
+    @pytest.mark.parametrize("h", [2**-1, 2**-3, 2**-4])
+    def test_coo_assembly_matches_the_dense_add_at_assembly(self, h):
+        fem = q1_discretize(h)
+        for name, reference in _add_at_assembly(h).items():
+            block = getattr(fem, name)
+            assert isinstance(block, sp.csr_array), name
+            dense = block.toarray()
+            assert block.nnz == np.count_nonzero(reference), name
+            assert np.array_equal(dense != 0, reference != 0), name
+            np.testing.assert_allclose(dense, reference, rtol=1e-15, atol=0)
+
     def test_mass_total_is_domain_area(self):
         fem = q1_discretize(2**-3)
         assert fem.mass.sum() == pytest.approx(1.0, abs=1e-12)
@@ -196,8 +248,8 @@ class TestPoissonDistributed:
         system, fem = poisson_distributed(2**-3, 1e-3, flipped=False)
         data = assemble(system).data
         n = system.dims[0]
-        m = fem.mass_interior
-        k = fem.stiffness_interior
+        m = fem.mass_interior.toarray()
+        k = fem.stiffness_interior.toarray()
         assert np.allclose(data[:n, :n], m)
         assert np.allclose(data[:n, n:2 * n], k)
         assert np.allclose(data[n:2 * n, 2 * n:], -m)

@@ -7,7 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from saddlebounds import verify_containment
+from saddlebounds import (
+    nullity_system,
+    poisson_distributed,
+    schur_complements,
+    verify_containment,
+)
 from saddlebounds.cli import main
 from saddlebounds.report import (
     AnalysisReport,
@@ -92,6 +97,18 @@ class TestAnalysisReport:
         assert "Infinity" not in text
         assert AnalysisReport.from_json(text).to_json() == text
 
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_row_rank_deficient_coupling_always_gives_infinite_eta(self, seed):
+        # validate's SVD rank decides, not whether a Cholesky of the singular
+        # Gram happens to fail
+        system = nullity_system(10, 8, 5, 1, seed)
+        report = analyze(system, scenarios=("prec-inexact",), precond="jacobi")
+        assert not report.validation["c_full_row_rank"]
+        entry = report.scenarios[0]
+        assert entry["precond"]["eta_e"] == "inf"
+        assert entry["warnings"] == ["eta-not-finite: inexact bounds suppressed"]
+        assert schur_complements(system).eta_e == np.inf
 
     def test_analyze_measures_each_block_once(self, monkeypatch):
         import saddlebounds.spectral as spectral_mod
@@ -205,6 +222,46 @@ class TestCli:
         assert code == 0
         report = AnalysisReport.from_json((tmp_path / "report.json").read_text())
         assert report.passed
+
+    def test_generate_poisson_then_analyze_manifest(self, tmp_path, capsys):
+        # sparse blocks go to coordinate files and come back sparse; the
+        # densified oracle gives the report of the generated system
+        code = main([
+            "generate", "--problem", "poisson-dist", "--h", "0.125",
+            "--out", str(tmp_path),
+        ])
+        assert code == 0
+        manifest = capsys.readouterr().out.strip()
+        code = main([
+            "analyze", "--problem", f"manifest:{manifest}",
+            "--scenario", "unprec,prec-exact", "--out", str(tmp_path / "report.json"),
+        ])
+        capsys.readouterr()
+        assert code == 0
+        loaded = AnalysisReport.from_json((tmp_path / "report.json").read_text())
+        system, _ = poisson_distributed(0.125, 1e-3)
+        direct = analyze(system, scenarios=("unprec", "prec-exact"))
+        assert loaded.passed and direct.passed
+        assert loaded.dims == direct.dims and loaded.validation == direct.validation
+        np.testing.assert_allclose(loaded.spectrum, direct.spectrum, rtol=1e-12, atol=1e-14)
+
+    def test_desk_analyze_leaves_sparse_linalg_unimported(self):
+        # loading scipy.sparse.linalg costs every process about 2 MB of
+        # resident memory; only the sparse-factor path may load it
+        code = (
+            "import sys\n"
+            "from saddlebounds import random_system\n"
+            "from saddlebounds.cli import DEFAULT_RANDOM_EXTREMES\n"
+            "from saddlebounds.report import SCENARIOS, analyze, solve\n"
+            "system = random_system(9, 6, 4, 3, DEFAULT_RANDOM_EXTREMES)\n"
+            "for precond in ('jacobi', 'exact', 'scaled:0.5'):\n"
+            "    assert analyze(system, SCENARIOS, precond=precond).passed\n"
+            "    assert solve(system, precond=precond)['converged']\n"
+            "print('scipy.sparse.linalg' in sys.modules)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_solve_exit_codes(self, tmp_path, capsys):
         code = main([

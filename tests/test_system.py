@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from saddlebounds import (
     DoubleSaddleSystem,
@@ -66,6 +67,16 @@ class TestValidate:
         system, _ = random_valid_system(rng, 8, 6, 4)
         blocks = {key: getattr(system, key).copy() for key in "ABCDE"}
         blocks[name][0, 0] = value
+        with pytest.raises(StructuralError, match=f"block {name} has non-finite"):
+            DoubleSaddleSystem(**blocks)
+
+    @pytest.mark.parametrize("name", "ABCDE")
+    def test_non_finite_sparse_block_rejected(self, name):
+        # the same check on a sparse block's stored entries
+        rng = np.random.default_rng(8)
+        system, _ = random_valid_system(rng, 8, 6, 4)
+        blocks = {key: sp.csr_array(getattr(system, key)) for key in "ABCDE"}
+        blocks[name].data[0] = np.nan
         with pytest.raises(StructuralError, match=f"block {name} has non-finite"):
             DoubleSaddleSystem(**blocks)
 
@@ -154,3 +165,30 @@ class TestUnregularized:
         full[n:n + m, n:n + m] = 0.0
         full[n + m:, n + m:] = 0.0
         assert np.array_equal(assemble(system.unregularized()).data, full)
+
+
+class TestSparseBlocks:
+    def test_sparse_blocks_stay_canonical_csr(self):
+        rng = np.random.default_rng(9)
+        system, _ = random_valid_system(rng, 8, 6, 4)
+        coo = sp.coo_array(system.A)
+        # duplicates are summed and an explicit zero is dropped
+        half = coo.data / 2.0
+        doubled = sp.coo_array(
+            (np.r_[half, half, 0.0], (np.r_[coo.row, coo.row, 0], np.r_[coo.col, coo.col, 1])),
+            shape=coo.shape,
+        )
+        sparse = DoubleSaddleSystem(doubled, sp.csr_array(system.B), system.C,
+                                    sp.csr_array(system.D), system.E)
+        assert isinstance(sparse.A, sp.csr_array) and sparse.A.has_canonical_format
+        assert sparse.A.nnz == np.count_nonzero(system.A)
+        assert isinstance(sparse.C, np.ndarray)
+        assert sparse.is_sparse and not system.is_sparse
+        assert system.dense() is system
+        dense = sparse.dense()
+        assert not dense.is_sparse
+        for key in "ABCDE":
+            assert np.array_equal(getattr(dense, key), getattr(system, key))
+        assert np.array_equal(assemble(sparse).data, assemble(system).data)
+        zeroed = sparse.unregularized()
+        assert zeroed.D.nnz == 0 and zeroed.E.nnz == 0
