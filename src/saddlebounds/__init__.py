@@ -18,7 +18,7 @@ from .bounds import (
     verify_containment,
 )
 from .io import load_manifest, save_manifest
-from .krylov import SolveResult, minres, residual_report
+from .krylov import SolveResult, minres
 from .precond import (
     EquivalenceMeasurement,
     PoissonControlContext,

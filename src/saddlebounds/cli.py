@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--scenario", default="unprec",
                      help="comma list of unprec,prec-exact,prec-inexact")
     ana.add_argument("--precond", default="jacobi",
-                     help="none|exact|jacobi|pearson-wathen|drop-term|"
+                     help="exact|jacobi|pearson-wathen|drop-term|"
                      "scaled:<t>|user:<path>")
     ana.add_argument("--tol", type=float, default=1e-9,
                      help="relative containment slack")

@@ -6,11 +6,8 @@ class SaddleBoundsError(Exception):
 
 
 class StructuralError(SaddleBoundsError):
-    """Block dimensions are inconsistent with a double saddle-point layout."""
-
-
-class UnsupportedLayoutError(SaddleBoundsError):
-    """Requested assembly layout is undefined for these block shapes."""
+    """Input does not describe a double saddle-point system: block shapes
+    that do not fit, non-finite entries, or an asymmetric A, D or E."""
 
 
 class DefinitenessError(SaddleBoundsError):

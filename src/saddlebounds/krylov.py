@@ -35,6 +35,15 @@ class SolveResult:
         return tuple(r / base for r in self.residual_history)
 
 
+def check_stopping(rtol: float, maxit: int | None) -> None:
+    """Reject a stopping rule MINRES cannot run: ``rtol`` must be finite and
+    positive, ``maxit`` None or non-negative."""
+    if not (math.isfinite(rtol) and rtol > 0):
+        raise ParameterError(f"rtol must be finite and positive, got {rtol}")
+    if maxit is not None and maxit < 0:
+        raise ParameterError(f"maxit must be non-negative, got {maxit}")
+
+
 def minres(
     operator,
     preconditioner: PreconditionerOperator | None,
@@ -55,10 +64,7 @@ def minres(
     b = np.asarray(rhs, dtype=float)
     if not np.all(np.isfinite(b)):
         raise ParameterError("right-hand side must be finite")
-    if not (math.isfinite(rtol) and rtol > 0):
-        raise ParameterError(f"rtol must be finite and positive, got {rtol}")
-    if maxit is not None and maxit < 0:
-        raise ParameterError(f"maxit must be non-negative, got {maxit}")
+    check_stopping(rtol, maxit)
     dim = b.shape[0]
     if callable(operator):
         matvec = operator
@@ -163,7 +169,3 @@ def minres(
         breakdown=breakdown,
     )
 
-
-def residual_report(result: SolveResult) -> list[tuple[int, float]]:
-    """(iteration, relative residual) rows, one per history entry."""
-    return list(enumerate(result.relative_history))

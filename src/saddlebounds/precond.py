@@ -103,9 +103,10 @@ class PoissonControlContext:
         for practical beta.
         """
         dense = self.dense()
-        cho_m = sla.cho_factor(_sym(dense.mass))
+        mass = _sym(dense.mass)
+        cho_m = sla.cho_factor(mass)
         gram = _sym(dense.stiffness @ sla.cho_solve(cho_m, dense.stiffness))
-        return self.beta * _regularization_ratio(dense.mass, gram)
+        return self.beta * _regularization_ratio(mass, gram)
 
     def assumed_constants(self) -> tuple[float, float]:
         """Equivalence interval guaranteed for the square-completion block."""
@@ -212,7 +213,9 @@ def _factor(block, label: str):
     """Factor of an SPD block, by the block's type: the vector sqrt(diag)
     when every nonzero lies on the diagonal, a sparse LU of X for a
     :class:`SquareCompletion`, a pivot-free symmetric sparse LU for any
-    other sparse block, else a ``cho_factor`` result."""
+    other sparse block, else a ``cho_factor`` result.  Blocks arrive
+    exactly symmetric and are factored as given; only X, formed from the
+    context's matrices, is symmetrized here."""
     if isinstance(block, SquareCompletion):
         context = block.context
         return _SquareCompletionFactor(
@@ -225,9 +228,9 @@ def _factor(block, label: str):
             return np.sqrt(diag)
         raise DefinitenessError(f"{label} block is not positive definite")
     if sparse:
-        return sparse_spd_factor(_sym(block), label)
+        return sparse_spd_factor(block, label)
     try:
-        return sla.cho_factor(_sym(block))
+        return sla.cho_factor(block)
     except sla.LinAlgError as exc:
         raise DefinitenessError(f"{label} block is not positive definite") from exc
 
@@ -274,7 +277,7 @@ def build_approx(
         tail = _diagonal_matrix(pair.s2_diagonal, system.is_sparse)
     elif _reads_exact(strategies[2]):
         tail = pair.s2
-    exact_blocks = (_sym(system.A), pair.s1, tail)
+    exact_blocks = (system.A, pair.s1, tail)
     # exact dense positions reuse the pair's factors; the rest go now
     cho_a = None if sp.issparse(system.A) else pair.cho_a
     reused = [f if s == "exact" else None
@@ -322,7 +325,7 @@ def _approx_block(system, idx, strat, exact, context, user_blocks):
             return SquareCompletion(context)
         return context.square_completion_block()
     if strat == "drop-term":
-        return _sym(system.E)
+        return system.E
     if strat == "user":
         if user_blocks is None or user_blocks[idx] is None:
             raise ParameterError(f"no user block supplied for position {idx}")
@@ -428,8 +431,8 @@ def equivalence_constants(
     exact interval [1, 1] and scale 1 (only a Cholesky factorization checks
     that they are definite), so round-off never normalizes them.
     """
-    exact = _sym(_dense(exact))
-    approx = _sym(_dense(approx))
+    exact = _dense(exact)
+    approx = _dense(approx)
     if exact.shape != approx.shape:
         raise ParameterError(
             f"shape mismatch: {exact.shape} vs {approx.shape}"

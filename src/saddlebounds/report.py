@@ -25,7 +25,7 @@ from .bounds import (
     verify_containment,
 )
 from .errors import DefinitenessError, ParameterError, SaddleBoundsError
-from .krylov import minres
+from .krylov import check_stopping, minres
 from .precond import (
     PoissonControlContext,
     build_approx,
@@ -143,7 +143,6 @@ def _spectrum_summary(values: np.ndarray) -> dict:
 def _validation_dict(rep: ValidationReport) -> dict:
     return {
         "ok": rep.ok,
-        "symmetric_ok": dict(rep.symmetric_ok),
         "definiteness_ok": dict(rep.definiteness_ok),
         "kernel_conditions": list(rep.kernel_conditions),
         "schur_definite": list(rep.schur_definite),
@@ -261,7 +260,7 @@ def analyze(
     spectrum = None
     if desk_scale:
         t0 = time.perf_counter()
-        spectrum = full_spectrum(assemble(system, "standard").data, oracle_cutoff)
+        spectrum = full_spectrum(assemble(system).data, oracle_cutoff)
         report.spectrum = [float(v) for v in spectrum]
         timings["spectrum"] = time.perf_counter() - t0
 
@@ -447,8 +446,10 @@ def solve(
 
     MINRES applies K in CSR form, built from the blocks without a dense K;
     sparse blocks stay sparse, and the preconditioner picks each block's
-    factor from its type (see :mod:`saddlebounds.precond`).
+    factor from its type (see :mod:`saddlebounds.precond`).  The strategy
+    name and the stopping rule are checked before any matrix is built.
     """
+    check_stopping(rtol, maxit)
     strategies = None if precond == "none" else strategy_tuple(precond)
     matrix = assemble_csr(system)
     rhs = np.ones(matrix.shape[0])

@@ -9,7 +9,9 @@ congruence shares), the two regularization ratios (largest generalized
 eigenvalues of the regularization blocks against the coupling Grams) that
 drive the inexact-preconditioner bounds, and :func:`validate`, which checks
 the hypotheses of the bounds with these same kernels on the densified
-system.
+system.  The symmetric kernels take a symmetric matrix as given: system
+blocks are made exactly symmetric when the system is built, and the
+matrices formed here are symmetric by construction.
 """
 
 from __future__ import annotations
@@ -27,10 +29,9 @@ from .errors import (
     OracleSizeError,
     ParameterError,
 )
-from .system import DoubleSaddleSystem, _dense, _sym
+from .system import _TINY, SYM_TOL, DoubleSaddleSystem, _dense
 
 ORACLE_CUTOFF = 4096
-SYM_TOL = 1e-12
 RANK_TOL = 1e-10
 EIG_TOL = 1e-10
 ZERO_TOL = 1e-11
@@ -41,8 +42,6 @@ _ARPACK_SEED = 0x5ADD1E
 # 630 matrix-vector products
 _ARPACK_NCV = 32
 _ARPACK_RESTARTS = 20
-
-_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -132,10 +131,10 @@ class ValidationReport:
     positive definiteness of the two Schur complements, which is sufficient
     for invertibility and implies every kernel condition.  ``extremes`` are
     the block extremes measured on the way, or ``None`` when they are not
-    admissible (for example when A is not positive definite).
+    admissible (for example when A is not positive definite).  Symmetry is
+    not checked here: a system cannot be built with asymmetric A, D or E.
     """
 
-    symmetric_ok: Mapping[str, bool]
     definiteness_ok: Mapping[str, bool]
     kernel_conditions: tuple[bool, bool, bool]
     schur_definite: tuple[bool, bool]
@@ -147,8 +146,7 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return (
-            all(self.symmetric_ok.values())
-            and all(self.definiteness_ok.values())
+            all(self.definiteness_ok.values())
             and all(self.kernel_conditions)
             and all(self.schur_definite)
         )
@@ -188,7 +186,7 @@ class SchurPair:
 
     @cached_property
     def s2(self) -> np.ndarray:
-        return self.gram_c + _sym(self.system.E)
+        return self.gram_c + self.system.E
 
     @cached_property
     def s2_diagonal(self) -> np.ndarray:
@@ -225,8 +223,9 @@ class SchurPair:
 def extremal_eigs(matrix, dense_cutoff: int = ORACLE_CUTOFF) -> tuple[float, float]:
     """Smallest and largest eigenvalues of a symmetric matrix.
 
-    Dense decomposition up to ``dense_cutoff``; beyond that ARPACK from a
-    fixed-seed start vector, certified by the residual test
+    Dense decomposition up to ``dense_cutoff``, which reads one triangle of
+    the matrix; beyond that ARPACK from a fixed-seed start vector, which
+    applies all of it, certified by the residual test
     ||A v - t v|| <= EIG_TOL * max|t|.
     """
     a = _dense(matrix)
@@ -234,9 +233,9 @@ def extremal_eigs(matrix, dense_cutoff: int = ORACLE_CUTOFF) -> tuple[float, flo
     if a.shape != (dim, dim):
         raise ParameterError(f"matrix must be square, got {a.shape}")
     if dim <= dense_cutoff:
-        vals = np.linalg.eigvalsh(_sym(a))
+        vals = np.linalg.eigvalsh(a)
         return float(vals[0]), float(vals[-1])
-    return _arpack_extremes(_sym(a))  # _sym copies, so the shift stays local
+    return _arpack_extremes(a.copy())  # the shift stays local to the copy
 
 
 def _arpack_extremes(a: np.ndarray) -> tuple[float, float]:
@@ -299,14 +298,15 @@ def extremal_svals(matrix) -> tuple[float, float]:
 
 
 def full_spectrum(matrix, oracle_cutoff: int = ORACLE_CUTOFF) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending; desk scale only."""
+    """All eigenvalues of a symmetric matrix, ascending, from one triangle
+    of it; desk scale only."""
     a = np.asarray(matrix, dtype=float)
     dim = a.shape[0]
     if dim > oracle_cutoff:
         raise OracleSizeError(
             f"full spectrum refused for dimension {dim} > cutoff {oracle_cutoff}"
         )
-    return np.linalg.eigvalsh(_sym(a))
+    return np.linalg.eigvalsh(a)
 
 
 def inertia(matrix) -> Inertia:
@@ -315,11 +315,12 @@ def inertia(matrix) -> Inertia:
     Signs are counted on the 1x1 and 2x2 blocks of the block-diagonal
     factor, which Sylvester's law makes congruence-exact.  A factorization
     failure falls back to counting the dense spectrum; eigenvalues with
-    magnitude at most ``ZERO_TOL * ||M||`` count as zero.
+    magnitude at most ``ZERO_TOL * ||M||`` count as zero.  The
+    factorization reads one triangle of the matrix.
     """
-    a = _sym(np.asarray(matrix, dtype=float))
+    a = np.asarray(matrix, dtype=float)
     dim = a.shape[0]
-    scale = max(float(np.abs(a).sum(axis=0).max(initial=0.0)), np.finfo(float).tiny)
+    scale = max(float(np.abs(a).sum(axis=0).max(initial=0.0)), _TINY)
     cut = ZERO_TOL * scale
 
     try:
@@ -365,11 +366,11 @@ def schur_complements(
     ``full_row_rank`` passes validate's (B, C) rank verdicts on to the pair.
     """
     try:
-        cho_a = sla.cho_factor(_dense(_sym(system.A)))
+        cho_a = sla.cho_factor(_dense(system.A))
     except sla.LinAlgError as exc:
         raise DefinitenessError("leading block is not positive definite") from exc
     gram_b = _gram(cho_a, system.B)
-    s1 = gram_b + _sym(system.D)  # dense + sparse is dense
+    s1 = gram_b + system.D  # dense + sparse is dense
     try:
         cho_1 = sla.cho_factor(s1)
     except sla.LinAlgError as exc:
@@ -398,15 +399,10 @@ def _regularization_ratio(reg: np.ndarray, gram: np.ndarray) -> float:
     if not np.any(reg):
         return 0.0
     try:
-        vals = sla.eigh(_sym(reg), gram, eigvals_only=True)
+        vals = sla.eigh(reg, gram, eigvals_only=True)
     except sla.LinAlgError:  # the Gram is singular
         return float("inf")
     return max(float(vals[-1]), 0.0)
-
-
-def _symmetry_ok(block: np.ndarray) -> bool:
-    scale = max(float(np.abs(block).max(initial=0.0)), _TINY)
-    return bool(float(np.abs(block - block.T).max(initial=0.0)) <= SYM_TOL * scale)
 
 
 def _definite(eig_range: tuple[float, float]) -> bool:
@@ -426,19 +422,20 @@ def _full_column_rank(stacked: np.ndarray) -> bool:
 def validate(system: DoubleSaddleSystem) -> ValidationReport:
     """Run every structural invariant check and report the outcome.
 
-    Symmetry and definiteness are judged relative to ``SYM_TOL``, ranks by
-    singular values above ``RANK_TOL`` times the largest one; the nullity
-    of C^T is p - rank(C).  A kernel condition whose top block is injective
-    (A definite, B or C of full row rank) holds without a rank test of the
-    stack.  S1 and S2 come from :func:`schur_complements`.  The eigen-ranges
-    and singular values measured here also give ``extremes``.  A sparse
-    system is checked densified.
+    A, D and E are exactly symmetric by construction of the system, so
+    symmetry is not checked again, and the eigensolves read one triangle
+    of each block.  Definiteness is judged relative to ``SYM_TOL``, ranks
+    by singular values above ``RANK_TOL`` times the largest one; the
+    nullity of C^T is p - rank(C).  A kernel condition whose top block is
+    injective (A definite, B or C of full row rank) holds without a rank
+    test of the stack.  S1 and S2 come from :func:`schur_complements`.  The
+    eigen-ranges and singular values measured here also give ``extremes``.
+    A sparse system is checked densified.
     """
     system = system.dense()
     A, B, C, D, E = system.A, system.B, system.C, system.D, system.E
     _, m, p = system.dims
 
-    symmetric_ok = {name: _symmetry_ok(getattr(system, name)) for name in "ADE"}
     mu_a, mu_d, mu_e = extremal_eigs(A), extremal_eigs(D), extremal_eigs(E)
     svals_b, svals_c = _singular_values(B), _singular_values(C)
     try:
@@ -453,9 +450,9 @@ def validate(system: DoubleSaddleSystem) -> ValidationReport:
     c_full_row_rank = rank_c == p
 
     kernel_conditions = (
-        a_pd or _full_column_rank(np.vstack([_sym(A), B])),
-        b_full_row_rank or _full_column_rank(np.vstack([B.T, _sym(D), C])),
-        c_full_row_rank or _full_column_rank(np.vstack([C.T, _sym(E)])),
+        a_pd or _full_column_rank(np.vstack([A, B])),
+        b_full_row_rank or _full_column_rank(np.vstack([B.T, D, C])),
+        c_full_row_rank or _full_column_rank(np.vstack([C.T, E])),
     )
 
     s1_pd = s2_pd = False
@@ -469,7 +466,6 @@ def validate(system: DoubleSaddleSystem) -> ValidationReport:
             s2_pd = s1_pd and _definite(extremal_eigs(pair.s2))
 
     return ValidationReport(
-        symmetric_ok=symmetric_ok,
         definiteness_ok=definiteness_ok,
         kernel_conditions=kernel_conditions,
         schur_definite=(s1_pd, s2_pd),

@@ -10,11 +10,16 @@ regularization blocks D (m x m) and E (p x p).  The assembled matrix
     [ 0   C    E  ]
 
 is symmetric indefinite.  This module holds only the data model: the
-immutable :class:`DoubleSaddleSystem`, which rejects inconsistent shapes and
-non-finite entries when it is built, :func:`assemble` (dense, every layout)
-and :func:`assemble_csr` (the standard layout in CSR form).  Everything
-downstream (validation and spectral kernels, bound formulas,
-preconditioners, solvers) consumes it.
+immutable :class:`DoubleSaddleSystem`, which rejects inconsistent shapes,
+non-finite entries and asymmetric A, D or E when it is built,
+:func:`assemble` (dense) and :func:`assemble_csr` (the same matrix in CSR
+form).  Everything downstream (validation and spectral kernels, bound
+formulas, preconditioners, solvers) consumes it.
+
+A, D and E are made symmetric here and nowhere else: a block within
+``SYM_TOL`` of symmetric is stored as its exact symmetric part, so
+consumers use the blocks as stored, and a routine that reads one triangle
+sees the whole block.
 
 A block is either a dense array or a ``scipy.sparse`` matrix; a sparse block
 stays sparse (as a canonical CSR array) and is checked finite on its stored
@@ -25,14 +30,15 @@ place a sparse system is densified; :func:`assemble_csr` never densifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import StructuralError, UnsupportedLayoutError
+from .errors import StructuralError
 
-Layout = Literal["standard", "flipped", "two-by-two"]
+SYM_TOL = 1e-12
+
+_TINY = float(np.finfo(float).tiny)
 
 
 def _dense(block) -> np.ndarray:
@@ -50,6 +56,11 @@ def _sym(block):
     return (block + block.T) / 2.0
 
 
+def _values(block) -> np.ndarray:
+    """The stored entries: ``.data`` of a sparse block, else the array."""
+    return block.data if sp.issparse(block) else block
+
+
 def _checked(block, name: str):
     """A block in its stored form (canonical CSR for sparse input, else a
     dense 2-d array), checked finite."""
@@ -57,18 +68,31 @@ def _checked(block, name: str):
         block = sp.csr_array(block, dtype=float, copy=True)
         block.sum_duplicates()
         block.eliminate_zeros()
-        values = block.data
     else:
-        block = values = _dense(block)
-    if not np.isfinite(values).all():
+        block = _dense(block)
+    if not np.isfinite(_values(block)).all():
         raise StructuralError(f"block {name} has non-finite entries")
     return block
+
+
+def _symmetric(block, name: str):
+    """A square stored block made exactly symmetric: itself when it already
+    is, its symmetric part when max|X - X^T| <= SYM_TOL * max|X|, else
+    :class:`StructuralError` naming the block."""
+    gap = float(np.abs(_values(block - block.T)).max(initial=0.0))
+    if gap == 0.0:
+        return block
+    scale = max(float(np.abs(_values(block)).max(initial=0.0)), _TINY)
+    if gap > SYM_TOL * scale:
+        raise StructuralError(f"block {name} is not symmetric")
+    return _checked(_sym(block), name)
 
 
 @dataclass(frozen=True)
 class DoubleSaddleSystem:
     """Immutable container for the five blocks of a double saddle-point
-    system; each block is a dense array or a CSR array."""
+    system; each block is a dense array or a CSR array, and A, D and E are
+    exactly symmetric."""
 
     A: np.ndarray | sp.csr_array
     B: np.ndarray | sp.csr_array
@@ -104,6 +128,8 @@ class DoubleSaddleSystem:
             raise StructuralError(
                 f"dimensions must satisfy n >= m >= p >= 1, got (n, m, p) = {(n, m, p)}"
             )
+        for name in "ADE":
+            object.__setattr__(self, name, _symmetric(getattr(self, name), name))
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -133,85 +159,35 @@ class DoubleSaddleSystem:
 
 @dataclass(frozen=True)
 class AssembledMatrix:
-    """A fully assembled symmetric matrix plus its block bookkeeping."""
+    """A fully assembled symmetric matrix, dense."""
 
     data: np.ndarray
-    layout: Layout
-    block_offsets: tuple[int, int, int]
-
-    @property
-    def dimension(self) -> int:
-        return self.data.shape[0]
 
 
-def assemble(system: DoubleSaddleSystem, layout: Layout = "standard") -> AssembledMatrix:
-    """Assemble the system into one symmetric matrix in the requested ordering.
-
-    ``standard`` places (A, -D, E) on the diagonal.  ``two-by-two`` orders
-    the variables so the leading block is diag(A, E), exposing the matrix as
-    an ordinary 2x2 saddle-point system.  ``flipped`` reverses the variable
-    groups, which swaps the roles of the outer blocks; it is only defined
-    when all blocks are square (n = m = p).
-
-    Symmetry of the result is exact by construction: diagonal blocks are
-    symmetrized and off-diagonal blocks are mirrored.  The result is dense
-    whatever the blocks are.
-    """
+def assemble(system: DoubleSaddleSystem) -> AssembledMatrix:
+    """Assemble the system into one dense symmetric matrix with (A, -D, E)
+    on the diagonal.  Symmetry is exact: the diagonal blocks are, and the
+    off-diagonal blocks are mirrored."""
     system = system.dense()
-    A, B, C, D, E = system.A, system.B, system.C, system.D, system.E
-    n, m, p = system.dims
-    a_s, d_s, e_s = _sym(A), _sym(D), _sym(E)
-    total = n + m + p
-    out = np.zeros((total, total))
-
-    if layout == "standard":
-        offs = (0, n, n + m)
-        _place(out, offs, (a_s, -d_s, e_s), (B, C))
-    elif layout == "two-by-two":
-        # variable order (x, z, y): leading block diag(A, E), trailing -D
-        offs = (0, n, n + p)
-        i0, i1, i2 = slice(0, n), slice(n, n + p), slice(n + p, total)
-        out[i0, i0] = a_s
-        out[i1, i1] = e_s
-        out[i2, i2] = -d_s
-        out[i2, i0] = B
-        out[i0, i2] = B.T
-        out[i1, i2] = C
-        out[i2, i1] = C.T
-    elif layout == "flipped":
-        if not (n == m == p):
-            raise UnsupportedLayoutError(
-                f"flipped layout needs square blocks (n = m = p), got {(n, m, p)}"
-            )
-        offs = (0, p, p + m)
-        _place(out, offs, (e_s, -d_s, a_s), (C.T, B.T))
-    else:
-        raise UnsupportedLayoutError(f"unknown layout {layout!r}")
-
-    return AssembledMatrix(data=out, layout=layout, block_offsets=offs)
-
-
-def _place(out, offsets, diagonal, couplings):
-    o0, o1, o2 = offsets
-    total = out.shape[0]
-    i0, i1, i2 = slice(o0, o1), slice(o1, o2), slice(o2, total)
-    out[i0, i0], out[i1, i1], out[i2, i2] = diagonal
-    lower_mid, lower_tail = couplings
-    out[i1, i0] = lower_mid
-    out[i0, i1] = lower_mid.T
-    out[i2, i1] = lower_tail
-    out[i1, i2] = lower_tail.T
+    n, m, _ = system.dims
+    out = np.zeros((system.total, system.total))
+    i0, i1, i2 = slice(0, n), slice(n, n + m), slice(n + m, None)
+    out[i0, i0], out[i1, i1], out[i2, i2] = system.A, -system.D, system.E
+    out[i1, i0] = system.B
+    out[i0, i1] = system.B.T
+    out[i2, i1] = system.C
+    out[i1, i2] = system.C.T
+    return AssembledMatrix(data=out)
 
 
 def assemble_csr(system: DoubleSaddleSystem) -> sp.csr_array:
-    """The standard layout as a CSR array, built from the five blocks with no
-    dense intermediate of the full size; sparse blocks are never densified.
+    """The matrix of :func:`assemble` as a CSR array, built from the five
+    blocks with no dense intermediate of the full size; sparse blocks are
+    never densified.
 
     Equal entry for entry (``indptr``, ``indices`` and ``data``) to
     ``csr_array(assemble(system).data)``, so its products with a vector are
     bitwise equal too.
     """
     A, B, C, D, E = system.A, system.B, system.C, system.D, system.E
-    return sp.block_array(
-        [[_sym(A), B.T, None], [B, -_sym(D), C.T], [None, C, _sym(E)]], format="csr"
-    )
+    return sp.block_array([[A, B.T, None], [B, -D, C.T], [None, C, E]], format="csr")

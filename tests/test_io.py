@@ -19,6 +19,8 @@ def test_manifest_round_trip(tmp_path, inline):
     back = load_manifest(manifest)
     for key in "ABCDE":
         assert np.allclose(getattr(back, key), getattr(system, key), atol=1e-14)
+    for key in "ADE":
+        assert np.array_equal(getattr(back, key), getattr(back, key).T)
     assert back.dims == system.dims
 
 

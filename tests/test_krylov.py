@@ -17,7 +17,6 @@ from saddlebounds import (
     distributed_context,
     minres,
     poisson_distributed,
-    residual_report,
 )
 from saddlebounds.errors import DefinitenessError, ParameterError
 from saddlebounds.precond import PreconditionerOperator, strategy_tuple
@@ -100,6 +99,26 @@ def test_nonfinite_rhs_rejected():
         minres(np.eye(2), None, np.array([np.nan, 1.0]))
 
 
+@pytest.mark.parametrize("rtol, maxit, message", [
+    (np.nan, None, "rtol must be finite and positive"),
+    (0.0, 10, "rtol must be finite and positive"),
+    (1e-8, -1, "maxit must be non-negative"),
+])
+def test_bad_stopping_rule_rejected_before_any_build(rtol, maxit, message, monkeypatch):
+    # one check serves minres and solve; solve runs it before K or the
+    # preconditioner is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("a matrix was built before the stopping rule was checked")
+
+    monkeypatch.setattr(report_mod, "assemble_csr", refuse)
+    monkeypatch.setattr(report_mod, "build_approx", refuse)
+    system, _ = random_valid_system(np.random.default_rng(80), 8, 6, 4)
+    with pytest.raises(ParameterError, match=message):
+        solve(system, "exact", rtol=rtol, maxit=maxit)
+    with pytest.raises(ParameterError, match=message):
+        minres(np.eye(3), None, np.ones(3), rtol=rtol, maxit=maxit)
+
+
 @pytest.mark.parametrize("preconditioned", [False, True])
 def test_nan_in_operator_stops_at_once(preconditioned):
     rng = np.random.default_rng(78)
@@ -143,18 +162,18 @@ def test_zero_rhs_short_circuits():
 class TestResidualReport:
     def test_single_iteration_two_rows(self):
         result = minres(np.eye(5), None, np.ones(5), rtol=1e-12)
-        rows = residual_report(result)
+        rows = result.relative_history
         assert len(rows) == 2
-        assert rows[0] == (0, 1.0)
+        assert rows[0] == 1.0
 
     def test_rows_match_history_length(self):
         rng = np.random.default_rng(76)
         system, _ = random_valid_system(rng, 7, 4, 2)
         matrix = assemble(system).data
         result = minres(matrix, None, rng.standard_normal(matrix.shape[0]), rtol=1e-9)
-        rows = residual_report(result)
+        rows = result.relative_history
         assert len(rows) == len(result.residual_history)
-        assert rows[-1][1] == pytest.approx(
+        assert rows[-1] == pytest.approx(
             result.residual_history[-1] / result.residual_history[0]
         )
 
@@ -166,7 +185,7 @@ class TestResidualReport:
             matrix, None, rng.standard_normal(matrix.shape[0]), rtol=1e-15, maxit=5
         )
         assert not result.converged
-        assert len(residual_report(result)) == 6
+        assert len(result.relative_history) == 6
 
 
 class TestSolveOnCsr:

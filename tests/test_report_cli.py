@@ -328,6 +328,7 @@ class TestCli:
         (["analyze", "--problem", "poisson-bnd", "--beta", "nan"],
          "parameter beta must be finite and positive"),
         (["analyze", "--problem", "random", "--scenario", ","], "no scenario given"),
+        (["analyze", "--problem", "manifest:{asymmetric}"], "block A is not symmetric"),
     ])
     def test_bad_input_exits_one_with_one_error_line(
         self, argv, message, tmp_path, capsys
@@ -339,6 +340,11 @@ class TestCli:
         notes.write_text("# saddlebounds\n\nNot a report.\n")
         system = random_system(8, 6, 4, 0, DEFAULT_RANDOM_EXTREMES)
         blocks = {key: getattr(system, key).tolist() for key in "ABCDE"}
+        asymmetric = tmp_path / "asymmetric.json"
+        blocks["A"][0][1] += 1e-3
+        asymmetric.write_text(json.dumps(
+            {"schema": 1, "dims": [8, 6, 4], "format": "inline", "blocks": blocks}
+        ))
         blocks["A"][0][1] = blocks["A"][1][0] = float("nan")
         manifest = tmp_path / "nan.json"
         manifest.write_text(json.dumps(
@@ -350,7 +356,8 @@ class TestCli:
         user.write_text(json.dumps({"blocks": user_blocks}))
         report = tmp_path / "unprec.json"
         report.write_text(analyze(system).to_json())
-        paths = {"notes": notes, "manifest": manifest, "user": user, "report": report}
+        paths = {"notes": notes, "manifest": manifest, "user": user, "report": report,
+                 "asymmetric": asymmetric}
         code = main([arg.format(**paths) for arg in argv])
         err = capsys.readouterr().err
         assert code == 1

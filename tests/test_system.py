@@ -1,17 +1,28 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from saddlebounds import (
+    BlockExtremes,
     DoubleSaddleSystem,
     assemble,
-    full_spectrum,
     inertia,
+    random_system,
     validate,
 )
-from saddlebounds.errors import StructuralError, UnsupportedLayoutError
+from saddlebounds.errors import StructuralError
+from saddlebounds.report import analyze
+from saddlebounds.system import SYM_TOL
 
 from helpers import random_valid_system
+
+# the extremes of the README's library tour
+TOUR_EXTREMES = BlockExtremes(0.5, 3.0, 0.4, 2.0, 0.3, 1.5, 0.0, 0.5, 0.0, 0.4)
 
 
 def tiny_system():
@@ -97,41 +108,12 @@ class TestAssemble:
         expected = np.array([[a, b, 0.0], [b, -d, c], [0.0, c, e]])
         out = assemble(system)
         assert np.array_equal(out.data, expected)
-        assert out.block_offsets == (0, 1, 2)
 
     def test_standard_is_exactly_symmetric(self):
         rng = np.random.default_rng(3)
         system, _ = random_valid_system(rng, 7, 5, 3)
-        data = assemble(system, "standard").data
+        data = assemble(system).data
         assert np.array_equal(data, data.T)
-
-    def test_flipped_matches_reversed_blocks(self):
-        rng = np.random.default_rng(4)
-        system, _ = random_valid_system(rng, 4, 4, 4)
-        flipped = assemble(system, "flipped").data
-        n = 4
-        assert np.array_equal(flipped[:n, :n], assemble(system).data[2 * n:, 2 * n:])
-        assert np.array_equal(flipped[:n, n:2 * n], system.C)
-        assert np.array_equal(flipped[2 * n:, n:2 * n], system.B.T)
-
-    def test_flipped_requires_square_blocks(self):
-        with pytest.raises(UnsupportedLayoutError):
-            assemble(tiny_system(), "flipped")
-
-    def test_flipped_and_standard_share_spectra(self):
-        rng = np.random.default_rng(11)
-        for _ in range(5):
-            system, _ = random_valid_system(rng, 5, 5, 5)
-            s1 = full_spectrum(assemble(system, "standard").data)
-            s2 = full_spectrum(assemble(system, "flipped").data)
-            assert np.allclose(s1, s2, atol=1e-12)
-
-    def test_two_by_two_is_permutation_similar(self):
-        rng = np.random.default_rng(12)
-        system, _ = random_valid_system(rng, 6, 4, 2)
-        s1 = full_spectrum(assemble(system, "standard").data)
-        s2 = full_spectrum(assemble(system, "two-by-two").data)
-        assert np.allclose(s1, s2, atol=1e-12)
 
     def test_inertia_of_valid_systems(self):
         rng = np.random.default_rng(13)
@@ -192,3 +174,69 @@ class TestSparseBlocks:
         assert np.array_equal(assemble(sparse).data, assemble(system).data)
         zeroed = sparse.unregularized()
         assert zeroed.D.nnz == 0 and zeroed.E.nnz == 0
+
+
+class TestSymmetry:
+    """A, D and E are made exactly symmetric once, when the system is built."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        name=st.sampled_from("ADE"),
+        log_eps=st.floats(-16.0, -6.0),
+        sparse=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_antisymmetric_perturbation(self, name, log_eps, sparse, seed):
+        # X + eps max|X| N with N antisymmetric, max|N| = 1, has
+        # max|X - X^T| = 2 eps max|X|: within SYM_TOL exactly when
+        # 2 eps <= SYM_TOL.  A thin band around the threshold, where the
+        # rounding of the perturbed entries decides, is left out.
+        eps = 10.0**log_eps
+        assume(abs(math.log(2.0 * eps / SYM_TOL)) > 0.01)
+        system = random_system(8, 6, 4, seed, TOUR_EXTREMES)
+        block = getattr(system, name)
+        upper = np.triu(np.random.default_rng(seed).uniform(-1.0, 1.0, block.shape), 1)
+        noise = (upper - upper.T) / np.abs(upper).max()
+        scale = np.abs(block).max()
+        perturbed = block + eps * scale * noise
+        blocks = {key: getattr(system, key) for key in "ABCDE"}
+        blocks[name] = sp.csr_array(perturbed) if sparse else perturbed
+        if 2.0 * eps > SYM_TOL:
+            with pytest.raises(StructuralError, match=f"block {name} is not symmetric"):
+                DoubleSaddleSystem(**blocks)
+            return
+        stored = getattr(DoubleSaddleSystem(**blocks), name)
+        assert sp.issparse(stored) is sparse
+        stored = stored.toarray() if sparse else stored
+        assert np.array_equal(stored, stored.T)
+        assert np.abs(stored - perturbed).max() <= (eps + 2.0**-52) * scale
+
+    @pytest.mark.parametrize("precond, calls", [
+        ("jacobi", 6), ("exact", 6), ("scaled:0.5", 12),
+    ])
+    def test_analyze_symmetrizes_only_formed_or_outside_matrices(
+        self, precond, calls, monkeypatch
+    ):
+        # after construction, the only symmetrizations left in an analysis
+        # are of the split congruence's diagonal blocks and of the blocks
+        # from_blocks takes in
+        system = random_system(8, 6, 4, 7, TOUR_EXTREMES)
+        callers = []
+        for module in [m for k, m in sys.modules.items() if k.startswith("saddlebounds")]:
+            original = vars(module).get("_sym")
+            if original is None:
+                continue
+
+            def counted(block, original=original):
+                frame = sys._getframe(1)
+                while frame.f_code.co_name.startswith("<"):  # a comprehension
+                    frame = frame.f_back
+                callers.append(frame.f_code.co_name)
+                return original(block)
+
+            monkeypatch.setattr(module, "_sym", counted)
+        report = analyze(system, scenarios=("unprec", "prec-exact", "prec-inexact"),
+                         precond=precond)
+        assert report.passed
+        assert set(callers) <= {"split_preconditioned_matrix", "from_blocks"}
+        assert len(callers) == calls
