@@ -30,6 +30,7 @@ from .spectral import RANK_TOL, BlockExtremes
 
 ROOT_TOL = 1e-10
 CLUSTER_TOL = 1e-8
+CONTAINMENT_TOL = 1e-9
 
 GOLDEN_UPPER = (1.0 + math.sqrt(5.0)) / 2.0
 GOLDEN_LOWER = (1.0 - math.sqrt(5.0)) / 2.0
@@ -486,7 +487,7 @@ class ContainmentReport:
 def verify_containment(
     spectrum: Sequence[float],
     bounds: BoundIntervals,
-    tol: float = 1e-9,
+    tol: float = CONTAINMENT_TOL,
 ) -> ContainmentReport:
     """Check a computed spectrum against predicted bounds.
 

@@ -16,6 +16,8 @@ from pathlib import Path
 
 from . import io as sbio
 from .errors import ParameterError, SaddleBoundsError, StructuralError
+from .bounds import CONTAINMENT_TOL
+from .krylov import RTOL_DEFAULT
 from .problems import (
     distributed_context,
     poisson_boundary,
@@ -206,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--precond", default="jacobi",
                      help="exact|jacobi|pearson-wathen|drop-term|"
                      "scaled:<t>|user:<path>")
-    ana.add_argument("--tol", type=float, default=1e-9,
+    ana.add_argument("--tol", type=float, default=CONTAINMENT_TOL,
                      help="relative containment slack")
     ana.add_argument("--out", help="write the report here instead of stdout")
     ana.add_argument("--format", choices=("json", "csv"), default="json")
@@ -215,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     sol = sub.add_parser("solve", help="run preconditioned MINRES")
     _add_problem_flags(sol)
     sol.add_argument("--precond", default="none")
-    sol.add_argument("--rtol", type=float, default=1e-8)
+    sol.add_argument("--rtol", type=float, default=RTOL_DEFAULT)
     sol.add_argument("--maxit", type=int, default=None)
     sol.add_argument("--out", help="write the solve report here")
     sol.add_argument("--residuals", help="also write residual history CSV here")

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.io
 
 from .errors import StructuralError
-from .system import DoubleSaddleSystem, _dense
+from .system import DoubleSaddleSystem, _dense, _symmetric_input
 
 SCHEMA_VERSION = 1
 BLOCK_NAMES = ("A", "B", "C", "D", "E")
@@ -97,7 +97,7 @@ def load_spd_blocks(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
     The manifest maps ``"blocks"`` to a list of three ``.mtx`` file names
     (or inline dense arrays) ordered as (leading, first Schur, second Schur).
-    Non-finite entries raise :class:`StructuralError`.
+    Each is checked like a system block (as ``user block <i>``), dense.
     """
     path = Path(path)
     with open(path) as handle:
@@ -105,11 +105,6 @@ def load_spd_blocks(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarra
     entries = manifest.get("blocks")
     if not isinstance(entries, list) or len(entries) != 3:
         raise StructuralError("preconditioner manifest needs exactly 3 blocks")
-    out = [
-        _dense(scipy.io.mmread(path.parent / entry) if isinstance(entry, str) else entry)
-        for entry in entries
-    ]
-    for idx, block in enumerate(out):
-        if not np.isfinite(block).all():
-            raise StructuralError(f"user block {idx} has non-finite entries")
-    return out[0], out[1], out[2]
+    blocks = [_dense(scipy.io.mmread(path.parent / e) if isinstance(e, str) else e)
+              for e in entries]
+    return tuple(_symmetric_input(b, f"user block {i}") for i, b in enumerate(blocks))

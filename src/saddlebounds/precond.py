@@ -8,15 +8,17 @@ pair and reads S2 only when the tail strategy derives its block from it
 (``exact``, ``scaled:<t>``; ``jacobi`` reads only diag(S2)), so
 ``pearson-wathen``, ``drop-term``, ``user`` and ``jacobi`` never form it.
 Every block is kept as a matrix (or, for the square-completion block of a
-sparse context, an implicit block that can form its dense self) so that
-equivalence constants stay measurable at desk scale.  What MINRES applies
-is one factor per block, chosen from the block's own type:
+sparse system, an implicit block that can form its dense self) so that
+equivalence constants stay measurable at desk scale.  Inputs from outside
+the system (``user`` and :func:`from_blocks` blocks, a context's matrices)
+are checked and made symmetric where they enter, like system blocks.
+What MINRES applies is one factor per block, chosen from its own type:
 
 * a diagonal block (such as ``jacobi``): the 1-D vector sqrt(diag);
 * any other dense block: a ``cho_factor`` result;
 * any other sparse block: a pivot-free symmetric sparse LU
   (:func:`sparse_spd_factor`);
-* the square-completion block X M^-1 X of a sparse context: one sparse LU
+* the square-completion block X M^-1 X of a sparse system: one sparse LU
   of X, applied as X^-1 M X^-1, so X M^-1 X is never formed.
 
 The dense split-preconditioned matrix is the Cholesky congruence U^-T K U^-1,
@@ -44,13 +46,8 @@ from .errors import (
     StrategyMismatchError,
     StructuralError,
 )
-from .spectral import (
-    ORACLE_CUTOFF,
-    _regularization_ratio,
-    _solve_upper_t,
-    schur_complements,
-)
-from .system import DoubleSaddleSystem, _dense, _sym
+from .spectral import ORACLE_CUTOFF, _gram, _solve_upper_t, schur_complements
+from .system import DoubleSaddleSystem, _dense, _sym, _symmetric_input
 
 _BLOCK_LABELS = ("leading", "first-schur", "second-schur")
 
@@ -60,7 +57,9 @@ class PoissonControlContext:
     """Structure metadata a distributed-control system carries along.
 
     ``mass`` and ``stiffness`` are the interior finite-element matrices
-    (dense or sparse) and ``beta`` the control regularization weight.  The
+    (dense or sparse), checked here like system blocks and of one shape
+    (:class:`StructuralError`), and ``beta`` the control regularization
+    weight, finite and positive (:class:`ParameterError`).  The
     square-completion approximation of the tail Schur complement and the
     reference regularization-ratio constant used when reporting inexact
     bounds for this problem family both live here; both are dense oracle
@@ -71,15 +70,14 @@ class PoissonControlContext:
     stiffness: np.ndarray | sp.csr_array
     beta: float
 
-    @property
-    def is_sparse(self) -> bool:
-        return sp.issparse(self.mass) or sp.issparse(self.stiffness)
-
-    def dense(self) -> "PoissonControlContext":
-        """The context with dense matrices; itself when they already are."""
-        if not self.is_sparse:
-            return self
-        return PoissonControlContext(_dense(self.mass), _dense(self.stiffness), self.beta)
+    def __post_init__(self):
+        mass = _symmetric_input(self.mass, "mass matrix")
+        object.__setattr__(self, "mass", mass)
+        object.__setattr__(self, "stiffness", _symmetric_input(
+            self.stiffness, "stiffness matrix", mass.shape[0]))
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ParameterError(
+                f"parameter beta must be finite and positive, got {self.beta}")
 
     def shifted(self):
         """X = M + sqrt(beta) K, in the matrices' own form."""
@@ -88,25 +86,23 @@ class PoissonControlContext:
     def square_completion_block(self) -> np.ndarray:
         """(M + sqrt(beta) K) M^-1 (M + sqrt(beta) K), dense: the
         square-completion approximation of M + beta K M^-1 K, whose
-        equivalence constants are [1/2, 1]."""
-        dense = self.dense()
-        shifted = dense.shifted()
-        cho_m = sla.cho_factor(_sym(dense.mass))
-        return _sym(shifted @ sla.cho_solve(cho_m, shifted))
+        equivalence constants are [1/2, 1]; W^T W, W = U^-T X for M = U^T U."""
+        return _gram(_factor(_dense(self.mass), "mass"), self.shifted())
 
     def reference_regularization_ratio(self) -> float:
         """beta-scaled top of the (mass, K M^-1 K) pencil.
 
         This is the published scale constant for the tail regularization of
-        this problem family: beta divided by the squared smallest
-        stiffness-to-mass generalized eigenvalue, which is O(beta) and tiny
-        for practical beta.
+        this problem family: beta / min|mu|^2 over the generalized
+        eigenvalues mu of (K, M), which is O(beta) and tiny for practical
+        beta, and ``inf`` when some mu is zero.
         """
-        dense = self.dense()
-        mass = _sym(dense.mass)
-        cho_m = sla.cho_factor(mass)
-        gram = _sym(dense.stiffness @ sla.cho_solve(cho_m, dense.stiffness))
-        return self.beta * _regularization_ratio(mass, gram)
+        try:
+            mu = sla.eigh(_dense(self.stiffness), _dense(self.mass), eigvals_only=True)
+        except sla.LinAlgError as exc:
+            raise DefinitenessError("mass block is not positive definite") from exc
+        mu2 = float(np.abs(mu).min()) ** 2
+        return self.beta / mu2 if mu2 > 0 else math.inf
 
     def assumed_constants(self) -> tuple[float, float]:
         """Equivalence interval guaranteed for the square-completion block."""
@@ -115,8 +111,8 @@ class PoissonControlContext:
 
 @dataclass(frozen=True)
 class SquareCompletion:
-    """The square-completion block X M^-1 X, X = M + sqrt(beta) K, of a
-    sparse context, kept implicit: its factor is one sparse LU of X, and
+    """The square-completion block X M^-1 X, X = M + sqrt(beta) K, for a
+    sparse system, kept implicit: its factor is one sparse LU of X, and
     ``toarray`` forms the dense block for the oracle."""
 
     context: PoissonControlContext
@@ -214,12 +210,11 @@ def _factor(block, label: str):
     when every nonzero lies on the diagonal, a sparse LU of X for a
     :class:`SquareCompletion`, a pivot-free symmetric sparse LU for any
     other sparse block, else a ``cho_factor`` result.  Blocks arrive
-    exactly symmetric and are factored as given; only X, formed from the
-    context's matrices, is symmetrized here."""
+    exactly symmetric and are factored as given."""
     if isinstance(block, SquareCompletion):
         context = block.context
         return _SquareCompletionFactor(
-            sparse_spd_factor(_sym(context.shifted()), label), context.mass)
+            sparse_spd_factor(context.shifted(), label), context.mass)
     diag = block.diagonal()
     sparse = sp.issparse(block)
     nonzeros = block.count_nonzero() if sparse else np.count_nonzero(block)
@@ -259,14 +254,14 @@ def build_approx(
 
     Recognized strategies: ``exact``, ``jacobi`` (diagonal of the exact
     block), ``scaled:<t>`` (the exact block times finite t > 0),
-    ``pearson-wathen`` (square-completion tail block; needs
-    distributed-control structure), ``drop-term`` (tail regularization
-    block alone; needs it SPD), and ``user`` (matrix taken from
-    ``user_blocks``).  Exact leading and first-Schur blocks reuse the Schur
-    pair's Cholesky factors (the leading one only when A is dense); S2 is
-    formed only for a tail strategy that reads it (``jacobi`` reads only its
-    diagonal); every other block is factored by its type (see
-    :func:`_factor`).  The ``jacobi`` blocks of a system with
+    ``pearson-wathen`` (square-completion tail block from ``context``,
+    implicit for a sparse system), ``drop-term`` (tail regularization block
+    alone; needs it SPD), and ``user`` (matrix taken from ``user_blocks``,
+    checked where it enters).  Exact leading and first-Schur
+    blocks reuse the Schur pair's Cholesky factors (the leading one only
+    when A is dense); S2 is formed only for a tail strategy that reads it
+    (``jacobi`` reads only its diagonal); every other block is factored by
+    its type (see :func:`_factor`).  The ``jacobi`` blocks of a system with
     sparse blocks are sparse diagonal matrices.
     """
     if len(strategies) != 3:
@@ -321,7 +316,7 @@ def _approx_block(system, idx, strat, exact, context, user_blocks):
                 "pearson-wathen needs the (mass, stiffness, beta) structure of a "
                 "distributed control problem"
             )
-        if context.is_sparse:
+        if system.is_sparse:
             return SquareCompletion(context)
         return context.square_completion_block()
     if strat == "drop-term":
@@ -329,10 +324,7 @@ def _approx_block(system, idx, strat, exact, context, user_blocks):
     if strat == "user":
         if user_blocks is None or user_blocks[idx] is None:
             raise ParameterError(f"no user block supplied for position {idx}")
-        block = np.asarray(user_blocks[idx], dtype=float)
-        if not np.isfinite(block).all():
-            raise StructuralError(f"user block {idx} has non-finite entries")
-        return _sym(block)
+        return _symmetric_input(user_blocks[idx], f"user block {idx}", system.dims[idx])
     raise ParameterError(f"unknown strategy {strat!r}")
 
 
@@ -364,11 +356,13 @@ def from_blocks(
     dims: tuple[int, int, int],
     strategy: tuple[str, str, str] = ("user", "user", "user"),
 ) -> PreconditionerOperator:
-    """Wrap three explicit SPD matrices as a preconditioner; sparse and
+    """Wrap three explicit SPD matrices, each checked like a ``user`` block
+    (errors name ``user block 0``), as a preconditioner; sparse and
     implicit blocks are densified."""
     if len(blocks) != 3:
         raise ParameterError("need exactly three blocks")
-    blocks = tuple(_sym(_dense(b)) for b in blocks)
+    blocks = tuple(_symmetric_input(_dense(b), f"{s} block {i}", size)
+                   for i, (b, s, size) in enumerate(zip(blocks, strategy, dims)))
     factors = tuple(_factor(b, lbl) for b, lbl in zip(blocks, _BLOCK_LABELS))
     return PreconditionerOperator(
         blocks=blocks, strategy=tuple(strategy), dims=dims, _factors=factors

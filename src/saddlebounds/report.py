@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import (
+    CONTAINMENT_TOL,
     BoundIntervals,
     EquivalenceConstants,
     Interval,
@@ -25,7 +26,7 @@ from .bounds import (
     verify_containment,
 )
 from .errors import DefinitenessError, ParameterError, SaddleBoundsError
-from .krylov import check_stopping, minres
+from .krylov import RTOL_DEFAULT, check_stopping, minres
 from .precond import (
     PoissonControlContext,
     build_approx,
@@ -217,7 +218,7 @@ def analyze(
     precond: str = "jacobi",
     context: PoissonControlContext | None = None,
     user_blocks=None,
-    tol: float = 1e-9,
+    tol: float = CONTAINMENT_TOL,
     oracle_cutoff: int = ORACLE_CUTOFF,
     problem: dict | None = None,
 ) -> AnalysisReport:
@@ -226,8 +227,8 @@ def analyze(
     ``scenarios`` picks any of ``unprec``, ``prec-exact``, ``prec-inexact``;
     the last uses ``precond`` to choose the approximation strategy.  Above
     ``oracle_cutoff`` the spectra are skipped and verdicts are reported as
-    ``unverified``; bounds are emitted either way.  A sparse system or
-    context is densified once, here: everything below is the dense oracle.
+    ``unverified``; bounds are emitted either way.  A sparse system is
+    densified once, here: everything below is the dense oracle.
     """
     t_start = time.perf_counter()
     timings: dict[str, float] = {}
@@ -241,8 +242,6 @@ def analyze(
         raise ParameterError(f"tol must be finite and non-negative, got {tol}")
     strategies = strategy_tuple(precond) if "prec-inexact" in scenarios else None
     system = system.dense()
-    if context is not None:
-        context = context.dense()
 
     validation = validate(system)
     extremes = validation.extremes
@@ -436,7 +435,7 @@ def _reference_intervals(strategies, context, d_zero, e_zero):
 def solve(
     system: DoubleSaddleSystem,
     precond: str = "none",
-    rtol: float = 1e-8,
+    rtol: float = RTOL_DEFAULT,
     maxit: int | None = None,
     context: PoissonControlContext | None = None,
     user_blocks=None,

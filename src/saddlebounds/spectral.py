@@ -190,11 +190,8 @@ class SchurPair:
 
     @cached_property
     def s2_diagonal(self) -> np.ndarray:
-        """diag(S2): read off S2 when the pair already holds it, else diag(E)
-        plus the column sums of W * W, W = U^-T C^T, which forms neither the
-        tail Gram nor S2."""
-        if "s2" in vars(self):
-            return np.diagonal(self.s2).copy()
+        """diag(S2) as diag(E) plus the column sums of W * W, W = U^-T C^T,
+        which forms neither the tail Gram nor S2."""
         half = _solve_upper_t(self.cho_1, _dense(self.system.C.T))
         return self.system.E.diagonal() + np.einsum("ij,ij->j", half, half)
 

@@ -16,10 +16,11 @@ non-finite entries and asymmetric A, D or E when it is built,
 form).  Everything downstream (validation and spectral kernels, bound
 formulas, preconditioners, solvers) consumes it.
 
-A, D and E are made symmetric here and nowhere else: a block within
-``SYM_TOL`` of symmetric is stored as its exact symmetric part, so
-consumers use the blocks as stored, and a routine that reads one triangle
-sees the whole block.
+A, D and E, and each symmetric matrix from outside a system
+(:func:`_symmetric_input`), are made symmetric here and nowhere else: one
+within ``SYM_TOL`` of symmetric is stored as its exact symmetric part, so
+consumers use it as stored, and a routine that reads one triangle sees it
+whole.
 
 A block is either a dense array or a ``scipy.sparse`` matrix; a sparse block
 stays sparse (as a canonical CSR array) and is checked finite on its stored
@@ -61,9 +62,9 @@ def _values(block) -> np.ndarray:
     return block.data if sp.issparse(block) else block
 
 
-def _checked(block, name: str):
+def _checked(block, label: str):
     """A block in its stored form (canonical CSR for sparse input, else a
-    dense 2-d array), checked finite."""
+    dense 2-d array), checked finite; errors name it ``label``."""
     if sp.issparse(block):
         block = sp.csr_array(block, dtype=float, copy=True)
         block.sum_duplicates()
@@ -71,21 +72,31 @@ def _checked(block, name: str):
     else:
         block = _dense(block)
     if not np.isfinite(_values(block)).all():
-        raise StructuralError(f"block {name} has non-finite entries")
+        raise StructuralError(f"{label} has non-finite entries")
     return block
 
 
-def _symmetric(block, name: str):
-    """A square stored block made exactly symmetric: itself when it already
+def _symmetric(block, label: str):
+    """A stored square block made exactly symmetric: itself when it already
     is, its symmetric part when max|X - X^T| <= SYM_TOL * max|X|, else
-    :class:`StructuralError` naming the block."""
+    :class:`StructuralError` naming ``label``; every symmetric input's rule."""
     gap = float(np.abs(_values(block - block.T)).max(initial=0.0))
     if gap == 0.0:
         return block
     scale = max(float(np.abs(_values(block)).max(initial=0.0)), _TINY)
     if gap > SYM_TOL * scale:
-        raise StructuralError(f"block {name} is not symmetric")
-    return _checked(_sym(block), name)
+        raise StructuralError(f"{label} is not symmetric")
+    return _checked(_sym(block), label)
+
+
+def _symmetric_input(block, label: str, size: int | None = None):
+    """A symmetric matrix from outside a system, checked where it enters:
+    :func:`_checked`, square (size x size if given), :func:`_symmetric`."""
+    block = _checked(block, label)
+    size = block.shape[0] if size is None else size
+    if block.shape != (size, size):
+        raise StructuralError(f"{label} must be {size} x {size}, got {block.shape}")
+    return _symmetric(block, label)
 
 
 @dataclass(frozen=True)
@@ -102,7 +113,7 @@ class DoubleSaddleSystem:
 
     def __post_init__(self):
         for name in "ABCDE":
-            object.__setattr__(self, name, _checked(getattr(self, name), name))
+            object.__setattr__(self, name, _checked(getattr(self, name), "block " + name))
         n = self.A.shape[0]
         if self.A.shape != (n, n):
             raise StructuralError(f"block A must be square, got {self.A.shape}")
@@ -129,7 +140,7 @@ class DoubleSaddleSystem:
                 f"dimensions must satisfy n >= m >= p >= 1, got (n, m, p) = {(n, m, p)}"
             )
         for name in "ADE":
-            object.__setattr__(self, name, _symmetric(getattr(self, name), name))
+            object.__setattr__(self, name, _symmetric(getattr(self, name), "block " + name))
 
     @property
     def dims(self) -> tuple[int, int, int]:

@@ -30,7 +30,7 @@ from saddlebounds.errors import (
     StructuralError,
 )
 from saddlebounds.bounds import Interval
-from saddlebounds.precond import strategy_tuple
+from saddlebounds.precond import PoissonControlContext, strategy_tuple
 from saddlebounds.report import analyze
 
 from helpers import generalized_spectrum, random_valid_system
@@ -129,7 +129,9 @@ class TestBuildApprox:
         blocks[position][1, 1] = value
         system = dataclasses.replace(system, A=blocks[0])
         pair = dataclasses.replace(pair, s1=blocks[1])
-        vars(pair)["s2"] = blocks[2]  # S2 is formed on first read: fill its cache
+        # S2 and diag(S2) are formed on first read: fill their caches
+        vars(pair)["s2"] = blocks[2]
+        vars(pair)["s2_diagonal"] = np.diagonal(blocks[2]).copy()
         monkeypatch.setattr(precond_mod, "schur_complements", lambda _: pair)
         strategies = ["exact"] * 3
         strategies[position] = "jacobi"
@@ -143,6 +145,25 @@ class TestBuildApprox:
         user[2][0, 0] = np.inf
         with pytest.raises(StructuralError, match="user block 2 has non-finite"):
             build_approx(system, ("user", "user", "user"), user_blocks=user)
+
+    @pytest.mark.parametrize("wrap", ["build_approx", "from_blocks"])
+    @pytest.mark.parametrize("defect, message", [
+        ("asymmetric", "user block 0 is not symmetric"),
+        ("short", r"user block 0 must be 6 x 6, got \(5, 5\)"),
+    ])
+    def test_bad_user_block_rejected(self, wrap, defect, message):
+        rng = np.random.default_rng(69)
+        system, _ = random_valid_system(rng, 6, 4, 2)
+        user = [b.copy() for b in build_exact(system).blocks]
+        if defect == "asymmetric":
+            user[0][0, 1] += 1e-3 * np.abs(user[0]).max()
+        else:
+            user[0] = user[0][:-1, :-1]
+        with pytest.raises(StructuralError, match=message):
+            if wrap == "build_approx":
+                build_approx(system, ("user", "user", "user"), user_blocks=user)
+            else:
+                precond_mod.from_blocks(user, system.dims)
 
     def test_square_completion_tail_block(self):
         h, beta = 2**-3, 1e-3
@@ -178,6 +199,57 @@ class TestBuildApprox:
         op = build_approx(system, ("scaled:2.0", "exact", "exact"))
         exact = build_exact(system)
         assert np.allclose(op.blocks[0], 2.0 * exact.blocks[0])
+
+
+class TestPoissonControlContext:
+    @staticmethod
+    def _fem(h=2**-3, beta=1e-3):
+        system, fem = poisson_distributed(h, beta)
+        return system, fem.mass_interior.toarray(), fem.stiffness_interior.toarray()
+
+    @pytest.mark.parametrize("beta", [np.nan, 0.0, -1.0, np.inf])
+    def test_beta_must_be_finite_and_positive(self, beta):
+        _, mass, stiffness = self._fem()
+        with pytest.raises(ParameterError, match="beta must be finite and positive"):
+            PoissonControlContext(mass, stiffness, beta)
+
+    def test_matrices_must_share_one_square_shape(self):
+        _, mass, stiffness = self._fem()
+        for bad, message in [
+            ({"mass": mass[:, :-1]}, r"mass matrix must be 49 x 49, got \(49, 48\)"),
+            ({"stiffness": stiffness[:-1, :-1]}, r"stiffness matrix must be 49 x 49"),
+        ]:
+            with pytest.raises(StructuralError, match=message):
+                PoissonControlContext(**{"mass": mass, "stiffness": stiffness, **bad},
+                                      beta=1e-3)
+
+    def test_indefinite_mass_is_a_definiteness_error(self):
+        system, mass, stiffness = self._fem()
+        mass[0, 0] = -mass[0, 0]
+        context = PoissonControlContext(mass, stiffness, 1e-3)
+        report = analyze(system, scenarios=("prec-inexact",), precond="pearson-wathen",
+                         context=context)
+        [entry] = report.scenarios
+        assert entry["error"].startswith("DefinitenessError")
+        with pytest.raises(DefinitenessError, match="mass"):
+            context.reference_regularization_ratio()
+
+    def test_reference_ratio_is_the_top_of_the_gram_pencil(self):
+        # beta times the largest eigenvalue of (M, K M^-1 K), the ratio's
+        # definition, formed here without the eigenvalues of (K, M)
+        beta = 1e-3
+        _, mass, stiffness = self._fem(beta=beta)
+        gram = stiffness @ np.linalg.solve(mass, stiffness)
+        expected = beta * generalized_spectrum(mass, (gram + gram.T) / 2)[-1]
+        ratio = PoissonControlContext(mass, stiffness, beta).reference_regularization_ratio()
+        assert ratio == pytest.approx(expected, rel=1e-10)
+        zero = PoissonControlContext(mass, np.zeros_like(stiffness), beta)
+        assert zero.reference_regularization_ratio() == np.inf
+
+    def test_square_completion_block_is_exactly_symmetric(self):
+        _, mass, stiffness = self._fem()
+        block = PoissonControlContext(mass, stiffness, 1e-3).square_completion_block()
+        assert np.array_equal(block, block.T)
 
 
 class TestApplyInverse:

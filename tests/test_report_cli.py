@@ -329,6 +329,8 @@ class TestCli:
          "parameter beta must be finite and positive"),
         (["analyze", "--problem", "random", "--scenario", ","], "no scenario given"),
         (["analyze", "--problem", "manifest:{asymmetric}"], "block A is not symmetric"),
+        (["solve", "--problem", "random", "--precond", "user:{asymmetric_user}"],
+         "user block 0 is not symmetric"),
     ])
     def test_bad_input_exits_one_with_one_error_line(
         self, argv, message, tmp_path, capsys
@@ -354,15 +356,28 @@ class TestCli:
         user_blocks[1][2][2] = float("nan")
         user = tmp_path / "user.json"
         user.write_text(json.dumps({"blocks": user_blocks}))
+        user_blocks = [(2.0 * np.eye(k)).tolist() for k in (8, 6, 4)]
+        user_blocks[0][0][1] = 1.5
+        asymmetric_user = tmp_path / "asymmetric_user.json"
+        asymmetric_user.write_text(json.dumps({"blocks": user_blocks}))
         report = tmp_path / "unprec.json"
         report.write_text(analyze(system).to_json())
         paths = {"notes": notes, "manifest": manifest, "user": user, "report": report,
-                 "asymmetric": asymmetric}
+                 "asymmetric": asymmetric, "asymmetric_user": asymmetric_user}
         code = main([arg.format(**paths) for arg in argv])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(f"error: {message.format(**paths)}")
         assert err.count("\n") == 1
+
+    def test_wrong_size_user_block_exits_one(self, tmp_path, capsys):
+        # a leading block of the wrong size is refused where it enters, not
+        # by a broadcast error inside MINRES
+        user = tmp_path / "short_user.json"
+        user.write_text(json.dumps({"blocks": [np.eye(k).tolist() for k in (7, 6, 4)]}))
+        code = main(["solve", "--problem", "random", "--precond", f"user:{user}"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: user block 0 must be 8 x 8, got (7, 7)\n"
 
     def test_plotdata_round_trip(self, tmp_path, capsys):
         main([
