@@ -2,24 +2,32 @@
 
 The exact preconditioner stacks the leading block with the two nested Schur
 complements.  Approximate variants replace individual blocks by cheaper
-spectrally equivalent matrices.  :func:`build_approx` takes S1 and the
-factors of A and S1 from one :func:`~saddlebounds.spectral.schur_complements`
-pair and reads S2 only when the tail strategy derives its block from it
-(``exact``, ``scaled:<t>``; ``jacobi`` reads only diag(S2)), so
-``pearson-wathen``, ``drop-term``, ``user`` and ``jacobi`` never form it.
-Every block is kept as a matrix (or, for the square-completion block of a
-sparse system, an implicit block that can form its dense self) so that
-equivalence constants stay measurable at desk scale.  Inputs from outside
-the system (``user`` and :func:`from_blocks` blocks, a context's matrices)
-are checked and made symmetric where they enter, like system blocks.
-What MINRES applies is one factor per block, chosen from its own type:
+spectrally equivalent matrices.  On a sparse system :func:`build_approx`
+applies an exact (or scaled) S1 or S2 through a sparse LU of a leading
+principal submatrix of K and forms neither block (:class:`SchurComplement`),
+provided D (and, for S2, E) is certified semidefinite.  A dense system,
+``jacobi`` (which reads only diag(S1) and diag(S2)) and a sparse system
+whose D or E fails that certificate take S1 and the factors of A and S1
+from one dense :func:`~saddlebounds.spectral.schur_complements` pair, and
+read S2 only when the tail strategy derives its block from it (``exact``,
+``scaled:<t>``); ``pearson-wathen``, ``drop-term``, ``user`` and ``jacobi``
+never form it.
+Every block is kept as a matrix, or as an implicit block that can form its
+dense self, so that equivalence constants stay measurable at desk scale.
+Inputs from outside the system (``user`` and :func:`from_blocks` blocks, a
+context's matrices) are checked and made symmetric where they enter, like
+system blocks.  What MINRES applies is one factor per block, chosen from its
+own type:
 
 * a diagonal block (such as ``jacobi``): the 1-D vector sqrt(diag);
 * any other dense block: a ``cho_factor`` result;
 * any other sparse block: a pivot-free symmetric sparse LU
   (:func:`sparse_spd_factor`);
 * the square-completion block X M^-1 X of a sparse system: one sparse LU
-  of X, applied as X^-1 M X^-1, so X M^-1 X is never formed.
+  of X, applied as X^-1 M X^-1, so X M^-1 X is never formed;
+* S1 or S2 of a sparse system: one sparse LU of K2 = [[A, B^T], [B, -D]]
+  or of K, applied by block LDL^T as S1^-1 r = -(K2^-1 [0; r])_2 and
+  S2^-1 r = (K^-1 [0; 0; r])_3.
 
 The dense split-preconditioned matrix is the Cholesky congruence U^-T K U^-1,
 U = diag(U_i) from the dense factors P_i = U_i^T U_i: isospectral to
@@ -31,7 +39,7 @@ sparse system first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -47,7 +55,14 @@ from .errors import (
     StructuralError,
 )
 from .spectral import ORACLE_CUTOFF, _gram, _solve_upper_t, schur_complements
-from .system import DoubleSaddleSystem, _dense, _sym, _symmetric_input
+from .system import (
+    DoubleSaddleSystem,
+    _dense,
+    _sym,
+    _symmetric_input,
+    _values,
+    assemble_csr,
+)
 
 _BLOCK_LABELS = ("leading", "first-schur", "second-schur")
 
@@ -133,6 +148,42 @@ class _SquareCompletionFactor:
 
 
 @dataclass(frozen=True)
+class SchurComplement:
+    """S1 (``position`` 1) or S2 (``position`` 2) of a sparse system times
+    ``scale``, kept implicit: its factor is one sparse LU of the leading
+    principal submatrix of K that ends with the block's rows, and
+    ``toarray`` forms the dense block for the oracle.  Its definiteness is
+    certified by :func:`build_approx`, which alone makes one."""
+
+    system: DoubleSaddleSystem = field(repr=False)
+    position: int
+    scale: float = 1.0
+
+    def __rmul__(self, factor: float) -> "SchurComplement":
+        return replace(self, scale=factor * self.scale)
+
+    def toarray(self) -> np.ndarray:
+        pair = schur_complements(self.system.dense())
+        return self.scale * (pair.s1 if self.position == 1 else pair.s2)
+
+
+@dataclass(frozen=True)
+class _SchurFactor:
+    """Applies (scale * S)^-1 for the trailing Schur complement S of a
+    leading principal submatrix K_k of K from a sparse LU of K_k: by block
+    LDL^T the trailing block of K_k^-1 is -S1^-1 for K2 and S2^-1 for K, so
+    ``divisor`` is -scale or scale."""
+
+    lu_k: object
+    divisor: float
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        full = np.zeros(self.lu_k.shape[0])
+        full[-rhs.size:] = rhs
+        return self.lu_k.solve(full)[-rhs.size:] / self.divisor
+
+
+@dataclass(frozen=True)
 class PreconditionerOperator:
     """Three factorized SPD blocks applied block-diagonally.
 
@@ -180,6 +231,19 @@ class EquivalenceMeasurement:
     scale: float
 
 
+def _splu(matrix, label: str, **options):
+    """SuperLU factor of a sparse matrix; SuperLU's "exactly singular" error
+    becomes :class:`DefinitenessError` naming ``label``."""
+    # imported here: loading it adds about 2 MB of resident memory to every
+    # process, and only sparse blocks need it
+    import scipy.sparse.linalg as spla
+
+    try:
+        return spla.splu(sp.csc_array(matrix), **options)
+    except RuntimeError as exc:
+        raise DefinitenessError(f"{label} block is not positive definite") from exc
+
+
 def sparse_spd_factor(block, label: str):
     """Pivot-free symmetric sparse LU (SuperLU) of a sparse SPD block.
 
@@ -190,31 +254,29 @@ def sparse_spd_factor(block, label: str):
     singular, :class:`DefinitenessError` names ``label``.  The result
     applies P^-1 through its ``solve``.
     """
-    # imported here: loading it adds about 2 MB of resident memory to every
-    # process, and only sparse blocks need it
-    import scipy.sparse.linalg as spla
-
-    error = DefinitenessError(f"{label} block is not positive definite")
-    try:
-        lu = spla.splu(sp.csc_array(block), permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    except RuntimeError as exc:  # SuperLU: the factor is exactly singular
-        raise error from exc
+    lu = _splu(block, label, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+               options={"SymmetricMode": True})
     if not (np.array_equal(lu.perm_r, lu.perm_c) and (lu.U.diagonal() > 0).all()):
-        raise error
+        raise DefinitenessError(f"{label} block is not positive definite")
     return lu
 
 
 def _factor(block, label: str):
     """Factor of an SPD block, by the block's type: the vector sqrt(diag)
     when every nonzero lies on the diagonal, a sparse LU of X for a
-    :class:`SquareCompletion`, a pivot-free symmetric sparse LU for any
+    :class:`SquareCompletion`, a sparse LU of K2 or K for a
+    :class:`SchurComplement`, a pivot-free symmetric sparse LU for any
     other sparse block, else a ``cho_factor`` result.  Blocks arrive
     exactly symmetric and are factored as given."""
     if isinstance(block, SquareCompletion):
         context = block.context
         return _SquareCompletionFactor(
             sparse_spd_factor(context.shifted(), label), context.mass)
+    if isinstance(block, SchurComplement):
+        end = sum(block.system.dims[: block.position + 1])
+        lu_k = _splu(assemble_csr(block.system)[:end, :end], label)
+        sign = -1.0 if block.position == 1 else 1.0
+        return _SchurFactor(lu_k, sign * block.scale)
     diag = block.diagonal()
     sparse = sp.issparse(block)
     nonzeros = block.count_nonzero() if sparse else np.count_nonzero(block)
@@ -257,27 +319,51 @@ def build_approx(
     ``pearson-wathen`` (square-completion tail block from ``context``,
     implicit for a sparse system), ``drop-term`` (tail regularization block
     alone; needs it SPD), and ``user`` (matrix taken from ``user_blocks``,
-    checked where it enters).  Exact leading and first-Schur
-    blocks reuse the Schur pair's Cholesky factors (the leading one only
-    when A is dense); S2 is formed only for a tail strategy that reads it
-    (``jacobi`` reads only its diagonal); every other block is factored by
-    its type (see :func:`_factor`).  The ``jacobi`` blocks of a system with
-    sparse blocks are sparse diagonal matrices.
+    checked where it enters).  A context must be p x p
+    (:class:`StructuralError`), checked before anything is factored.
+
+    On a sparse system with no ``jacobi`` Schur position, an exact or
+    scaled S1 or S2 is a :class:`SchurComplement`, applied through one
+    sparse LU of a leading principal submatrix of K.  Definiteness is
+    proved, not assumed: with A SPD (its factor, or a check of A when the
+    leading block is not derived from it) and D, for S2 also E, storing no
+    nonzero or passing :func:`sparse_spd_factor`, the block is positive
+    semidefinite, so a nonsingular LU proves it SPD, and a singular one
+    raises :class:`DefinitenessError` naming it.  Any other system takes
+    the dense Schur pair: exact leading and first-Schur blocks reuse its
+    Cholesky factors (the leading one only when A is dense), and S2 is
+    formed only for a tail strategy that reads it (``jacobi`` reads only
+    its diagonal).  Every other block is factored by its type (see
+    :func:`_factor`).  The ``jacobi`` blocks of a system with sparse blocks
+    are sparse diagonal matrices.
     """
     if len(strategies) != 3:
         raise ParameterError("need exactly three per-block strategies")
-    pair = schur_complements(system)
-    tail = None
-    if strategies[2] == "jacobi":
-        tail = _diagonal_matrix(pair.s2_diagonal, system.is_sparse)
-    elif _reads_exact(strategies[2]):
-        tail = pair.s2
-    exact_blocks = (system.A, pair.s1, tail)
-    # exact dense positions reuse the pair's factors; the rest go now
-    cho_a = None if sp.issparse(system.A) else pair.cho_a
-    reused = [f if s == "exact" else None
-              for f, s in zip((cho_a, pair.cho_1, None), strategies)]
-    del pair
+    p = system.dims[2]
+    if context is not None and context.mass.shape != (p, p):
+        raise StructuralError(
+            f"context mass and stiffness must be {p} x {p} to match block E, "
+            f"got {context.mass.shape}")
+    reads = [_reads_exact(s) for s in strategies]
+    reused = [None, None, None]
+    if (system.is_sparse and "jacobi" not in strategies[1:]
+            and _schur_lu_certified(system, reads)):
+        exact_blocks = (system.A, SchurComplement(system, 1), SchurComplement(system, 2))
+        if (reads[1] or reads[2]) and not reads[0]:
+            _factor(system.A, _BLOCK_LABELS[0])  # the certificate needs A SPD
+    else:
+        pair = schur_complements(system)
+        tail = None
+        if strategies[2] == "jacobi":
+            tail = _diagonal_matrix(pair.s2_diagonal, system.is_sparse)
+        elif reads[2]:
+            tail = pair.s2
+        exact_blocks = (system.A, pair.s1, tail)
+        # exact dense positions reuse the pair's factors; the rest go now
+        cho_a = None if sp.issparse(system.A) else pair.cho_a
+        reused = [f if s == "exact" else None
+                  for f, s in zip((cho_a, pair.cho_1, None), strategies)]
+        del pair
     blocks = tuple(_approx_block(system, i, s, exact_blocks[i], context, user_blocks)
                    for i, s in enumerate(strategies))
     del exact_blocks
@@ -289,6 +375,21 @@ def build_approx(
         dims=system.dims,
         _factors=factors,
     )
+
+
+def _schur_lu_certified(system: DoubleSaddleSystem, reads: Sequence[bool]) -> bool:
+    """Whether every Schur complement the strategies read is positive
+    semidefinite for an SPD A, because each regularization block it adds
+    stores no nonzero or passes :func:`sparse_spd_factor`: S1 = D + B A^-1 B^T
+    needs D, S2 = E + C S1^-1 C^T also E (S1 is then SPD, since an LU of K
+    is nonsingular only with S1)."""
+    for reg in (system.D, system.E)[: 2 if reads[2] else int(reads[1])]:
+        if np.any(_values(reg)):
+            try:
+                sparse_spd_factor(reg, "regularization")
+            except DefinitenessError:
+                return False
+    return True
 
 
 def _reads_exact(strat: str) -> bool:

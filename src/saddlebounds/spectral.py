@@ -22,6 +22,7 @@ from typing import Mapping
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from .errors import (
     ConvergenceError,
@@ -155,9 +156,14 @@ class ValidationReport:
 @dataclass(frozen=True)
 class SchurPair:
     """The Schur complements of a system, the ``cho_factor`` results of A
-    and S1, and the regularization ratio constants.
+    and S1, and the regularization ratio constants, all dense.
 
-    S1 = D + B A^-1 B^T is formed (dense) with the pair.  The tail Gram
+    The pair serves the dense oracle and every dense system; on a sparse
+    system a preconditioner builds it only for ``jacobi`` and when D or E
+    fails the semidefiniteness certificate of the sparse LU route (see
+    :func:`~saddlebounds.precond.build_approx`), and an implicit
+    ``SchurComplement`` builds it when its dense form is asked for.
+    S1 = D + B A^-1 B^T is formed with the pair.  The tail Gram
     C S1^-1 C^T, S2 = E + C S1^-1 C^T, diag(S2) and both ratios are formed
     on first read, so a caller that replaces S2 never pays for it.  Each
     Gram is W^T W with W = U^-T (coupling)^T for the upper Cholesky factor
@@ -192,7 +198,11 @@ class SchurPair:
     def s2_diagonal(self) -> np.ndarray:
         """diag(S2) as diag(E) plus the column sums of W * W, W = U^-T C^T,
         which forms neither the tail Gram nor S2."""
-        half = _solve_upper_t(self.cho_1, _dense(self.system.C.T))
+        coupling = self.system.C
+        if sp.issparse(coupling):  # a fresh dense copy the solve may overwrite
+            half = _solve_upper_t(self.cho_1, coupling.toarray().T, overwrite=True)
+        else:
+            half = _solve_upper_t(self.cho_1, coupling.T)
         return self.system.E.diagonal() + np.einsum("ij,ij->j", half, half)
 
     @cached_property

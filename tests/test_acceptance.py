@@ -35,7 +35,7 @@ from saddlebounds import (
 )
 from saddlebounds.bounds import exact_preconditioner_roots
 from saddlebounds.precond import from_blocks
-from saddlebounds.report import analyze
+from saddlebounds.report import analyze, solve
 
 from helpers import companion_roots, random_valid_system
 
@@ -397,6 +397,24 @@ def test_criterion_12_mesh_independence():
     _report(
         "criterion 12: mesh-independent iteration counts",
         len(set(counts)) == 1,
+        f"iterations {counts}",
+    )
+
+
+def test_criterion_12_mesh_independence_at_h_2_6():
+    # through solve and its CSR K: the dense K at h = 2^-6 would be 1.1 GB
+    counts = {}
+    for h in (2**-5, 2**-6):
+        system, fem = poisson_distributed(h, 1e-3)
+        context = distributed_context(fem, 1e-3)
+        for precond in ("exact", "pearson-wathen"):
+            data = solve(system, precond=precond, context=context)
+            assert data["converged"]
+            counts[precond, h] = data["iterations"]
+    _report(
+        "criterion 12: mesh-independent iteration counts at h = 2^-6",
+        counts == {("exact", 2**-5): 16, ("exact", 2**-6): 16,
+                   ("pearson-wathen", 2**-5): 24, ("pearson-wathen", 2**-6): 24},
         f"iterations {counts}",
     )
 

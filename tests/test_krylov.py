@@ -18,9 +18,9 @@ from saddlebounds import (
     minres,
     poisson_distributed,
 )
-from saddlebounds.errors import DefinitenessError, ParameterError
+from saddlebounds.errors import DefinitenessError, ParameterError, StructuralError
 from saddlebounds.precond import PreconditionerOperator, strategy_tuple
-from saddlebounds.report import solve
+from saddlebounds.report import analyze, solve
 
 from helpers import random_valid_system
 
@@ -317,14 +317,15 @@ class TestSolveOnCsr:
         assert error <= 1e-6 * np.linalg.norm(dense.solution)
 
     @pytest.mark.parametrize("precond, kinds", [
-        ("exact", ("SuperLU", "tuple", "tuple")),
-        ("pearson-wathen", ("SuperLU", "tuple", "_SquareCompletionFactor")),
-        ("drop-term", ("SuperLU", "tuple", "SuperLU")),
+        ("exact", ("SuperLU", "_SchurFactor", "_SchurFactor")),
+        ("pearson-wathen", ("SuperLU", "_SchurFactor", "_SquareCompletionFactor")),
+        ("drop-term", ("SuperLU", "_SchurFactor", "SuperLU")),
         ("jacobi", ("ndarray", "ndarray", "ndarray")),
     ])
     def test_factor_kind_follows_the_block_type(self, problem, precond, kinds):
-        # sparse blocks get sparse LU factors; S1 and S2 are dense; diagonal
-        # blocks get sqrt(diag); the square-completion tail is one LU of X
+        # sparse blocks get sparse LU factors; S1 and S2 are applied through
+        # LUs of K2 and K; diagonal blocks get sqrt(diag); the
+        # square-completion tail is one LU of X
         system, context = problem
         op = build_approx(system, strategy_tuple(precond), context=context)
         assert tuple(type(f).__name__ for f in op._factors) == kinds
@@ -354,15 +355,17 @@ class TestSolveOnCsr:
         with pytest.raises(DefinitenessError, match="second-schur"):
             solve(system, precond="pearson-wathen", context=bad)
 
-    @pytest.mark.parametrize("precond, grams", [
-        ("pearson-wathen", 1), ("drop-term", 1), ("exact", 2), ("jacobi", 1),
+    @pytest.mark.parametrize("precond, schur, grams", [
+        ("pearson-wathen", 0, 0), ("drop-term", 0, 0), ("exact", 0, 0),
+        ("user", 0, 0), ("jacobi", 1, 1),
     ])
     def test_tail_gram_formed_only_when_the_tail_reads_s2(
-        self, problem, precond, grams, monkeypatch
+        self, problem, precond, schur, grams, monkeypatch
     ):
-        # one Gram for S1, a tail Gram only for a tail that reads all of S2
-        # (jacobi reads diag(S2) without it); one Schur build per solve
+        # on a sparse system only jacobi builds the dense Schur pair, for
+        # diag(S1) and diag(S2): one Gram for S1 and none for the tail
         system, context = problem
+        user_blocks = (system.A, -system.B / context.beta, system.E)
         calls = {"schur": 0, "gram": 0}
 
         def counted(key, fn):
@@ -374,6 +377,105 @@ class TestSolveOnCsr:
         monkeypatch.setattr(spectral_mod, "_gram", counted("gram", spectral_mod._gram))
         monkeypatch.setattr(precond_mod, "schur_complements",
                             counted("schur", precond_mod.schur_complements))
-        data = solve(system, precond=precond, context=context)
+        data = solve(system, precond=precond, context=context, user_blocks=user_blocks)
         assert data["converged"]
-        assert calls == {"schur": 1, "gram": grams}
+        assert calls == {"schur": schur, "gram": grams}
+
+
+class TestSparseSchurCertificate:
+    """On a sparse system an exact S1 or S2 is applied through a sparse LU
+    of K2 or K, proved definite only when D (and E) is zero or SPD; a
+    singular one is typed, and any other D takes the dense Schur pair."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        system, fem = poisson_distributed(2**-3, 1e-3)
+        return system, distributed_context(fem, 1e-3)
+
+    @staticmethod
+    def _duplicated_row(block):
+        rows = np.r_[0, 0, np.arange(2, block.shape[0])]
+        return sp.csr_array(block[rows])
+
+    @pytest.mark.parametrize("precond", ["exact", "pearson-wathen"])
+    def test_singular_first_schur_is_typed(self, problem, precond):
+        system, context = problem
+        bad = dataclasses.replace(system, B=self._duplicated_row(system.B))
+        with pytest.raises(DefinitenessError, match="first-schur"):
+            solve(bad, precond=precond, context=context)
+
+    def test_singular_second_schur_is_typed(self, problem):
+        system, _ = problem
+        p = system.dims[2]
+        bad = dataclasses.replace(system, C=self._duplicated_row(system.C),
+                                  E=sp.csr_array((p, p)))
+        with pytest.raises(DefinitenessError, match="second-schur"):
+            solve(bad, precond="exact")
+
+    @pytest.mark.parametrize("precond, iterations", [("exact", 21), ("pearson-wathen", 25)])
+    def test_singular_semidefinite_d_takes_the_dense_pair(
+        self, problem, precond, iterations, monkeypatch
+    ):
+        # D = e_0 e_0^T fails the certificate, so the sparse system solves
+        # exactly as its dense copy does, through one dense Schur pair
+        system, context = problem
+        m = system.dims[1]
+        d = sp.diags_array(np.r_[1.0, np.zeros(m - 1)], format="csr")
+        regularized = dataclasses.replace(system, D=d)
+        builds = []
+        schur = precond_mod.schur_complements
+        monkeypatch.setattr(precond_mod, "schur_complements",
+                            lambda *args: builds.append(1) or schur(*args))
+        data = solve(regularized, precond=precond, context=context)
+        assert len(builds) == 1
+        dense = solve(regularized.dense(), precond=precond, context=context)
+        assert data["iterations"] == dense["iterations"] == iterations
+        np.testing.assert_allclose(
+            data["residual_history"], dense["residual_history"], rtol=1e-10, atol=0
+        )
+
+    def test_a_checked_when_the_leading_block_is_not_derived_from_it(self, problem):
+        # the certificate needs A SPD; a user leading block does not show it
+        system, _ = problem
+        bad = dataclasses.replace(system, A=-system.A)
+        user_blocks = (sp.eye_array(system.dims[0], format="csr"), None, None)
+        with pytest.raises(DefinitenessError, match="leading"):
+            build_approx(bad, ("user", "exact", "exact"), user_blocks=user_blocks)
+
+    def test_scaled_blocks_divide_by_t(self, problem):
+        system, _ = problem
+        op = build_approx(system, strategy_tuple("scaled:2.5"))
+        v = np.random.default_rng(83).standard_normal(system.total)
+        expected = np.linalg.solve(op.as_matrix(), v)
+        np.testing.assert_allclose(op.apply_inverse(v), expected, rtol=1e-8, atol=0)
+
+
+class TestContextSize:
+    """A context whose mass is not p x p is rejected before anything is
+    factored, through ``solve`` and ``analyze``'s prec-inexact entry."""
+
+    @pytest.fixture(scope="class")
+    def mismatched(self):
+        system, _ = poisson_distributed(2**-3, 1e-3)
+        _, coarse = poisson_distributed(2**-2, 1e-3)
+        return system, distributed_context(coarse, 1e-3)
+
+    def test_solve(self, mismatched, monkeypatch):
+        system, context = mismatched
+
+        def no_factor(*args):
+            raise AssertionError("factored before the context was checked")
+
+        monkeypatch.setattr(precond_mod, "_factor", no_factor)
+        monkeypatch.setattr(precond_mod, "schur_complements", no_factor)
+        with pytest.raises(StructuralError, match="context mass and stiffness must be 49 x 49"):
+            solve(system, precond="pearson-wathen", context=context)
+
+    def test_analyze_prec_inexact_entry(self, mismatched):
+        system, context = mismatched
+        report = analyze(system, scenarios=("prec-inexact",),
+                         precond="pearson-wathen", context=context)
+        [entry] = report.scenarios
+        assert entry["error"] == (
+            "StructuralError: context mass and stiffness must be 49 x 49 to "
+            "match block E, got (9, 9)")
