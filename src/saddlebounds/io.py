@@ -60,11 +60,45 @@ def save_manifest(
     return manifest_path
 
 
+def _read_manifest(path: Path) -> dict:
+    """The JSON object a manifest file holds; :class:`StructuralError`
+    naming the file when it is not valid JSON or not an object."""
+    try:
+        with open(path) as handle:
+            manifest = json.load(handle)
+    except ValueError as exc:  # malformed JSON, or bytes that are not text
+        raise StructuralError(f"manifest {path} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise StructuralError(
+            f"manifest {path} must hold a JSON object, got {type(manifest).__name__}")
+    return manifest
+
+
+def _inline_block(entry, path: Path, label: str) -> np.ndarray:
+    """A block written out in a manifest, as a float array;
+    :class:`StructuralError` naming the file and block when an entry is not
+    a number or the rows are ragged."""
+    try:
+        return np.asarray(entry, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise StructuralError(
+            f"manifest {path}: {label} is not an array of numbers") from exc
+
+
+def _read_mtx(path: Path):
+    """A Matrix Market file as a matrix; :class:`StructuralError` naming
+    the file when it is not one."""
+    try:
+        return scipy.io.mmread(path)
+    except ValueError as exc:
+        raise StructuralError(f"{path} is not a Matrix Market file: {exc}") from exc
+
+
 def load_manifest(path: str | Path) -> DoubleSaddleSystem:
-    """Load a system from a JSON manifest (either on-disk form)."""
+    """Load a system from a JSON manifest (either on-disk form); a file
+    that is not a manifest raises :class:`StructuralError` naming it."""
     path = Path(path)
-    with open(path) as handle:
-        manifest = json.load(handle)
+    manifest = _read_manifest(path)
 
     schema = manifest.get("schema")
     if schema != SCHEMA_VERSION:
@@ -77,17 +111,17 @@ def load_manifest(path: str | Path) -> DoubleSaddleSystem:
     loaded = {}
     for key in BLOCK_NAMES:
         if fmt == "inline":
-            loaded[key] = np.asarray(blocks[key], dtype=float)
+            loaded[key] = _inline_block(blocks[key], path, "block " + key)
         elif fmt == "matrix-market":
-            loaded[key] = scipy.io.mmread(path.parent / blocks[key])
+            loaded[key] = _read_mtx(path.parent / blocks[key])
         else:
             raise StructuralError(f"unknown manifest format {fmt!r}")
 
     system = DoubleSaddleSystem(**loaded)
     dims = manifest.get("dims")
-    if dims is not None and tuple(dims) != system.dims:
+    if dims is not None and dims != list(system.dims):
         raise StructuralError(
-            f"manifest dims {tuple(dims)} disagree with block shapes {system.dims}"
+            f"manifest dims {dims} disagree with block shapes {system.dims}"
         )
     return system
 
@@ -97,14 +131,15 @@ def load_spd_blocks(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
     The manifest maps ``"blocks"`` to a list of three ``.mtx`` file names
     (or inline dense arrays) ordered as (leading, first Schur, second Schur).
-    Each is checked like a system block (as ``user block <i>``), dense.
+    Each is checked like a system block (as ``user block <i>``), dense; a
+    file that is not such a manifest raises :class:`StructuralError`
+    naming it.
     """
     path = Path(path)
-    with open(path) as handle:
-        manifest = json.load(handle)
-    entries = manifest.get("blocks")
+    entries = _read_manifest(path).get("blocks")
     if not isinstance(entries, list) or len(entries) != 3:
         raise StructuralError("preconditioner manifest needs exactly 3 blocks")
-    blocks = [_dense(scipy.io.mmread(path.parent / e) if isinstance(e, str) else e)
-              for e in entries]
+    blocks = [_dense(_read_mtx(path.parent / e) if isinstance(e, str)
+                     else _inline_block(e, path, f"user block {i}"))
+              for i, e in enumerate(entries)]
     return tuple(_symmetric_input(b, f"user block {i}") for i, b in enumerate(blocks))

@@ -39,6 +39,7 @@ from .precond import (
 from .spectral import (
     ORACLE_CUTOFF,
     ZERO_TOL,
+    SharedSchurPair,
     ValidationReport,
     full_spectrum,
     schur_complements,
@@ -228,7 +229,11 @@ def analyze(
     the last uses ``precond`` to choose the approximation strategy.  Above
     ``oracle_cutoff`` the spectra are skipped and verdicts are reported as
     ``unverified``; bounds are emitted either way.  A sparse system is
-    densified once, here: everything below is the dense oracle.
+    densified once, here: everything below is the dense oracle.  The dense
+    Schur pair is built once, in :func:`validate`, and shared for the length
+    of the call (:class:`~saddlebounds.spectral.SharedSchurPair`) with the
+    preconditioner builds and the eta read; the last scenario that reads it
+    releases it before its split spectra.
     """
     t_start = time.perf_counter()
     timings: dict[str, float] = {}
@@ -242,51 +247,58 @@ def analyze(
         raise ParameterError(f"tol must be finite and non-negative, got {tol}")
     strategies = strategy_tuple(precond) if "prec-inexact" in scenarios else None
     system = system.dense()
+    # validate builds the Schur pair and each later reader gets it; the last
+    # scenario that reads it (any but unprec) releases it after its last read
+    last_reader = max(
+        (i for i, name in enumerate(scenarios) if name != "unprec"), default=-1)
+    with SharedSchurPair(system) as shared:
+        validation = validate(system)
+        extremes = validation.extremes
+        report = AnalysisReport(
+            problem=problem or {},
+            dims=list(system.dims),
+            validation=_validation_dict(validation),
+            scenarios=[],
+            extremes=None if extremes is None else asdict(extremes),
+            timings=timings,
+        )
+        timings["validate"] = time.perf_counter() - t_start
+        if last_reader < 0:
+            shared.release()
 
-    validation = validate(system)
-    extremes = validation.extremes
-    report = AnalysisReport(
-        problem=problem or {},
-        dims=list(system.dims),
-        validation=_validation_dict(validation),
-        scenarios=[],
-        extremes=None if extremes is None else asdict(extremes),
-        timings=timings,
-    )
-    timings["validate"] = time.perf_counter() - t_start
+        desk_scale = system.total <= oracle_cutoff
+        spectrum = None
+        if desk_scale:
+            t0 = time.perf_counter()
+            spectrum = full_spectrum(assemble(system).data, oracle_cutoff)
+            report.spectrum = [float(v) for v in spectrum]
+            timings["spectrum"] = time.perf_counter() - t0
 
-    desk_scale = system.total <= oracle_cutoff
-    spectrum = None
-    if desk_scale:
-        t0 = time.perf_counter()
-        spectrum = full_spectrum(assemble(system).data, oracle_cutoff)
-        report.spectrum = [float(v) for v in spectrum]
-        timings["spectrum"] = time.perf_counter() - t0
+        d_zero = not system.D.any()
+        e_zero = not system.E.any()
 
-    d_zero = not system.D.any()
-    e_zero = not system.E.any()
-
-    for name in scenarios:
-        t0 = time.perf_counter()
-        try:
-            if name == "unprec":
-                entry = _scenario_unprec(extremes, spectrum, tol)
-            elif name == "prec-exact":
-                entry = _scenario_prec_exact(
-                    system, report.validation["c_nullity_k"],
-                    d_zero, e_zero, tol, oracle_cutoff,
-                )
-            else:
-                entry = _scenario_prec_inexact(
-                    system, strategies, context, user_blocks,
-                    (validation.b_full_row_rank, validation.c_full_row_rank),
-                    d_zero, e_zero, tol, oracle_cutoff,
-                )
-        except SaddleBoundsError as exc:
-            entry = {"name": name, "error": f"{type(exc).__name__}: {exc}"}
-        entry["name"] = name
-        report.scenarios.append(entry)
-        timings[name] = time.perf_counter() - t0
+        for i, name in enumerate(scenarios):
+            t0 = time.perf_counter()
+            release = shared.release if i == last_reader else _keep
+            try:
+                if name == "unprec":
+                    entry = _scenario_unprec(extremes, spectrum, tol)
+                elif name == "prec-exact":
+                    entry = _scenario_prec_exact(
+                        system, report.validation["c_nullity_k"],
+                        d_zero, e_zero, tol, oracle_cutoff, release,
+                    )
+                else:
+                    entry = _scenario_prec_inexact(
+                        system, strategies, context, user_blocks,
+                        (validation.b_full_row_rank, validation.c_full_row_rank),
+                        d_zero, e_zero, tol, oracle_cutoff, release,
+                    )
+            except SaddleBoundsError as exc:
+                entry = {"name": name, "error": f"{type(exc).__name__}: {exc}"}
+            entry["name"] = name
+            report.scenarios.append(entry)
+            timings[name] = time.perf_counter() - t0
 
     timings["total"] = time.perf_counter() - t_start
     return report
@@ -305,8 +317,15 @@ def _scenario_unprec(extremes, spectrum, tol) -> dict:
     return entry
 
 
-def _scenario_prec_exact(system, nullity_k, d_zero, e_zero, tol, oracle_cutoff) -> dict:
+def _keep() -> None:
+    """The release of a scenario that is not the Schur pair's last reader."""
+
+
+def _scenario_prec_exact(
+    system, nullity_k, d_zero, e_zero, tol, oracle_cutoff, release
+) -> dict:
     op = build_exact(system)
+    release()
     k = nullity_k if (d_zero and not e_zero) else 0
     bounds = bounds_precond_exact(system.dims, d_zero=d_zero, e_zero=e_zero, nullity_k=k)
     entry = {
@@ -325,7 +344,7 @@ def _scenario_prec_exact(system, nullity_k, d_zero, e_zero, tol, oracle_cutoff) 
 
 def _scenario_prec_inexact(
     system, strategies, context, user_blocks, full_row_rank,
-    d_zero, e_zero, tol, oracle_cutoff,
+    d_zero, e_zero, tol, oracle_cutoff, release,
 ) -> dict:
     exact_op = build_exact(system)
     approx_op = build_approx(system, strategies, context=context, user_blocks=user_blocks)
@@ -344,6 +363,7 @@ def _scenario_prec_inexact(
     eta_d = 0.0 if d_zero else pair.eta_d
     eta_e = 0.0 if e_zero else pair.eta_e
     del pair
+    release()
 
     entry = {
         "precond": {

@@ -5,7 +5,8 @@ Extremal eigenvalues come from a dense symmetric decomposition up to
 and with them every rank decision, come from one SVD helper.  Also home to
 the Schur complements of a system (dense; each Gram from one U^-T solve
 against an upper Cholesky factor, the helper the preconditioners'
-congruence shares), the two regularization ratios (largest generalized
+congruence shares; one analysis builds them once, see
+:class:`SharedSchurPair`), the two regularization ratios (largest generalized
 eigenvalues of the regularization blocks against the coupling Grams) that
 drive the inexact-preconditioner bounds, and :func:`validate`, which checks
 the hypotheses of the bounds with these same kernels on the densified
@@ -16,6 +17,7 @@ matrices formed here are symmetric by construction.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Mapping
@@ -30,7 +32,7 @@ from .errors import (
     OracleSizeError,
     ParameterError,
 )
-from .system import _TINY, SYM_TOL, DoubleSaddleSystem, _dense
+from .system import _TINY, SYM_TOL, DoubleSaddleSystem, _dense, _values
 
 ORACLE_CUTOFF = 4096
 RANK_TOL = 1e-10
@@ -162,8 +164,10 @@ class SchurPair:
     system a preconditioner builds it only for ``jacobi`` and when D or E
     fails the semidefiniteness certificate of the sparse LU route (see
     :func:`~saddlebounds.precond.build_approx`), and an implicit
-    ``SchurComplement`` builds it when its dense form is asked for.
-    S1 = D + B A^-1 B^T is formed with the pair.  The tail Gram
+    ``SchurComplement`` builds it when its dense form is asked for.  One
+    analysis builds it once and shares it (:class:`SharedSchurPair`).
+    S1 = D + B A^-1 B^T is formed with the pair; when D stores no nonzero,
+    ``s1`` is the array ``gram_b`` itself.  The tail Gram
     C S1^-1 C^T, S2 = E + C S1^-1 C^T, diag(S2) and both ratios are formed
     on first read, so a caller that replaces S2 never pays for it.  Each
     Gram is W^T W with W = U^-T (coupling)^T for the upper Cholesky factor
@@ -360,6 +364,39 @@ def inertia(matrix) -> Inertia:
     return Inertia(n_plus, n_minus, vals.size - n_plus - n_minus)
 
 
+class SharedSchurPair:
+    """A scope, entered with ``with``, in which :func:`schur_complements`
+    builds the pair of ``system`` once and returns that pair to every later
+    call on the same system object, until :meth:`release` or the end of the
+    scope drops it.  A failed build is not kept: each call raises again.
+
+    The scope holds the pair, and nothing holds the scope once it ends, so
+    the pair lives no longer than the caller wants it; the system is left
+    untouched.  Calls on any other system, and calls outside a scope, build
+    a fresh pair.
+    """
+
+    def __init__(self, system: DoubleSaddleSystem):
+        self.system = system
+        self.pair: SchurPair | None = None
+
+    def __enter__(self) -> "SharedSchurPair":
+        self._token = _SHARED.set(self)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        _SHARED.reset(self._token)
+        self.release()
+
+    def release(self) -> None:
+        """Drop the pair; later calls in the scope build their own."""
+        self.system = self.pair = None
+
+
+# the innermost open scope; each scope resets it when it ends
+_SHARED: ContextVar[SharedSchurPair | None] = ContextVar("shared_schur", default=None)
+
+
 def schur_complements(
     system: DoubleSaddleSystem, full_row_rank: tuple[bool, bool] | None = None
 ) -> SchurPair:
@@ -367,23 +404,36 @@ def schur_complements(
     and the ratios follow on first read of the returned pair.
 
     Each Gram costs one triangular solve against the upper Cholesky factor
-    and one symmetric product (see :class:`SchurPair`).  The ratios are
-    symmetric generalized eigenproblems (D v = eta * (B A^-1 B^T) v and its
-    analogue), defined when the coupling block has full row rank;
-    ``full_row_rank`` passes validate's (B, C) rank verdicts on to the pair.
+    and one symmetric product (see :class:`SchurPair`); when D stores no
+    nonzero, S1 is the B-Gram itself.  The ratios are symmetric generalized
+    eigenproblems (D v = eta * (B A^-1 B^T) v and its analogue), defined
+    when the coupling block has full row rank; ``full_row_rank`` passes
+    validate's (B, C) rank verdicts on to the pair.  Inside a
+    :class:`SharedSchurPair` scope for ``system`` the first call builds the
+    pair and later calls return it as built, whatever ``full_row_rank``
+    they pass.
     """
+    shared = _SHARED.get()
+    if shared is None or shared.system is not system:
+        shared = None
+    elif shared.pair is not None:
+        return shared.pair
     try:
         cho_a = sla.cho_factor(_dense(system.A))
     except sla.LinAlgError as exc:
         raise DefinitenessError("leading block is not positive definite") from exc
     gram_b = _gram(cho_a, system.B)
-    s1 = gram_b + system.D  # dense + sparse is dense
+    # dense + sparse is dense; with D = 0, S1 is the Gram itself, not a copy
+    s1 = gram_b + system.D if np.any(_values(system.D)) else gram_b
     try:
         cho_1 = sla.cho_factor(s1)
     except sla.LinAlgError as exc:
         raise DefinitenessError("first Schur complement is not positive definite") from exc
-    return SchurPair(system=system, s1=s1, gram_b=gram_b, cho_a=cho_a,
+    pair = SchurPair(system=system, s1=s1, gram_b=gram_b, cho_a=cho_a,
                      cho_1=cho_1, full_row_rank=full_row_rank)
+    if shared is not None:
+        shared.pair = pair
+    return pair
 
 
 def _solve_upper_t(factor, rhs: np.ndarray, overwrite: bool = False) -> np.ndarray:
@@ -435,9 +485,13 @@ def validate(system: DoubleSaddleSystem) -> ValidationReport:
     by singular values above ``RANK_TOL`` times the largest one; the
     nullity of C^T is p - rank(C).  A kernel condition whose top block is
     injective (A definite, B or C of full row rank) holds without a rank
-    test of the stack.  S1 and S2 come from :func:`schur_complements`.  The
-    eigen-ranges and singular values measured here also give ``extremes``.
-    A sparse system is checked densified.
+    test of the stack.  S1 and S2 come from :func:`schur_complements`,
+    given the (B, C) rank verdicts, so inside a :class:`SharedSchurPair`
+    scope this builds the pair every later reader gets, and a ratio read
+    from it needs no new SVD.  The eigen-ranges and singular values
+    measured here also give ``extremes``.  A sparse system is checked
+    densified; a scope shares its pair only with a system that is already
+    dense, since densifying makes a new system.
     """
     system = system.dense()
     A, B, C, D, E = system.A, system.B, system.C, system.D, system.E
@@ -465,7 +519,7 @@ def validate(system: DoubleSaddleSystem) -> ValidationReport:
     s1_pd = s2_pd = False
     if a_pd:
         try:
-            pair = schur_complements(system)
+            pair = schur_complements(system, (b_full_row_rank, c_full_row_rank))
         except DefinitenessError:
             pass
         else:

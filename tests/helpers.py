@@ -8,7 +8,7 @@ SVD, preconditioned spectra from a dense generalized eigensolver.
 import numpy as np
 import scipy.linalg as sla
 
-from saddlebounds import BlockExtremes, random_system
+from saddlebounds import BlockExtremes, DoubleSaddleSystem, random_system
 
 
 def companion_roots(cubic) -> np.ndarray:
@@ -59,6 +59,18 @@ def random_valid_system(rng, n, m, p, d_zero=False, e_zero=False):
     extremes = random_extremes(rng, n, m, p, d_zero=d_zero, e_zero=e_zero)
     seed = int(rng.integers(0, 2**31))
     return random_system(n, m, p, seed, extremes), extremes
+
+
+def singular_s1_system() -> DoubleSaddleSystem:
+    """A = I and two equal rows of B with D = 0: S1 = B B^T is formed
+    exactly, so its Cholesky meets an exactly zero pivot."""
+    return DoubleSaddleSystem(
+        A=np.eye(4),
+        B=np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]),
+        C=np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+        D=np.zeros((3, 3)),
+        E=np.eye(2),
+    )
 
 
 def random_dims(rng, n_max=14):

@@ -1,20 +1,25 @@
 import dataclasses
+import gc
 import json
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from saddlebounds import (
+    distributed_context,
     nullity_system,
+    poisson_boundary,
     poisson_distributed,
     schur_complements,
     verify_containment,
 )
 from saddlebounds.cli import main
 from saddlebounds.report import (
+    SCENARIOS,
     AnalysisReport,
     analyze,
     intervals_from_dict,
@@ -23,7 +28,7 @@ from saddlebounds.report import (
     solve_rows,
 )
 
-from helpers import random_valid_system
+from helpers import random_valid_system, singular_s1_system
 
 
 @pytest.fixture()
@@ -128,6 +133,126 @@ class TestAnalysisReport:
         report = analyze(system, scenarios=("unprec",))
         assert report.passed and report.extremes is not None
         assert [seen.count(k) for k in "ABC"] == [1, 1, 1]
+
+
+def _count_b_grams(monkeypatch, system) -> list:
+    """Record each B-Gram the Schur pair forms for ``system``: one per build."""
+    import saddlebounds.spectral as spectral_mod
+
+    b_dense = np.asarray(system.dense().B)
+    original = spectral_mod._gram
+    builds = []
+
+    def counted(factor, coupling):
+        if coupling.shape == b_dense.shape and np.array_equal(
+                spectral_mod._dense(coupling), b_dense):
+            builds.append(coupling)
+        return original(factor, coupling)
+
+    monkeypatch.setattr(spectral_mod, "_gram", counted)
+    return builds
+
+
+def _fem_input(label):
+    if label == "poisson-dist":
+        system, fem = poisson_distributed(1 / 8, 1e-3)
+        return system, "pearson-wathen", distributed_context(fem, 1e-3)
+    return poisson_boundary(1 / 8, 1e-3), "jacobi", None
+
+
+class TestOneSchurBuildPerAnalysis:
+    @pytest.mark.parametrize("label", [
+        "jacobi", "exact", "scaled:0.5", "poisson-dist", "poisson-bnd",
+    ])
+    def test_analyze_builds_the_pair_once(self, label, monkeypatch):
+        # an exact count: sharing the pair is what takes the five builds
+        # (validate, two build_exact, build_approx, the eta read) to one
+        if label.startswith("poisson"):
+            system, precond, context = _fem_input(label)
+        else:
+            rng = np.random.default_rng(95)
+            system, _ = random_valid_system(rng, 9, 6, 4)
+            precond, context = label, None
+        builds = _count_b_grams(monkeypatch, system)
+        report = analyze(system, SCENARIOS, precond=precond, context=context)
+        assert report.passed
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("scenarios, at_spectrum, at_splits", [
+        # kept through prec-exact's split spectrum, gone before prec-inexact's
+        (SCENARIOS, True, [True, False]),
+        # validate is the only reader
+        (("unprec",), False, []),
+        # prec-exact reads it last, before its own split spectrum
+        (("prec-inexact", "prec-exact"), True, [True, False]),
+    ])
+    def test_pair_lives_until_its_last_reader_and_the_system_is_untouched(
+        self, scenarios, at_spectrum, at_splits, monkeypatch
+    ):
+        import saddlebounds.precond as precond_mod
+        import saddlebounds.report as report_mod
+        import saddlebounds.spectral as spectral_mod
+
+        rng = np.random.default_rng(96)
+        system, _ = random_valid_system(rng, 9, 6, 4)
+        before = dict(vars(system))
+        refs = []
+        alive = []
+        original = spectral_mod.schur_complements
+
+        def traced(*args, **kwargs):
+            pair = original(*args, **kwargs)
+            refs.append(weakref.ref(pair))
+            return pair
+
+        def noting(fn):
+            def run(*args):
+                alive.append(refs[0]() is not None)
+                return fn(*args)
+            return run
+
+        for module in (spectral_mod, precond_mod, report_mod):
+            monkeypatch.setattr(module, "schur_complements", traced)
+        monkeypatch.setattr(report_mod, "assemble", noting(report_mod.assemble))
+        monkeypatch.setattr(report_mod, "_split_spectrum",
+                            noting(report_mod._split_spectrum))
+        gc.disable()
+        try:
+            report = analyze(system, scenarios, precond="jacobi")
+            dead = [ref() is None for ref in refs]
+        finally:
+            gc.enable()
+        assert report.passed
+        assert refs and all(dead)
+        assert alive == [at_spectrum, *at_splits]
+        assert vars(system).keys() == before.keys()
+        assert all(vars(system)[key] is value for key, value in before.items())
+
+    def test_singular_s1_fails_at_each_reader(self, monkeypatch):
+        system = singular_s1_system()
+        builds = _count_b_grams(monkeypatch, system)
+        report = analyze(system, SCENARIOS, precond="jacobi")
+        assert report.validation["schur_definite"] == [False, False]
+        message = "DefinitenessError: first Schur complement is not positive definite"
+        errors = {e["name"]: e.get("error") for e in report.scenarios}
+        assert errors == {
+            "unprec": None, "prec-exact": message, "prec-inexact": message}
+        # a failed build is not kept: validate and both scenarios try again
+        assert len(builds) == 3
+
+    def test_scope_closes_when_analyze_raises(self, monkeypatch):
+        import saddlebounds.report as report_mod
+        import saddlebounds.spectral as spectral_mod
+
+        def broken(*args):
+            raise RuntimeError("spectrum failed")
+
+        monkeypatch.setattr(report_mod, "full_spectrum", broken)
+        rng = np.random.default_rng(98)
+        system, _ = random_valid_system(rng, 6, 4, 2)
+        with pytest.raises(RuntimeError, match="spectrum failed"):
+            analyze(system, SCENARIOS)
+        assert spectral_mod._SHARED.get() is None
 
 
 class TestPlotRows:
@@ -331,6 +456,23 @@ class TestCli:
         (["analyze", "--problem", "manifest:{asymmetric}"], "block A is not symmetric"),
         (["solve", "--problem", "random", "--precond", "user:{asymmetric_user}"],
          "user block 0 is not symmetric"),
+        (["analyze", "--problem", "manifest:{not_json}"],
+         "manifest {not_json} is not valid JSON"),
+        (["solve", "--problem", "random", "--precond", "user:{not_json}"],
+         "manifest {not_json} is not valid JSON"),
+        (["solve", "--problem", "manifest:{json_list}"],
+         "manifest {json_list} must hold a JSON object, got list"),
+        (["solve", "--problem", "random", "--precond", "user:{json_list}"],
+         "manifest {json_list} must hold a JSON object, got list"),
+        (["analyze", "--problem", "manifest:{word_entry}"],
+         "manifest {word_entry}: block B is not an array of numbers"),
+        (["analyze", "--problem", "random", "--scenario", "prec-inexact",
+          "--precond", "user:{word_user}"],
+         "manifest {word_user}: user block 2 is not an array of numbers"),
+        (["analyze", "--problem", "manifest:{mtx_manifest}"],
+         "{bad_mtx} is not a Matrix Market file"),
+        (["solve", "--problem", "random", "--precond", "user:{mtx_user}"],
+         "{bad_mtx} is not a Matrix Market file"),
     ])
     def test_bad_input_exits_one_with_one_error_line(
         self, argv, message, tmp_path, capsys
@@ -362,8 +504,32 @@ class TestCli:
         asymmetric_user.write_text(json.dumps({"blocks": user_blocks}))
         report = tmp_path / "unprec.json"
         report.write_text(analyze(system).to_json())
+        not_json = tmp_path / "truncated.json"
+        not_json.write_text('{"schema": 1, "blocks": ')
+        json_list = tmp_path / "list.json"
+        json_list.write_text(json.dumps([1, 2, 3]))
+        blocks = {key: getattr(system, key).tolist() for key in "ABCDE"}
+        blocks["B"][1][2] = "x"
+        word_entry = tmp_path / "word_entry.json"
+        word_entry.write_text(json.dumps(
+            {"schema": 1, "dims": [8, 6, 4], "format": "inline", "blocks": blocks}
+        ))
+        user_blocks = [np.eye(k).tolist() for k in (8, 6, 4)]
+        user_blocks[2][0][0] = "one"
+        word_user = tmp_path / "word_user.json"
+        word_user.write_text(json.dumps({"blocks": user_blocks}))
+        bad_mtx = tmp_path / "bad.mtx"
+        bad_mtx.write_text("not a matrix\n")
+        mtx_manifest = tmp_path / "mtx.json"
+        mtx_manifest.write_text(json.dumps(
+            {"schema": 1, "blocks": {key: "bad.mtx" for key in "ABCDE"}}))
+        mtx_user = tmp_path / "mtx_user.json"
+        mtx_user.write_text(json.dumps({"blocks": ["bad.mtx"] * 3}))
         paths = {"notes": notes, "manifest": manifest, "user": user, "report": report,
-                 "asymmetric": asymmetric, "asymmetric_user": asymmetric_user}
+                 "asymmetric": asymmetric, "asymmetric_user": asymmetric_user,
+                 "not_json": not_json, "json_list": json_list,
+                 "word_entry": word_entry, "word_user": word_user,
+                 "bad_mtx": bad_mtx, "mtx_manifest": mtx_manifest, "mtx_user": mtx_user}
         code = main([arg.format(**paths) for arg in argv])
         err = capsys.readouterr().err
         assert code == 1

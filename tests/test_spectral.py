@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import saddlebounds.spectral as spectral_mod
 from saddlebounds import (
     BlockExtremes,
     DoubleSaddleSystem,
@@ -18,11 +19,16 @@ from saddlebounds import (
     validate,
 )
 from saddlebounds.bounds import bounds_unpreconditioned
-from saddlebounds.errors import ConvergenceError, OracleSizeError, ParameterError
-from saddlebounds.spectral import _regularization_ratio
+from saddlebounds.errors import (
+    ConvergenceError,
+    DefinitenessError,
+    OracleSizeError,
+    ParameterError,
+)
+from saddlebounds.spectral import _SHARED, SharedSchurPair, _regularization_ratio
 from saddlebounds.system import _sym
 
-from helpers import random_valid_system, svd_extremes
+from helpers import random_valid_system, singular_s1_system, svd_extremes
 
 
 class TestExtremalEigs:
@@ -307,6 +313,46 @@ class TestSchurComplements:
             pair = schur_complements(system)
             assert np.array_equal(pair.s1, pair.s1.T)
             assert np.array_equal(pair.s2, pair.s2.T)
+
+
+class TestSharedSchurPair:
+    def test_one_pair_per_system_inside_the_scope(self):
+        rng = np.random.default_rng(44)
+        system, _ = random_valid_system(rng, 6, 4, 2)
+        other, _ = random_valid_system(rng, 6, 4, 2)
+        with SharedSchurPair(system) as shared:
+            pair = schur_complements(system)
+            assert schur_complements(system, (True, True)) is pair
+            assert shared.pair is pair
+            assert schur_complements(other) is not schur_complements(other)
+            assert shared.pair is pair
+            shared.release()
+            assert schur_complements(system) is not pair
+        assert _SHARED.get() is None and shared.pair is None
+        assert schur_complements(system) is not schur_complements(system)
+
+    def test_a_failed_build_is_not_kept(self, monkeypatch):
+        system = singular_s1_system()
+        grams = []
+        original = spectral_mod._gram
+        monkeypatch.setattr(spectral_mod, "_gram",
+                            lambda f, c: grams.append(c) or original(f, c))
+        with SharedSchurPair(system) as shared:
+            for _ in range(2):
+                with pytest.raises(DefinitenessError, match="first Schur"):
+                    schur_complements(system)
+            assert shared.pair is None
+        assert len(grams) == 2
+
+    def test_s1_is_the_gram_when_d_stores_no_nonzero(self):
+        rng = np.random.default_rng(45)
+        zero, _ = random_valid_system(rng, 6, 4, 2, d_zero=True)
+        pair = schur_complements(zero)
+        assert pair.s1 is pair.gram_b
+        regularized, _ = random_valid_system(rng, 6, 4, 2)
+        pair = schur_complements(regularized)
+        assert pair.s1 is not pair.gram_b
+        assert np.array_equal(pair.s1, pair.gram_b + regularized.D)
 
 
 class TestBlockExtremes:
