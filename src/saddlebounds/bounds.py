@@ -491,50 +491,46 @@ def verify_containment(
 ) -> ContainmentReport:
     """Check a computed spectrum against predicted bounds.
 
-    Each eigenvalue is first matched against the discrete predictions
-    (within ``CLUSTER_TOL * max(1, |value|)``), then against the negative and
-    positive intervals inflated by ``tol * max(1, |endpoint|)``.  When the
-    bounds declare multiplicities or per-interval counts, those tallies must
-    match exactly.  An empty spectrum passes vacuously.
+    Each eigenvalue is first matched against the discrete predictions, in
+    their order (within ``CLUSTER_TOL * max(1, |target|)``), then against
+    the negative and positive intervals inflated by
+    ``tol * max(1, |endpoint|)``.  When the bounds declare multiplicities
+    or per-interval counts, those tallies must match exactly.  An empty
+    spectrum passes vacuously.
     """
-    values = sorted(float(v) for v in spectrum)
-    if not values:
+    values = np.sort(np.asarray(spectrum, dtype=float), kind="stable")
+    if not values.size:
         return ContainmentReport(True, (), None, None)
 
     discrete = bounds.discrete or ()
-    discrete_hits = [0] * len(discrete)
-    leftovers: list[float] = []
-    verdicts: list[EigenvalueVerdict] = []
-
     neg, pos = bounds.negative, bounds.positive
-    neg_infl = neg.inflate(tol)
-    pos_infl = pos.inflate(tol)
+    # each value's label, as an index into names
+    names = ("outside", "negative-interval", "positive-interval",
+             *(f"discrete:{target:.6g}" for target, _mult in discrete))
+    where = np.zeros(values.size, dtype=np.intp)
+    slack = np.empty(values.size)
+    free = np.ones(values.size, dtype=bool)  # matched to no discrete target yet
+    discrete_hits = []
+    for idx, (target, _mult) in enumerate(discrete):
+        dist = np.abs(values - target)
+        hit = free & (dist <= CLUSTER_TOL * max(1.0, abs(target)))
+        discrete_hits.append(int(np.count_nonzero(hit)))
+        where[hit] = 3 + idx
+        slack[hit] = -dist[hit]
+        free &= ~hit
 
-    for value in values:
-        matched = None
-        for idx, (target, _mult) in enumerate(discrete):
-            if abs(value - target) <= CLUSTER_TOL * max(1.0, abs(target)):
-                discrete_hits[idx] += 1
-                matched = f"discrete:{target:.6g}"
-                slack = -abs(value - target)
-                verdicts.append(EigenvalueVerdict(value, True, slack, matched))
-                break
-        if matched is not None:
-            continue
-        leftovers.append(value)
-        in_neg = neg_infl.contains(value)
-        in_pos = pos_infl.contains(value)
-        if in_neg or in_pos:
-            ref = neg if in_neg else pos
-            slack = min(value - ref.lo, ref.hi - value)
-            where = "negative-interval" if in_neg else "positive-interval"
-            verdicts.append(EigenvalueVerdict(value, True, slack, where))
-        else:
-            gap = min(
-                abs(value - neg.lo), abs(value - neg.hi),
-                abs(value - pos.lo), abs(value - pos.hi),
-            )
-            verdicts.append(EigenvalueVerdict(value, False, -gap, "outside"))
+    leftovers = values[free]
+    in_neg = _inside(leftovers, neg.inflate(tol))
+    in_pos = _inside(leftovers, pos.inflate(tol))
+    ref_lo = np.where(in_neg, neg.lo, pos.lo)
+    ref_hi = np.where(in_neg, neg.hi, pos.hi)
+    inner = _first_min(leftovers - ref_lo, ref_hi - leftovers)
+    gap = _first_min(*(np.abs(leftovers - end) for end in (neg.lo, neg.hi, pos.lo, pos.hi)))
+    slack[free] = np.where(in_neg | in_pos, inner, -gap)
+    where[free] = np.where(in_neg, 1, np.where(in_pos, 2, 0))
+    ok = where != 0
+    verdicts = tuple(map(EigenvalueVerdict, values.tolist(), ok.tolist(), slack.tolist(),
+                         [names[i] for i in where.tolist()]))
 
     multiplicity_ok = None
     if discrete:
@@ -544,21 +540,32 @@ def verify_containment(
 
     interval_counts_ok = None
     if bounds.interval_counts is not None:
-        interval_counts_ok = True
-        for sub, expected in bounds.interval_counts:
-            sub_infl = sub.inflate(tol)
-            got = sum(1 for v in leftovers if sub_infl.contains(v))
-            if got != expected:
-                interval_counts_ok = False
+        interval_counts_ok = all(
+            np.count_nonzero(_inside(leftovers, sub.inflate(tol))) == expected
+            for sub, expected in bounds.interval_counts
+        )
 
     passed = (
-        all(v.ok for v in verdicts)
+        bool(ok.all())
         and multiplicity_ok in (None, True)
         and interval_counts_ok in (None, True)
     )
     return ContainmentReport(
         passed=passed,
-        verdicts=tuple(verdicts),
+        verdicts=verdicts,
         multiplicity_ok=multiplicity_ok,
         interval_counts_ok=interval_counts_ok,
     )
+
+
+def _inside(values: np.ndarray, interval: Interval) -> np.ndarray:
+    """Elementwise :meth:`Interval.contains`."""
+    return (interval.lo <= values) & (values <= interval.hi)
+
+
+def _first_min(first: np.ndarray, *rest: np.ndarray) -> np.ndarray:
+    """Elementwise ``min(first, *rest)``, which keeps the earliest of equal
+    values (so +0.0 before -0.0, as Python's ``min`` does)."""
+    for other in rest:
+        first = np.where(other < first, other, first)
+    return first

@@ -330,12 +330,12 @@ def build_approx(
     nonzero or passing :func:`sparse_spd_factor`, the block is positive
     semidefinite, so a nonsingular LU proves it SPD, and a singular one
     raises :class:`DefinitenessError` naming it.  Any other system takes
-    the dense Schur pair: exact leading and first-Schur blocks reuse its
-    Cholesky factors (the leading one only when A is dense), and S2 is
-    formed only for a tail strategy that reads it (``jacobi`` reads only
-    its diagonal).  Every other block is factored by its type (see
-    :func:`_factor`).  The ``jacobi`` blocks of a system with sparse blocks
-    are sparse diagonal matrices.
+    the dense Schur pair: exact blocks reuse its Cholesky factors (the
+    leading one only when A is dense), so the builds that share one pair
+    share one factor of S2, and S2 is formed only for a tail strategy that
+    reads it (``jacobi`` reads only its diagonal).  Every other block is
+    factored by its type (see :func:`_factor`).  The ``jacobi`` blocks of a
+    system with sparse blocks are sparse diagonal matrices.
     """
     if len(strategies) != 3:
         raise ParameterError("need exactly three per-block strategies")
@@ -361,8 +361,9 @@ def build_approx(
         exact_blocks = (system.A, pair.s1, tail)
         # exact dense positions reuse the pair's factors; the rest go now
         cho_a = None if sp.issparse(system.A) else pair.cho_a
+        cho_2 = pair.cho_2 if strategies[2] == "exact" else None
         reused = [f if s == "exact" else None
-                  for f, s in zip((cho_a, pair.cho_1, None), strategies)]
+                  for f, s in zip((cho_a, pair.cho_1, cho_2), strategies)]
         del pair
     blocks = tuple(_approx_block(system, i, s, exact_blocks[i], context, user_blocks)
                    for i, s in enumerate(strategies))
@@ -515,16 +516,24 @@ def split_preconditioned_matrix(
 
 
 def equivalence_constants(
-    exact: np.ndarray, approx: np.ndarray
+    exact: np.ndarray, approx: np.ndarray, factor=None
 ) -> EquivalenceMeasurement:
     """Extremal generalized eigenvalues of an (exact, approximation) pair.
+
+    ``factor`` is the approximation's factor as an operator holds it (see
+    :class:`PreconditionerOperator`); a sparse factor, or none, is replaced
+    by :func:`_factor` of the densified approximation, whose failure names
+    it ``approximation``.  The generalized eigenvalues are the eigenvalues
+    of the congruence U^-T exact U^-1 for P = U^T U, the reduction
+    ``scipy.linalg.eigh(exact, approx)`` makes after factoring P itself.
+    Bitwise-identical blocks give the exact interval [1, 1] with no
+    eigensolve (the factor alone shows they are definite), so round-off
+    never normalizes them.
 
     The raw interval is reported as-is; for the bound formulas it is also
     normalized to straddle 1 by rescaling the approximation (scaling the
     approximation by s divides the whole interval by s), and the applied
-    scale is part of the measurement.  Bitwise-identical blocks give the
-    exact interval [1, 1] and scale 1 (only a Cholesky factorization checks
-    that they are definite), so round-off never normalizes them.
+    scale is part of the measurement.
     """
     exact = _dense(exact)
     approx = _dense(approx)
@@ -532,14 +541,12 @@ def equivalence_constants(
         raise ParameterError(
             f"shape mismatch: {exact.shape} vs {approx.shape}"
         )
-    try:
-        if np.array_equal(exact, approx):
-            sla.cho_factor(approx)
-            vals = (1.0, 1.0)
-        else:
-            vals = sla.eigh(exact, approx, eigvals_only=True)
-    except sla.LinAlgError as exc:
-        raise DefinitenessError("approximation block is not positive definite") from exc
+    if not isinstance(factor, (np.ndarray, tuple)):
+        factor = _factor(approx, "approximation")
+    if np.array_equal(exact, approx):
+        vals = (1.0, 1.0)
+    else:
+        vals = np.linalg.eigvalsh(_congruence(factor, exact, factor))
     raw = Interval(float(vals[0]), float(vals[-1]))
     if raw.lo <= 0:
         raise DefinitenessError("exact block is not positive definite")

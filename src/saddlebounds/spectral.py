@@ -157,8 +157,8 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class SchurPair:
-    """The Schur complements of a system, the ``cho_factor`` results of A
-    and S1, and the regularization ratio constants, all dense.
+    """The Schur complements of a system, the ``cho_factor`` results of A,
+    S1 and S2, and the regularization ratio constants, all dense.
 
     The pair serves the dense oracle and every dense system; on a sparse
     system a preconditioner builds it only for ``jacobi`` and when D or E
@@ -168,8 +168,10 @@ class SchurPair:
     analysis builds it once and shares it (:class:`SharedSchurPair`).
     S1 = D + B A^-1 B^T is formed with the pair; when D stores no nonzero,
     ``s1`` is the array ``gram_b`` itself.  The tail Gram
-    C S1^-1 C^T, S2 = E + C S1^-1 C^T, diag(S2) and both ratios are formed
-    on first read, so a caller that replaces S2 never pays for it.  Each
+    C S1^-1 C^T, S2 = E + C S1^-1 C^T, its factor ``cho_2``, diag(S2) and
+    both ratios are formed on first read, so a caller that replaces S2
+    never pays for it, and every exact-S2 reader shares one factor; a
+    failed factorization of S2 raises each time and is not kept.  Each
     Gram is W^T W with W = U^-T (coupling)^T for the upper Cholesky factor
     U, so it and both complements are exactly symmetric; A is densified
     for its factor when it is sparse, since the Gram is dense anyway.
@@ -197,6 +199,13 @@ class SchurPair:
     @cached_property
     def s2(self) -> np.ndarray:
         return self.gram_c + self.system.E
+
+    @cached_property
+    def cho_2(self) -> tuple:
+        try:
+            return sla.cho_factor(self.s2)
+        except sla.LinAlgError as exc:
+            raise DefinitenessError("second-schur block is not positive definite") from exc
 
     @cached_property
     def s2_diagonal(self) -> np.ndarray:
@@ -234,15 +243,18 @@ class SchurPair:
 def extremal_eigs(matrix, dense_cutoff: int = ORACLE_CUTOFF) -> tuple[float, float]:
     """Smallest and largest eigenvalues of a symmetric matrix.
 
-    Dense decomposition up to ``dense_cutoff``, which reads one triangle of
-    the matrix; beyond that ARPACK from a fixed-seed start vector, which
-    applies all of it, certified by the residual test
+    A matrix that stores no nonzero gives (0, 0) without an eigensolve.
+    Otherwise a dense decomposition up to ``dense_cutoff``, which reads one
+    triangle of the matrix; beyond that ARPACK from a fixed-seed start
+    vector, which applies all of it, certified by the residual test
     ||A v - t v|| <= EIG_TOL * max|t|.
     """
     a = _dense(matrix)
     dim = a.shape[0]
     if a.shape != (dim, dim):
         raise ParameterError(f"matrix must be square, got {a.shape}")
+    if not a.any():
+        return 0.0, 0.0
     if dim <= dense_cutoff:
         vals = np.linalg.eigvalsh(a)
         return float(vals[0]), float(vals[-1])
@@ -260,8 +272,6 @@ def _arpack_extremes(a: np.ndarray) -> tuple[float, float]:
     # becomes one relative to the norm, like the certificate; the factor
     # 1e-3 covers the gap between the norm and the spectral radius.
     shift = 2.0 * float(np.abs(a).sum(axis=1).max())
-    if shift == 0.0:
-        return 0.0, 0.0
     a.flat[:: dim + 1] += shift
     start = np.random.default_rng(_ARPACK_SEED).standard_normal(dim)
     try:
@@ -481,17 +491,20 @@ def validate(system: DoubleSaddleSystem) -> ValidationReport:
 
     A, D and E are exactly symmetric by construction of the system, so
     symmetry is not checked again, and the eigensolves read one triangle
-    of each block.  Definiteness is judged relative to ``SYM_TOL``, ranks
-    by singular values above ``RANK_TOL`` times the largest one; the
-    nullity of C^T is p - rank(C).  A kernel condition whose top block is
-    injective (A definite, B or C of full row rank) holds without a rank
-    test of the stack.  S1 and S2 come from :func:`schur_complements`,
-    given the (B, C) rank verdicts, so inside a :class:`SharedSchurPair`
-    scope this builds the pair every later reader gets, and a ratio read
-    from it needs no new SVD.  The eigen-ranges and singular values
-    measured here also give ``extremes``.  A sparse system is checked
-    densified; a scope shares its pair only with a system that is already
-    dense, since densifying makes a new system.
+    of each block; a D or E that stores no nonzero has extremes (0, 0)
+    without one (:func:`extremal_eigs`).  Definiteness is judged relative
+    to ``SYM_TOL``, ranks by singular values above ``RANK_TOL`` times the
+    largest one; the nullity of C^T is p - rank(C).  A kernel condition
+    whose top block is injective (A definite, B or C of full row rank)
+    holds without a rank test of the stack.  S1 and S2 come from
+    :func:`schur_complements`, given the (B, C) rank verdicts, so inside a
+    :class:`SharedSchurPair` scope this builds the pair every later reader
+    gets (S2's factor included, formed by the first preconditioner that
+    reads it), and a ratio read from it needs no new SVD.  The
+    eigen-ranges and singular values measured here also give ``extremes``.
+    A sparse system is checked densified; a scope shares its pair only
+    with a system that is already dense, since densifying makes a new
+    system.
     """
     system = system.dense()
     A, B, C, D, E = system.A, system.B, system.C, system.D, system.E

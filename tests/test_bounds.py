@@ -22,7 +22,14 @@ from saddlebounds import (
     solve_classified,
     verify_containment,
 )
-from saddlebounds.bounds import GOLDEN_LOWER, GOLDEN_UPPER
+from saddlebounds.bounds import (
+    CLUSTER_TOL,
+    CONTAINMENT_TOL,
+    GOLDEN_LOWER,
+    GOLDEN_UPPER,
+    ContainmentReport,
+    EigenvalueVerdict,
+)
 from saddlebounds.errors import ClassificationError, ParameterError
 
 from helpers import companion_roots, random_valid_system
@@ -324,6 +331,127 @@ class TestVerifyContainment:
         value = 2.0 + 1e-10
         assert not verify_containment([value], iv, tol=1e-12).passed
         assert verify_containment([value], iv, tol=1e-9).passed
+
+
+def _loop_containment(spectrum, bounds, tol=CONTAINMENT_TOL):
+    """The per-eigenvalue loop verify_containment replaced, kept as the
+    reference its vectorized form must reproduce bit for bit."""
+    values = sorted(float(v) for v in spectrum)
+    if not values:
+        return ContainmentReport(True, (), None, None)
+    discrete = bounds.discrete or ()
+    discrete_hits = [0] * len(discrete)
+    leftovers, verdicts = [], []
+    neg, pos = bounds.negative, bounds.positive
+    neg_infl, pos_infl = neg.inflate(tol), pos.inflate(tol)
+    for value in values:
+        matched = None
+        for idx, (target, _mult) in enumerate(discrete):
+            if abs(value - target) <= CLUSTER_TOL * max(1.0, abs(target)):
+                discrete_hits[idx] += 1
+                matched = f"discrete:{target:.6g}"
+                verdicts.append(EigenvalueVerdict(value, True, -abs(value - target), matched))
+                break
+        if matched is not None:
+            continue
+        leftovers.append(value)
+        in_neg, in_pos = neg_infl.contains(value), pos_infl.contains(value)
+        if in_neg or in_pos:
+            ref = neg if in_neg else pos
+            slack = min(value - ref.lo, ref.hi - value)
+            where = "negative-interval" if in_neg else "positive-interval"
+            verdicts.append(EigenvalueVerdict(value, True, slack, where))
+        else:
+            gap = min(abs(value - neg.lo), abs(value - neg.hi),
+                      abs(value - pos.lo), abs(value - pos.hi))
+            verdicts.append(EigenvalueVerdict(value, False, -gap, "outside"))
+    multiplicity_ok = None
+    if discrete:
+        multiplicity_ok = all(h == k for h, (_v, k) in zip(discrete_hits, discrete))
+    interval_counts_ok = None
+    if bounds.interval_counts is not None:
+        interval_counts_ok = True
+        for sub, expected in bounds.interval_counts:
+            sub_infl = sub.inflate(tol)
+            if sum(1 for v in leftovers if sub_infl.contains(v)) != expected:
+                interval_counts_ok = False
+    passed = (all(v.ok for v in verdicts) and multiplicity_ok in (None, True)
+              and interval_counts_ok in (None, True))
+    return ContainmentReport(passed, tuple(verdicts), multiplicity_ok, interval_counts_ok)
+
+
+def _bits(x) -> tuple:
+    return type(x), np.float64(x).tobytes()
+
+
+def _assert_bitwise_same(got, want):
+    assert (got.passed, got.multiplicity_ok, got.interval_counts_ok) == (
+        want.passed, want.multiplicity_ok, want.interval_counts_ok)
+    assert type(got.passed) is type(want.passed)
+    assert len(got.verdicts) == len(want.verdicts)
+    for g, w in zip(got.verdicts, want.verdicts):
+        assert _bits(g.value) == _bits(w.value)
+        assert g.ok is w.ok
+        assert _bits(g.slack) == _bits(w.slack)
+        assert type(g.matched) is str and g.matched == w.matched
+    assert _bits(got.worst_slack) == _bits(want.worst_slack)
+
+
+class TestVectorizedContainment:
+    """verify_containment against the loop it replaced."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_spectra_with_discrete_hits(self, seed):
+        rng = np.random.default_rng(seed)
+        dims = (9, 6, 4)
+        cases = [
+            bounds_precond_exact(dims, d_zero=True, e_zero=True),
+            bounds_precond_exact(dims, d_zero=True, e_zero=False, nullity_k=1),
+            bounds_precond_exact(dims, d_zero=False, e_zero=False),
+            # two targets within one cluster width: the first one takes a value
+            BoundIntervals(
+                negative=Interval(-2.0, -0.5), positive=Interval(0.5, 2.0),
+                provenance="test", discrete=((1.0, 2), (1.0 + 5e-9, 1), (-3.0, 1)),
+                interval_counts=((Interval(0.5, 1.0), 1), (Interval(-2.0, 0.0), 2)),
+            ),
+        ]
+        for bounds in cases:
+            targets = [t for t, _ in bounds.discrete or ()] or [1.0]
+            near = rng.choice(targets, 25) * (1.0 + rng.uniform(-2e-8, 2e-8, 25))
+            spread = rng.uniform(-3.0, 3.0, 40)
+            ends = [bounds.negative.lo, bounds.negative.hi, bounds.positive.lo,
+                    bounds.positive.hi, 0.0, -0.0, *targets]
+            spectrum = np.concatenate([near, spread, ends, spread[:5]])
+            rng.shuffle(spectrum)
+            for tol in (CONTAINMENT_TOL, 0.0, 1e-3):
+                for given in (spectrum, list(spectrum)):
+                    _assert_bitwise_same(verify_containment(given, bounds, tol),
+                                         _loop_containment(given, bounds, tol))
+
+    @pytest.mark.parametrize("neg, pos", [
+        (Interval(-2.0, -0.5), Interval(0.5, 2.0)),
+        (Interval(-2.0, 0.25), Interval(0.0, 2.0)),  # overlapping
+        # a point interval at zero: slacks of -0.0 and +0.0 tie, and the
+        # first one is kept, as Python's min keeps it
+        (Interval(-2.0, -0.5), Interval(0.0, 0.0)),
+    ])
+    @pytest.mark.parametrize("tol", [1e-9, 0.0])
+    def test_values_exactly_at_the_inflated_ends(self, neg, pos, tol):
+        bounds = BoundIntervals(negative=neg, positive=pos, provenance="test",
+                                interval_counts=((pos, 3), (neg, 4)))
+        ends = [e for iv in (neg, pos) for e in (*iv, *iv.inflate(tol))]
+        spectrum = [v for e in ends for v in (
+            e, -e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf))]
+        report = verify_containment(spectrum, bounds, tol)
+        _assert_bitwise_same(report, _loop_containment(spectrum, bounds, tol))
+        assert {v.matched for v in report.verdicts} >= {"outside"}
+
+    @pytest.mark.parametrize("spectrum", [[], (), np.array([])])
+    def test_empty_spectrum(self, spectrum):
+        bounds = bounds_precond_exact((4, 3, 2), d_zero=True, e_zero=True)
+        report = verify_containment(spectrum, bounds)
+        _assert_bitwise_same(report, _loop_containment(spectrum, bounds))
+        assert report == ContainmentReport(True, (), None, None)
 
 
 def test_exact_preconditioner_roots_residual():

@@ -427,6 +427,38 @@ class TestEquivalenceConstants:
         assert all(m["raw"] == [1.0, 1.0] for e in entries
                    for m in e["precond"]["equivalence"])
 
+    @pytest.mark.parametrize("strategy", ["jacobi", "scaled:0.5", "pearson-wathen"])
+    def test_held_factor_matches_generalized_eigh(self, strategy):
+        # scipy's eigh(exact, approx) was the route before the held factor
+        if strategy == "pearson-wathen":
+            system, fem = poisson_distributed(2**-3, 1e-2)
+            system, context = system.dense(), distributed_context(fem, 1e-2)
+        else:
+            system, _ = random_valid_system(np.random.default_rng(67), 14, 9, 4)
+            context = None
+        exact = build_exact(system)
+        approx = build_approx(system, strategy_tuple(strategy), context=context)
+        for e, a, factor in zip(exact.blocks, approx.blocks, approx._factors):
+            want = sla.eigh(e, a, eigvals_only=True)
+            for held in (factor, None):
+                raw = equivalence_constants(e, a, held).raw
+                if np.array_equal(e, a):
+                    assert raw == Interval(1.0, 1.0)
+                    continue
+                assert raw.lo == pytest.approx(want[0], rel=1e-12, abs=0)
+                assert raw.hi == pytest.approx(want[-1], rel=1e-12, abs=0)
+
+    def test_sparse_factor_is_replaced_by_a_dense_one(self):
+        h, beta = 2**-3, 1e-2
+        system, fem = poisson_distributed(h, beta)
+        context = distributed_context(fem, beta)
+        exact = build_exact(system)
+        approx = build_approx(system, strategy_tuple("pearson-wathen"), context=context)
+        assert not isinstance(approx._factors[2], (np.ndarray, tuple))
+        with_sparse = equivalence_constants(exact.blocks[2], approx.blocks[2],
+                                            approx._factors[2])
+        assert with_sparse == equivalence_constants(exact.blocks[2], approx.blocks[2])
+
     def test_indefinite_approximation_rejected(self):
         with pytest.raises(DefinitenessError):
             equivalence_constants(np.eye(2), -np.eye(2))

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -253,6 +254,84 @@ class TestOneSchurBuildPerAnalysis:
         with pytest.raises(RuntimeError, match="spectrum failed"):
             analyze(system, SCENARIOS)
         assert spectral_mod._SHARED.get() is None
+
+
+class TestOneFactorPerBlock:
+    @pytest.mark.parametrize("label, counts", [
+        # cho_factor: A and S1 (validate), S2 (the first build_exact; the
+        # second reuses it), the mass matrix and the square-completion block;
+        # eigh: the reference (stiffness, mass) pencil and eta_e; split
+        # matrices: prec-exact and prec-inexact, whose normalized spectrum
+        # rescales the inexact one (the parent counted 11, 3 and 3)
+        ("poisson-dist", (5, 2, 2)),
+        # cho_factor: A, S1 and S2; eigh: eta_e (the parent counted 4, 4, 2)
+        ("poisson-bnd", (3, 1, 2)),
+    ])
+    def test_analyze_counts_factors_eigh_and_split_matrices(
+        self, label, counts, monkeypatch
+    ):
+        import scipy.linalg as sla
+
+        import saddlebounds.report as report_mod
+
+        calls = Counter()
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def run(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, run)
+
+        count(sla, "cho_factor")
+        count(sla, "eigh")
+        count(report_mod, "split_preconditioned_matrix")
+        system, precond, context = _fem_input(label)
+        report = analyze(system, SCENARIOS, precond=precond, context=context)
+        assert report.passed
+        assert (calls["cho_factor"], calls["eigh"],
+                calls["split_preconditioned_matrix"]) == counts
+
+    @pytest.mark.parametrize("label", ["jacobi", "scaled:0.5", "poisson-dist"])
+    def test_normalized_spectrum_matches_refactored_scaled_blocks(self, label):
+        # the parent took the normalized spectrum from from_blocks of the
+        # scaled blocks; a jacobi interval always straddles 1 (its generalized
+        # eigenvalues average 1), so jacobi is checked with scales of its own
+        from saddlebounds.precond import (
+            build_approx,
+            from_blocks,
+            split_preconditioned_matrix,
+            strategy_tuple,
+        )
+        from saddlebounds.report import _split_spectrum
+        from saddlebounds.spectral import ORACLE_CUTOFF, full_spectrum
+
+        if label.startswith("poisson"):
+            system, precond, context = _fem_input(label)
+        else:
+            system, _ = random_valid_system(np.random.default_rng(99), 12, 8, 5)
+            precond, context = label, None
+        system = system.dense()
+        entry = analyze(system, ("prec-inexact",), precond=precond,
+                        context=context).scenarios[0]
+        assert ("normalization_scales" in entry) == (label != "jacobi")
+        op = build_approx(system, strategy_tuple(precond), context=context)
+
+        def reference(scales):
+            scaled = from_blocks([s * b for s, b in zip(scales, op.blocks)],
+                                 system.dims, op.strategy)
+            return full_spectrum(split_preconditioned_matrix(system, scaled))
+
+        def assert_close(got, want):
+            assert np.abs(np.asarray(got) - want).max() <= 1e-12 * np.abs(want).max()
+
+        scales = entry.get("normalization_scales", [1.0, 1.0, 1.0])
+        assert_close(entry.get("spectrum_normalized", entry["spectrum"]), reference(scales))
+        values, scaled = _split_spectrum(system, op, ORACLE_CUTOFF, (0.7, 1.3, 2.5))
+        assert_close(values, reference((1.0, 1.0, 1.0)))
+        assert_close(scaled, reference((0.7, 1.3, 2.5)))
 
 
 class TestPlotRows:

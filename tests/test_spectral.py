@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 import saddlebounds.spectral as spectral_mod
 from saddlebounds import (
@@ -354,6 +355,40 @@ class TestSharedSchurPair:
         assert pair.s1 is not pair.gram_b
         assert np.array_equal(pair.s1, pair.gram_b + regularized.D)
 
+    def test_every_exact_s2_build_shares_one_factor(self, monkeypatch):
+        from saddlebounds import build_approx, build_exact
+
+        rng = np.random.default_rng(46)
+        system, _ = random_valid_system(rng, 8, 5, 3)
+        factored = []
+        original = sla.cho_factor
+        monkeypatch.setattr(sla, "cho_factor",
+                            lambda a, *args, **kw: factored.append(a) or original(a, *args, **kw))
+        with SharedSchurPair(system) as shared:
+            first, second = build_exact(system), build_exact(system)
+            scaled = build_approx(system, ("exact", "exact", "scaled:2"))
+            pair = shared.pair
+        # A, S1 and S2 once each, then the scaled tail block of its own
+        assert len(factored) == 4
+        assert factored[2] is pair.s2 and factored[3] is scaled.blocks[2]
+        assert first._factors[2] is second._factors[2] is pair.cho_2
+        assert first.blocks[2] is pair.s2
+
+    def test_a_failed_s2_factor_is_not_kept(self):
+        from saddlebounds import build_exact
+
+        rng = np.random.default_rng(47)
+        base, _ = random_valid_system(rng, 6, 4, 2)
+        system = dataclasses.replace(base, E=-1e3 * np.eye(2))
+        pair = schur_complements(system)
+        for _ in range(2):
+            with pytest.raises(DefinitenessError,
+                               match="second-schur block is not positive definite"):
+                pair.cho_2
+        assert "cho_2" not in vars(pair)
+        with pytest.raises(DefinitenessError, match="second-schur"):
+            build_exact(system)
+
 
 class TestBlockExtremes:
     def test_measured_matches_construction(self):
@@ -374,6 +409,22 @@ class TestBlockExtremes:
             BlockExtremes(0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
         with pytest.raises(ParameterError):
             BlockExtremes(1.0, 0.5, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+
+    def test_zero_blocks_take_no_eigensolve(self, monkeypatch):
+        # validate solves for A, S1 and S2; D = 0 and E = 0 read as (0, 0)
+        rng = np.random.default_rng(48)
+        system, _ = random_valid_system(rng, 7, 5, 3, d_zero=True, e_zero=True)
+        solved = []
+        original = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: solved.append(a.shape) or original(a))
+        report = validate(system)
+        assert solved == [(7, 7), (5, 5), (3, 3)]
+        extremes = report.extremes
+        assert (extremes.mu_min_d, extremes.mu_max_d) == (0.0, 0.0)
+        assert (extremes.mu_min_e, extremes.mu_max_e) == (0.0, 0.0)
+        assert extremal_eigs(sp.csr_array((4, 4))) == (0.0, 0.0)
+        assert len(solved) == 3
 
     @pytest.mark.parametrize("d_zero, e_zero", [(False, False), (True, False), (True, True)])
     def test_validate_hands_over_the_measured_extremes(self, d_zero, e_zero):

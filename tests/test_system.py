@@ -251,15 +251,15 @@ class TestSymmetry:
         assert np.abs(stored - perturbed).max() <= (eps + 2.0**-52) * scale
 
     @pytest.mark.parametrize("precond, calls", [
-        ("jacobi", 6), ("exact", 6), ("scaled:0.5", 9),
+        ("jacobi", 6), ("exact", 6), ("scaled:0.5", 6),
     ])
     def test_analyze_symmetrizes_only_formed_or_outside_matrices(
         self, precond, calls, monkeypatch
     ):
         # after construction, the only symmetrizations left in an analysis
-        # are of the split congruence's diagonal blocks; the blocks
-        # from_blocks takes in arrive exactly symmetric, so it checks them
-        # without symmetrizing
+        # are of the diagonal blocks of its two split congruences; the
+        # normalized spectrum of scaled:0.5 rescales the inexact one and
+        # forms no third
         system = random_system(8, 6, 4, 7, TOUR_EXTREMES)
         callers = []
         for module in [m for k, m in sys.modules.items() if k.startswith("saddlebounds")]:
@@ -278,5 +278,5 @@ class TestSymmetry:
         report = analyze(system, scenarios=("unprec", "prec-exact", "prec-inexact"),
                          precond=precond)
         assert report.passed
-        assert set(callers) <= {"split_preconditioned_matrix", "from_blocks"}
+        assert set(callers) == {"split_preconditioned_matrix"}
         assert len(callers) == calls
