@@ -44,6 +44,13 @@ def check_stopping(rtol: float, maxit: int | None) -> None:
         raise ParameterError(f"maxit must be non-negative, got {maxit}")
 
 
+def _inner(u: np.ndarray, v: np.ndarray) -> float:
+    """u^T v; an overflow gives inf or nan without a warning, and MINRES
+    stops on it with ``breakdown="non-finite"``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(u @ v)
+
+
 def minres(
     operator,
     preconditioner: PreconditionerOperator | None,
@@ -82,7 +89,7 @@ def minres(
     x = np.zeros(dim)
     r1 = b.copy()
     y = psolve(r1)
-    beta1_sq = float(r1 @ y)
+    beta1_sq = _inner(r1, y)
     if beta1_sq < 0.0:
         raise DefinitenessError("preconditioner is not positive definite")
     beta1 = math.sqrt(beta1_sq)
@@ -117,7 +124,7 @@ def minres(
         y = matvec(v)
         if itn >= 2:
             y = y - (beta / oldb) * r1
-        alfa = float(v @ y)
+        alfa = _inner(v, y)
         if not math.isfinite(alfa):
             breakdown = "non-finite"
             break
@@ -126,7 +133,7 @@ def minres(
         r2 = y
         y = psolve(r2)
         oldb = beta
-        beta_sq = float(r2 @ y)
+        beta_sq = _inner(r2, y)
         if not math.isfinite(beta_sq):
             breakdown = "non-finite"
             break

@@ -54,7 +54,8 @@ from .errors import (
     StrategyMismatchError,
     StructuralError,
 )
-from .spectral import ORACLE_CUTOFF, _gram, _solve_upper_t, schur_complements
+from .spectral import (ORACLE_CUTOFF, _gram, _kernel_input, _solve_upper_t,
+                       schur_complements)
 from .system import (
     DoubleSaddleSystem,
     _dense,
@@ -520,6 +521,9 @@ def equivalence_constants(
 ) -> EquivalenceMeasurement:
     """Extremal generalized eigenvalues of an (exact, approximation) pair.
 
+    Each block passes the kernels' input rule
+    (:func:`~saddlebounds.spectral._kernel_input`, errors naming
+    ``exact block`` or ``approximation``), and the two must match in shape.
     ``factor`` is the approximation's factor as an operator holds it (see
     :class:`PreconditionerOperator`); a sparse factor, or none, is replaced
     by :func:`_factor` of the densified approximation, whose failure names
@@ -535,8 +539,8 @@ def equivalence_constants(
     approximation by s divides the whole interval by s), and the applied
     scale is part of the measurement.
     """
-    exact = _dense(exact)
-    approx = _dense(approx)
+    exact = _kernel_input(exact, "exact block")
+    approx = _kernel_input(approx, "approximation")
     if exact.shape != approx.shape:
         raise ParameterError(
             f"shape mismatch: {exact.shape} vs {approx.shape}"

@@ -296,7 +296,6 @@ def analyze(
                 else:
                     entry = _scenario_prec_inexact(
                         system, strategies, context, user_blocks,
-                        (validation.b_full_row_rank, validation.c_full_row_rank),
                         d_zero, e_zero, tol, oracle_cutoff, release,
                     )
             except SaddleBoundsError as exc:
@@ -348,8 +347,7 @@ def _scenario_prec_exact(
 
 
 def _scenario_prec_inexact(
-    system, strategies, context, user_blocks, full_row_rank,
-    d_zero, e_zero, tol, oracle_cutoff, release,
+    system, strategies, context, user_blocks, d_zero, e_zero, tol, oracle_cutoff, release,
 ) -> dict:
     exact_op = build_exact(system)
     approx_op = build_approx(system, strategies, context=context, user_blocks=user_blocks)
@@ -365,7 +363,7 @@ def _scenario_prec_inexact(
         alpha1=measurements[1].alpha, beta1=measurements[1].beta,
         alpha2=measurements[2].alpha, beta2=measurements[2].beta,
     )
-    pair = schur_complements(system, full_row_rank=full_row_rank)
+    pair = schur_complements(system)
     eta_d = 0.0 if d_zero else pair.eta_d
     eta_e = 0.0 if e_zero else pair.eta_e
     del pair

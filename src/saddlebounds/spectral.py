@@ -12,7 +12,9 @@ drive the inexact-preconditioner bounds, and :func:`validate`, which checks
 the hypotheses of the bounds with these same kernels on the densified
 system.  The symmetric kernels take a symmetric matrix as given: system
 blocks are made exactly symmetric when the system is built, and the
-matrices formed here are symmetric by construction.
+matrices formed here are symmetric by construction.  Every public kernel
+(and :func:`~saddlebounds.precond.equivalence_constants`) takes its matrix
+arguments through one input rule, :func:`_kernel_input`.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .errors import (
     OracleSizeError,
     ParameterError,
 )
-from .system import _TINY, SYM_TOL, DoubleSaddleSystem, _dense, _values
+from .system import _TINY, SYM_TOL, DoubleSaddleSystem, _checked, _dense, _values
 
 ORACLE_CUTOFF = 4096
 RANK_TOL = 1e-10
@@ -116,10 +118,6 @@ class Inertia:
     n_plus: int
     n_minus: int
     n_zero: int
-
-    @property
-    def dimension(self) -> int:
-        return self.n_plus + self.n_minus + self.n_zero
 
     def astuple(self) -> tuple[int, int, int]:
         return self.n_plus, self.n_minus, self.n_zero
@@ -240,8 +238,22 @@ class SchurPair:
         return _regularization_ratio(reg, getattr(self, gram))
 
 
+def _kernel_input(matrix, label: str = "matrix", wide: bool = False) -> np.ndarray:
+    """The one input rule of the public kernels: the matrix densified,
+    finite and 2-d (:func:`_checked`, else :class:`StructuralError` naming
+    ``label``), and square, or wide (rows <= cols) when ``wide``, else
+    :class:`ParameterError`."""
+    a = _checked(_dense(matrix), label)
+    rows, cols = a.shape
+    if rows > cols or (rows < cols and not wide):
+        rule = "wide (rows <= cols)" if wide else "square"
+        raise ParameterError(f"{label} must be {rule}, got {a.shape}")
+    return a
+
+
 def extremal_eigs(matrix, dense_cutoff: int = ORACLE_CUTOFF) -> tuple[float, float]:
-    """Smallest and largest eigenvalues of a symmetric matrix.
+    """Smallest and largest eigenvalues of a symmetric matrix, which passes
+    the kernels' input rule (:func:`_kernel_input`).
 
     A matrix that stores no nonzero gives (0, 0) without an eigensolve.
     Otherwise a dense decomposition up to ``dense_cutoff``, which reads one
@@ -249,13 +261,10 @@ def extremal_eigs(matrix, dense_cutoff: int = ORACLE_CUTOFF) -> tuple[float, flo
     vector, which applies all of it, certified by the residual test
     ||A v - t v|| <= EIG_TOL * max|t|.
     """
-    a = _dense(matrix)
-    dim = a.shape[0]
-    if a.shape != (dim, dim):
-        raise ParameterError(f"matrix must be square, got {a.shape}")
+    a = _kernel_input(matrix)
     if not a.any():
         return 0.0, 0.0
-    if dim <= dense_cutoff:
+    if a.shape[0] <= dense_cutoff:
         vals = np.linalg.eigvalsh(a)
         return float(vals[0]), float(vals[-1])
     return _arpack_extremes(a.copy())  # the shift stays local to the copy
@@ -308,20 +317,19 @@ def extremal_svals(matrix) -> tuple[float, float]:
     """Smallest and largest of the r singular values of an r x c matrix, r <= c.
 
     The smallest is the r-th largest singular value and is zero exactly when
-    the matrix is row-rank-deficient.
+    the matrix is row-rank-deficient.  The matrix passes the kernels' input
+    rule (:func:`_kernel_input`) with wide in place of square.
     """
-    a = np.asarray(matrix, dtype=float)
-    r, c = a.shape
-    if r > c:
-        raise ParameterError(f"expected a wide matrix (rows <= cols), got {a.shape}")
-    svals = _singular_values(a)
+    svals = _singular_values(_kernel_input(matrix, wide=True))
     return float(svals[-1]), float(svals[0])
 
 
 def full_spectrum(matrix, oracle_cutoff: int = ORACLE_CUTOFF) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, ascending, from one triangle
-    of it; desk scale only."""
-    a = np.asarray(matrix, dtype=float)
+    of it; desk scale only.  The matrix passes the kernels' input rule
+    (:func:`_kernel_input`), then a dimension above ``oracle_cutoff``
+    raises :class:`OracleSizeError`."""
+    a = _kernel_input(matrix)
     dim = a.shape[0]
     if dim > oracle_cutoff:
         raise OracleSizeError(
@@ -334,41 +342,27 @@ def inertia(matrix) -> Inertia:
     """Inertia of a symmetric matrix via a pivoted LDL^T factorization.
 
     Signs are counted on the 1x1 and 2x2 blocks of the block-diagonal
-    factor, which Sylvester's law makes congruence-exact.  A factorization
-    failure falls back to counting the dense spectrum; eigenvalues with
-    magnitude at most ``ZERO_TOL * ||M||`` count as zero.  The
-    factorization reads one triangle of the matrix.
+    factor, which Sylvester's law makes congruence-exact; values with
+    magnitude at most ``ZERO_TOL * ||M||_1`` count as zero.  The matrix
+    passes the kernels' input rule (:func:`_kernel_input`), after which
+    the factorization, which reads one triangle, cannot fail: singular,
+    zero and empty matrices factor too.
     """
-    a = np.asarray(matrix, dtype=float)
-    dim = a.shape[0]
-    scale = max(float(np.abs(a).sum(axis=0).max(initial=0.0)), _TINY)
-    cut = ZERO_TOL * scale
-
-    try:
-        _, d, _ = sla.ldl(a)
-    except (sla.LinAlgError, ValueError):
-        d = None
-
-    if d is not None:
-        vals, i = [], 0
-        while i < dim:
-            if i + 1 < dim and abs(d[i + 1, i]) > cut:
-                # 2x2 pivot block: take its two eigenvalues directly
-                t = 0.5 * (d[i, i] + d[i + 1, i + 1])
-                radius = np.hypot(0.5 * (d[i, i] - d[i + 1, i + 1]), d[i + 1, i])
-                vals += [t - radius, t + radius]
-                i += 2
-            else:
-                vals.append(d[i, i])
-                i += 1
-        vals = np.array(vals)
-    elif dim > ORACLE_CUTOFF:
-        raise OracleSizeError(
-            f"inertia fallback needs a dense spectrum; dimension {dim} exceeds "
-            f"cutoff {ORACLE_CUTOFF}"
-        )
-    else:
-        vals = full_spectrum(a)
+    a = _kernel_input(matrix)
+    cut = ZERO_TOL * max(float(np.abs(a).sum(axis=0).max(initial=0.0)), _TINY)
+    _, d, _ = sla.ldl(a, check_finite=False)
+    vals, i = [], 0
+    while i < len(d):
+        if i + 1 < len(d) and abs(d[i + 1, i]) > cut:
+            # 2x2 pivot block: take its two eigenvalues directly
+            t = 0.5 * (d[i, i] + d[i + 1, i + 1])
+            radius = np.hypot(0.5 * (d[i, i] - d[i + 1, i + 1]), d[i + 1, i])
+            vals += [t - radius, t + radius]
+            i += 2
+        else:
+            vals.append(d[i, i])
+            i += 1
+    vals = np.array(vals)
     n_plus = int(np.count_nonzero(vals > cut))
     n_minus = int(np.count_nonzero(vals < -cut))
     return Inertia(n_plus, n_minus, vals.size - n_plus - n_minus)
@@ -438,7 +432,7 @@ def schur_complements(
     try:
         cho_1 = sla.cho_factor(s1)
     except sla.LinAlgError as exc:
-        raise DefinitenessError("first Schur complement is not positive definite") from exc
+        raise DefinitenessError("first-schur block is not positive definite") from exc
     pair = SchurPair(system=system, s1=s1, gram_b=gram_b, cho_a=cho_a,
                      cho_1=cho_1, full_row_rank=full_row_rank)
     if shared is not None:

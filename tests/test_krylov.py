@@ -134,6 +134,29 @@ def test_nan_in_operator_stops_at_once(preconditioned):
     assert np.all(np.isfinite(result.solution))
 
 
+def test_overflowing_rhs_stops_at_once_without_a_warning():
+    # 1e200^2 overflows the first inner product; under filterwarnings=error
+    # a numpy overflow warning would raise before the documented exit
+    result = minres(np.diag([1.0, 2.0, -3.0]), None, np.full(3, 1e200))
+    assert result.breakdown == "non-finite"
+    assert not result.converged
+    assert result.iterations == 0
+    assert result.residual_history == (np.inf,)
+
+
+def test_eigenvector_rhs_is_a_lanczos_breakdown():
+    # b spans an invariant subspace, so the next Lanczos vector is round-off;
+    # rtol=1e-300 keeps the residual test from stopping first
+    system, _ = random_valid_system(np.random.default_rng(81), 8, 6, 4)
+    matrix = assemble(system).data
+    values, vectors = np.linalg.eigh(matrix)
+    result = minres(matrix, None, vectors[:, 3], rtol=1e-300)
+    assert result.breakdown == "lanczos-breakdown"
+    assert not result.converged
+    assert result.iterations == 1
+    assert np.allclose(result.solution, vectors[:, 3] / values[3], atol=1e-12)
+
+
 def test_nonfinite_preconditioner_output_stops():
     rng = np.random.default_rng(79)
     system, _ = random_valid_system(rng, 8, 6, 4)

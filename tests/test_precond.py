@@ -25,6 +25,7 @@ from saddlebounds import (
 )
 from saddlebounds.errors import (
     DefinitenessError,
+    OracleSizeError,
     ParameterError,
     StrategyMismatchError,
     StructuralError,
@@ -336,6 +337,11 @@ class TestSplitPreconditioned:
         direct = full_spectrum(split)
         oracle = generalized_spectrum(assemble(system).data, op.as_matrix())
         assert np.allclose(direct, oracle, atol=1e-9)
+
+    def test_refuses_oversize(self):
+        system, _ = random_valid_system(np.random.default_rng(60), 6, 4, 2)
+        with pytest.raises(OracleSizeError, match="split matrix refused"):
+            split_preconditioned_matrix(system, build_exact(system), oracle_cutoff=11)
 
     def test_inertia_preserved_by_congruence(self):
         rng = np.random.default_rng(59)

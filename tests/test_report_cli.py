@@ -81,6 +81,22 @@ class TestAnalysisReport:
         assert report.scenarios[0]["intervals"] is not None
         assert report.passed  # nothing failed, nothing verified
 
+    def test_unverified_above_cutoff_forms_no_split_matrix(self, monkeypatch):
+        import saddlebounds.report as report_mod
+
+        def refused(*args):
+            raise AssertionError("split matrix formed above the cutoff")
+
+        monkeypatch.setattr(report_mod, "split_preconditioned_matrix", refused)
+        system, _ = random_valid_system(np.random.default_rng(93), 8, 6, 4)
+        report = analyze(system, SCENARIOS, precond="jacobi", oracle_cutoff=8)
+        assert report.spectrum is None
+        for entry in report.scenarios:
+            assert entry["containment"] == {"status": "unverified"}, entry["name"]
+            assert entry["intervals"] is not None
+            assert "error" not in entry and "spectrum" not in entry
+        assert report.passed
+
     def test_infinite_ratio_suppresses_inexact_bounds(self):
         import numpy as np
         from saddlebounds import DoubleSaddleSystem
@@ -234,7 +250,7 @@ class TestOneSchurBuildPerAnalysis:
         builds = _count_b_grams(monkeypatch, system)
         report = analyze(system, SCENARIOS, precond="jacobi")
         assert report.validation["schur_definite"] == [False, False]
-        message = "DefinitenessError: first Schur complement is not positive definite"
+        message = "DefinitenessError: first-schur block is not positive definite"
         errors = {e["name"]: e.get("error") for e in report.scenarios}
         assert errors == {
             "unprec": None, "prec-exact": message, "prec-inexact": message}

@@ -10,6 +10,7 @@ from saddlebounds import (
     BlockExtremes,
     DoubleSaddleSystem,
     assemble,
+    equivalence_constants,
     extremal_eigs,
     extremal_svals,
     full_spectrum,
@@ -25,8 +26,9 @@ from saddlebounds.errors import (
     DefinitenessError,
     OracleSizeError,
     ParameterError,
+    StructuralError,
 )
-from saddlebounds.spectral import _SHARED, SharedSchurPair, _regularization_ratio
+from saddlebounds.spectral import _SHARED, Inertia, SharedSchurPair, _regularization_ratio
 from saddlebounds.system import _sym
 
 from helpers import random_valid_system, singular_s1_system, svd_extremes
@@ -115,6 +117,70 @@ class TestExtremalSvals:
     def test_tall_matrix_rejected(self):
         with pytest.raises(ParameterError):
             extremal_svals(np.ones((3, 2)))
+
+
+def _nan_corner(shape):
+    a = np.eye(*shape)
+    a[-1, -1] = np.nan
+    return a
+
+
+def _inf_corner(shape):
+    a = np.eye(*shape)
+    a[0, -1] = np.inf
+    return a
+
+
+def _exact_arg(kernel):
+    return lambda a: kernel(a, np.eye(a.shape[0]))
+
+
+def _approx_arg(kernel):
+    return lambda a: kernel(np.eye(a.shape[0]), a)
+
+
+def _kernels():
+    # each kernel with a good shape for it and a wrong one
+    square, wrong = (3, 3), (2, 3)
+    return [
+        pytest.param(extremal_eigs, square, wrong, id="extremal_eigs"),
+        pytest.param(extremal_svals, (2, 3), (3, 2), id="extremal_svals"),
+        pytest.param(full_spectrum, square, wrong, id="full_spectrum"),
+        pytest.param(inertia, square, wrong, id="inertia"),
+        pytest.param(_exact_arg(equivalence_constants), square, wrong, id="equivalence-exact"),
+        pytest.param(_approx_arg(equivalence_constants), square, wrong,
+                     id="equivalence-approx"),
+    ]
+
+
+class TestKernelInputRule:
+    @pytest.mark.parametrize("kernel, good, wrong", _kernels())
+    @pytest.mark.parametrize("corner", [_nan_corner, _inf_corner], ids=["nan", "inf"])
+    def test_non_finite_fails_typed(self, kernel, good, wrong, corner):
+        with pytest.raises(StructuralError, match="non-finite"):
+            kernel(corner(good))
+
+    @pytest.mark.parametrize("kernel, good, wrong", _kernels())
+    def test_wrong_shape_fails_typed(self, kernel, good, wrong):
+        with pytest.raises(ParameterError, match=rf"must be .*, got \(\d, \d\)"):
+            kernel(np.ones(wrong))
+
+    @pytest.mark.parametrize("kernel, good, wrong", _kernels())
+    def test_not_two_dimensional_fails_typed(self, kernel, good, wrong):
+        with pytest.raises(StructuralError, match="2-d"):
+            kernel(np.ones(3))
+
+    def test_empty_matrix(self):
+        empty = np.zeros((0, 0))
+        assert extremal_eigs(empty) == (0.0, 0.0)
+        assert full_spectrum(empty).shape == (0,)
+        assert inertia(empty) == Inertia(0, 0, 0)
+
+    def test_sparse_and_list_input(self):
+        a = np.diag([-1.0, 0.0, 2.0])
+        assert extremal_eigs(sp.csr_array(a)) == (-1.0, 2.0)
+        assert np.array_equal(full_spectrum(sp.csr_array(a)), [-1.0, 0.0, 2.0])
+        assert inertia(a.tolist()) == Inertia(1, 1, 1)
 
 
 class TestRankDecisions:
@@ -340,7 +406,8 @@ class TestSharedSchurPair:
                             lambda f, c: grams.append(c) or original(f, c))
         with SharedSchurPair(system) as shared:
             for _ in range(2):
-                with pytest.raises(DefinitenessError, match="first Schur"):
+                with pytest.raises(DefinitenessError,
+                                   match="first-schur block is not positive definite"):
                     schur_complements(system)
             assert shared.pair is None
         assert len(grams) == 2
