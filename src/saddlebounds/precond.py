@@ -46,6 +46,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from . import spectral
 from .bounds import Interval
 from .errors import (
     DefinitenessError,
@@ -54,8 +55,7 @@ from .errors import (
     StrategyMismatchError,
     StructuralError,
 )
-from .spectral import (ORACLE_CUTOFF, _gram, _kernel_input, _solve_upper_t,
-                       schur_complements)
+from .spectral import _gram, _kernel_input, _solve_upper_t, schur_complements
 from .system import (
     DoubleSaddleSystem,
     _dense,
@@ -293,6 +293,16 @@ def _factor(block, label: str):
         raise DefinitenessError(f"{label} block is not positive definite") from exc
 
 
+def _dense_factor(block, factor, label: str):
+    """The dense factor the oracle applies for a preconditioner block:
+    ``factor`` as an operator holds it when it is dense (a sqrt(diag)
+    vector or a ``cho_factor`` result), else :func:`_factor` of the
+    densified block, whose failure names it ``label``."""
+    if isinstance(factor, (np.ndarray, tuple)):
+        return factor
+    return _factor(_dense(block), label)
+
+
 def _factored_solve(factor, rhs: np.ndarray) -> np.ndarray:
     """P^-1 rhs for the factor of P."""
     if isinstance(factor, np.ndarray):
@@ -365,10 +375,8 @@ def build_approx(
         cho_2 = pair.cho_2 if strategies[2] == "exact" else None
         reused = [f if s == "exact" else None
                   for f, s in zip((cho_a, pair.cho_1, cho_2), strategies)]
-        del pair
     blocks = tuple(_approx_block(system, i, s, exact_blocks[i], context, user_blocks)
                    for i, s in enumerate(strategies))
-    del exact_blocks
     factors = tuple(f if f is not None else _factor(b, lbl)
                     for f, b, lbl in zip(reused, blocks, _BLOCK_LABELS))
     return PreconditionerOperator(
@@ -479,9 +487,7 @@ def _congruence(left, block: np.ndarray, right) -> np.ndarray:
 
 
 def split_preconditioned_matrix(
-    system: DoubleSaddleSystem,
-    op: PreconditionerOperator,
-    oracle_cutoff: int = ORACLE_CUTOFF,
+    system: DoubleSaddleSystem, op: PreconditionerOperator
 ) -> np.ndarray:
     """Form the dense split-preconditioned matrix as the Cholesky congruence
     U^-T K U^-1, U = diag(U_i) from the operator's factors P_i = U_i^T U_i.
@@ -490,19 +496,19 @@ def split_preconditioned_matrix(
     and column scalings where a factor is diagonal.  The result
     is exactly symmetric and isospectral to P^-1 K; for non-diagonal blocks
     its entries differ from those of the symmetric-root form P^-1/2 K P^-1/2.
-    A sparse system is densified, and an operator with sparse factors is
-    refactored from its densified blocks (:func:`from_blocks`).
+    A dimension above ``ORACLE_CUTOFF`` raises :class:`OracleSizeError`.
+    A sparse system is densified, and each block's factor is the one
+    :func:`_dense_factor` gives: the held factor when it is dense, else a
+    factor of the densified block, so a held dense factor is never redone.
     """
-    total = system.total
-    if total > oracle_cutoff:
+    total, cutoff = system.total, spectral.ORACLE_CUTOFF
+    if total > cutoff:
         raise OracleSizeError(
-            f"split matrix refused for dimension {total} > cutoff {oracle_cutoff}"
-        )
+            f"split matrix refused for dimension {total} > cutoff {cutoff}")
     system = system.dense()
-    if not all(isinstance(f, (np.ndarray, tuple)) for f in op._factors):
-        op = from_blocks(op.blocks, op.dims, op.strategy)
     n, m, _ = system.dims
-    f0, f1, f2 = op._factors
+    f0, f1, f2 = (_dense_factor(b, f, lbl)
+                  for b, f, lbl in zip(op.blocks, op._factors, _BLOCK_LABELS))
     i0, i1, i2 = slice(0, n), slice(n, n + m), slice(n + m, total)
     out = np.zeros((total, total))
     out[i0, i0] = _sym(_congruence(f0, system.A, f0))
@@ -525,11 +531,12 @@ def equivalence_constants(
     (:func:`~saddlebounds.spectral._kernel_input`, errors naming
     ``exact block`` or ``approximation``), and the two must match in shape.
     ``factor`` is the approximation's factor as an operator holds it (see
-    :class:`PreconditionerOperator`); a sparse factor, or none, is replaced
-    by :func:`_factor` of the densified approximation, whose failure names
-    it ``approximation``.  The generalized eigenvalues are the eigenvalues
-    of the congruence U^-T exact U^-1 for P = U^T U, the reduction
-    ``scipy.linalg.eigh(exact, approx)`` makes after factoring P itself.
+    :class:`PreconditionerOperator`), taken by :func:`_dense_factor`: a
+    sparse factor, or none, is replaced by a factor of the approximation,
+    whose failure names it ``approximation``.  The generalized eigenvalues
+    are the eigenvalues of the congruence U^-T exact U^-1 for P = U^T U, the
+    reduction ``scipy.linalg.eigh(exact, approx)`` makes after factoring P
+    itself.
     Bitwise-identical blocks give the exact interval [1, 1] with no
     eigensolve (the factor alone shows they are definite), so round-off
     never normalizes them.
@@ -545,8 +552,7 @@ def equivalence_constants(
         raise ParameterError(
             f"shape mismatch: {exact.shape} vs {approx.shape}"
         )
-    if not isinstance(factor, (np.ndarray, tuple)):
-        factor = _factor(approx, "approximation")
+    factor = _dense_factor(approx, factor, "approximation")
     if np.array_equal(exact, approx):
         vals = (1.0, 1.0)
     else:

@@ -322,26 +322,21 @@ def _coo_csr(data, rows, cols, shape) -> sp.csr_array:
 
 
 def poisson_distributed(
-    h: float, beta: float, flipped: bool = True
+    h: float, beta: float
 ) -> tuple[DoubleSaddleSystem, FemDiscretization]:
     """Distributed Poisson control system on the unit square.
 
-    With ``flipped`` (the default) the returned system's standard assembly
-    is the reordered optimality matrix whose leading block is beta * M:
-    roles (beta M, -M, K, 0, M).  With ``flipped=False`` the original
-    ordering (M, K, -M, 0, beta M) is returned; the two assemblies are
-    permutation-similar.
+    The returned system's standard assembly is the reordered optimality
+    matrix whose leading block is beta * M: roles (beta M, -M, K, 0, M).
+    It is permutation-similar to the original ordering (M, K, -M, 0, beta M),
+    whose three variable groups come in reverse order.
     """
     _require_positive(beta=beta)
     fem = q1_discretize(h)
     mi = fem.mass_interior
-    ki = fem.stiffness_interior
     size = mi.shape[0]
-    zero = sp.csr_array((size, size))
-    if flipped:
-        system = DoubleSaddleSystem(A=beta * mi, B=-mi, C=ki, D=zero, E=mi)
-    else:
-        system = DoubleSaddleSystem(A=mi, B=ki, C=-mi, D=zero, E=beta * mi)
+    system = DoubleSaddleSystem(A=beta * mi, B=-mi, C=fem.stiffness_interior,
+                                D=sp.csr_array((size, size)), E=mi)
     return system, fem
 
 

@@ -11,11 +11,13 @@ from __future__ import annotations
 import json
 import math
 import time
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from . import spectral
 from .bounds import (
     CONTAINMENT_TOL,
     BoundIntervals,
@@ -38,7 +40,6 @@ from .precond import (
     strategy_tuple,
 )
 from .spectral import (
-    ORACLE_CUTOFF,
     ZERO_TOL,
     SharedSchurPair,
     ValidationReport,
@@ -221,24 +222,24 @@ def analyze(
     context: PoissonControlContext | None = None,
     user_blocks=None,
     tol: float = CONTAINMENT_TOL,
-    oracle_cutoff: int = ORACLE_CUTOFF,
     problem: dict | None = None,
 ) -> AnalysisReport:
     """Compute bounds, spectra, and containment verdicts for a system.
 
     ``scenarios`` picks any of ``unprec``, ``prec-exact``, ``prec-inexact``;
     the last uses ``precond`` to choose the approximation strategy.  Above
-    ``oracle_cutoff`` the spectra are skipped and verdicts are reported as
+    ``ORACLE_CUTOFF`` the spectra are skipped and verdicts are reported as
     ``unverified``; bounds are emitted either way.  A sparse system is
-    densified once, here: everything below is the dense oracle.  The dense
-    Schur pair is built once, in :func:`validate`, and shared for the length
-    of the call (:class:`~saddlebounds.spectral.SharedSchurPair`) with the
-    preconditioner builds and the eta read; the last scenario that reads it
-    releases it before its split spectra.  Each dense block is factored
-    once: both exact preconditioners take S2's factor from the pair, the
-    equivalence constants reuse the approximate preconditioner's factors,
-    and the normalized spectrum comes from the inexact split matrix
-    rescaled in place (see :func:`_split_spectrum`).
+    densified once, here: everything below is the dense oracle.  When a
+    preconditioned scenario is requested, the dense Schur pair is built
+    once, in :func:`validate`, and shared for the length of the call
+    (:class:`~saddlebounds.spectral.SharedSchurPair`) with the
+    preconditioner builds and the eta read; ``unprec`` alone opens no
+    scope, so the pair is dropped when :func:`validate` returns.  Each
+    dense block is factored once: both exact preconditioners take S2's
+    factor from the pair, the equivalence constants reuse the approximate
+    preconditioner's factors, and the normalized spectrum comes from the
+    inexact split matrix rescaled in place (see :func:`_split_spectrum`).
     """
     t_start = time.perf_counter()
     timings: dict[str, float] = {}
@@ -252,11 +253,8 @@ def analyze(
         raise ParameterError(f"tol must be finite and non-negative, got {tol}")
     strategies = strategy_tuple(precond) if "prec-inexact" in scenarios else None
     system = system.dense()
-    # validate builds the Schur pair and each later reader gets it; the last
-    # scenario that reads it (any but unprec) releases it after its last read
-    last_reader = max(
-        (i for i, name in enumerate(scenarios) if name != "unprec"), default=-1)
-    with SharedSchurPair(system) as shared:
+    preconditioned = any(name != "unprec" for name in scenarios)
+    with SharedSchurPair(system) if preconditioned else nullcontext():
         validation = validate(system)
         extremes = validation.extremes
         report = AnalysisReport(
@@ -268,36 +266,28 @@ def analyze(
             timings=timings,
         )
         timings["validate"] = time.perf_counter() - t_start
-        if last_reader < 0:
-            shared.release()
 
-        desk_scale = system.total <= oracle_cutoff
         spectrum = None
-        if desk_scale:
+        if system.total <= spectral.ORACLE_CUTOFF:
             t0 = time.perf_counter()
-            spectrum = full_spectrum(assemble(system).data, oracle_cutoff)
+            spectrum = full_spectrum(assemble(system).data)
             report.spectrum = [float(v) for v in spectrum]
             timings["spectrum"] = time.perf_counter() - t0
 
         d_zero = not system.D.any()
         e_zero = not system.E.any()
 
-        for i, name in enumerate(scenarios):
+        for name in scenarios:
             t0 = time.perf_counter()
-            release = shared.release if i == last_reader else _keep
             try:
                 if name == "unprec":
                     entry = _scenario_unprec(extremes, spectrum, tol)
                 elif name == "prec-exact":
                     entry = _scenario_prec_exact(
-                        system, report.validation["c_nullity_k"],
-                        d_zero, e_zero, tol, oracle_cutoff, release,
-                    )
+                        system, report.validation["c_nullity_k"], d_zero, e_zero, tol)
                 else:
                     entry = _scenario_prec_inexact(
-                        system, strategies, context, user_blocks,
-                        d_zero, e_zero, tol, oracle_cutoff, release,
-                    )
+                        system, strategies, context, user_blocks, d_zero, e_zero, tol)
             except SaddleBoundsError as exc:
                 entry = {"name": name, "error": f"{type(exc).__name__}: {exc}"}
             entry["name"] = name
@@ -321,33 +311,19 @@ def _scenario_unprec(extremes, spectrum, tol) -> dict:
     return entry
 
 
-def _keep() -> None:
-    """The release of a scenario that is not the Schur pair's last reader."""
-
-
-def _scenario_prec_exact(
-    system, nullity_k, d_zero, e_zero, tol, oracle_cutoff, release
-) -> dict:
+def _scenario_prec_exact(system, nullity_k, d_zero, e_zero, tol) -> dict:
     op = build_exact(system)
-    release()
     k = nullity_k if (d_zero and not e_zero) else 0
     bounds = bounds_precond_exact(system.dims, d_zero=d_zero, e_zero=e_zero, nullity_k=k)
     entry = {
         "intervals": intervals_to_dict(bounds),
         "precond": {"strategy": list(op.strategy)},
     }
-    if system.total > oracle_cutoff:
-        entry["containment"] = {"status": "unverified"}
-        return entry
-    values, _ = _split_spectrum(system, op, oracle_cutoff)
-    entry["spectrum"] = [float(v) for v in values]
-    entry["spectrum_summary"] = _spectrum_summary(values)
-    entry["containment"] = _containment_dict(values, bounds, tol)
-    return entry
+    return _split_verdicts(entry, system, op, bounds, tol)
 
 
 def _scenario_prec_inexact(
-    system, strategies, context, user_blocks, d_zero, e_zero, tol, oracle_cutoff, release,
+    system, strategies, context, user_blocks, d_zero, e_zero, tol
 ) -> dict:
     exact_op = build_exact(system)
     approx_op = build_approx(system, strategies, context=context, user_blocks=user_blocks)
@@ -357,7 +333,6 @@ def _scenario_prec_inexact(
         for exact_block, approx_block, factor in zip(
             exact_op.blocks, approx_op.blocks, approx_op._factors)
     ]
-    del exact_op
     consts = EquivalenceConstants(
         alpha0=measurements[0].alpha, beta0=measurements[0].beta,
         alpha1=measurements[1].alpha, beta1=measurements[1].beta,
@@ -366,8 +341,6 @@ def _scenario_prec_inexact(
     pair = schur_complements(system)
     eta_d = 0.0 if d_zero else pair.eta_d
     eta_e = 0.0 if e_zero else pair.eta_e
-    del pair
-    release()
 
     entry = {
         "precond": {
@@ -399,21 +372,31 @@ def _scenario_prec_inexact(
     reference = _reference_intervals(strategies, context, d_zero, e_zero)
     if reference is not None:
         entry["reference_intervals"] = intervals_to_dict(reference)
-
-    if system.total > oracle_cutoff:
-        entry["containment"] = {"status": "unverified"}
-        return entry
-
     # the normalized constants describe the rescaled blocks, so the measured
     # bounds are checked against the spectrum of that rescaled operator
     scales = [m.scale for m in measurements]
-    values, norm_values = _split_spectrum(system, approx_op, oracle_cutoff, scales)
+    return _split_verdicts(entry, system, approx_op, bounds, tol, scales, reference)
+
+
+def _split_verdicts(
+    entry, system, op, bounds, tol, scales=(1.0, 1.0, 1.0), reference=None
+) -> dict:
+    """The tail both preconditioned scenarios share: above ``ORACLE_CUTOFF``
+    ``entry`` is marked ``unverified`` and no split matrix is formed;
+    otherwise it gets the split spectrum of ``op``, its summary, and the
+    containment verdict of ``bounds`` (``unverified`` when None) on the
+    spectrum normalized by ``scales``, plus that of ``reference`` on the
+    unnormalized spectrum when given.  Returns ``entry``.
+    """
+    if system.total > spectral.ORACLE_CUTOFF:
+        entry["containment"] = {"status": "unverified"}
+        return entry
+    values, norm_values = _split_spectrum(system, op, scales)
     entry["spectrum"] = [float(v) for v in values]
     entry["spectrum_summary"] = _spectrum_summary(values)
     if norm_values is not values:
         entry["normalization_scales"] = scales
         entry["spectrum_normalized"] = [float(v) for v in norm_values]
-
     if bounds is not None:
         entry["containment"] = _containment_dict(norm_values, bounds, tol)
     else:
@@ -423,7 +406,7 @@ def _scenario_prec_inexact(
     return entry
 
 
-def _split_spectrum(system, op, oracle_cutoff, scales=(1.0, 1.0, 1.0)):
+def _split_spectrum(system, op, scales=(1.0, 1.0, 1.0)):
     """Spectra of the split-preconditioned matrix of ``op`` and of the
     operator with block i scaled by ``scales[i]``; the second is the first
     array itself when every scale is 1.
@@ -432,8 +415,8 @@ def _split_spectrum(system, op, oracle_cutoff, scales=(1.0, 1.0, 1.0)):
     is this one with block (i, j) divided by sqrt(s_i s_j), which is done in
     place once the first spectrum is taken.  The matrix is dropped at once.
     """
-    matrix = split_preconditioned_matrix(system, op, oracle_cutoff)
-    values = full_spectrum(matrix, oracle_cutoff)
+    matrix = split_preconditioned_matrix(system, op)
+    values = full_spectrum(matrix)
     if all(s == 1.0 for s in scales):
         return values, values
     n, m, _ = system.dims
@@ -441,7 +424,7 @@ def _split_spectrum(system, op, oracle_cutoff, scales=(1.0, 1.0, 1.0)):
     for i, s_i in zip(parts, scales):
         for j, s_j in zip(parts, scales):
             matrix[i, j] /= math.sqrt(s_i * s_j)
-    return values, full_spectrum(matrix, oracle_cutoff)
+    return values, full_spectrum(matrix)
 
 
 def _reference_intervals(strategies, context, d_zero, e_zero):

@@ -241,22 +241,22 @@ class SchurPair:
 def _kernel_input(matrix, label: str = "matrix", wide: bool = False) -> np.ndarray:
     """The one input rule of the public kernels: the matrix densified,
     finite and 2-d (:func:`_checked`, else :class:`StructuralError` naming
-    ``label``), and square, or wide (rows <= cols) when ``wide``, else
-    :class:`ParameterError`."""
+    ``label``), and square, or wide with at least one row (0 < rows <= cols)
+    when ``wide``, else :class:`ParameterError`."""
     a = _checked(_dense(matrix), label)
     rows, cols = a.shape
-    if rows > cols or (rows < cols and not wide):
-        rule = "wide (rows <= cols)" if wide else "square"
+    if rows > cols or (rows < cols and not wide) or (wide and not rows):
+        rule = "wide (0 < rows <= cols)" if wide else "square"
         raise ParameterError(f"{label} must be {rule}, got {a.shape}")
     return a
 
 
-def extremal_eigs(matrix, dense_cutoff: int = ORACLE_CUTOFF) -> tuple[float, float]:
+def extremal_eigs(matrix) -> tuple[float, float]:
     """Smallest and largest eigenvalues of a symmetric matrix, which passes
     the kernels' input rule (:func:`_kernel_input`).
 
     A matrix that stores no nonzero gives (0, 0) without an eigensolve.
-    Otherwise a dense decomposition up to ``dense_cutoff``, which reads one
+    Otherwise a dense decomposition up to ``ORACLE_CUTOFF``, which reads one
     triangle of the matrix; beyond that ARPACK from a fixed-seed start
     vector, which applies all of it, certified by the residual test
     ||A v - t v|| <= EIG_TOL * max|t|.
@@ -264,7 +264,7 @@ def extremal_eigs(matrix, dense_cutoff: int = ORACLE_CUTOFF) -> tuple[float, flo
     a = _kernel_input(matrix)
     if not a.any():
         return 0.0, 0.0
-    if a.shape[0] <= dense_cutoff:
+    if a.shape[0] <= ORACLE_CUTOFF:
         vals = np.linalg.eigvalsh(a)
         return float(vals[0]), float(vals[-1])
     return _arpack_extremes(a.copy())  # the shift stays local to the copy
@@ -318,22 +318,23 @@ def extremal_svals(matrix) -> tuple[float, float]:
 
     The smallest is the r-th largest singular value and is zero exactly when
     the matrix is row-rank-deficient.  The matrix passes the kernels' input
-    rule (:func:`_kernel_input`) with wide in place of square.
+    rule (:func:`_kernel_input`) with wide in place of square, so a matrix
+    with no rows raises :class:`ParameterError`.
     """
     svals = _singular_values(_kernel_input(matrix, wide=True))
     return float(svals[-1]), float(svals[0])
 
 
-def full_spectrum(matrix, oracle_cutoff: int = ORACLE_CUTOFF) -> np.ndarray:
+def full_spectrum(matrix) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, ascending, from one triangle
     of it; desk scale only.  The matrix passes the kernels' input rule
-    (:func:`_kernel_input`), then a dimension above ``oracle_cutoff``
+    (:func:`_kernel_input`), then a dimension above ``ORACLE_CUTOFF``
     raises :class:`OracleSizeError`."""
     a = _kernel_input(matrix)
     dim = a.shape[0]
-    if dim > oracle_cutoff:
+    if dim > ORACLE_CUTOFF:
         raise OracleSizeError(
-            f"full spectrum refused for dimension {dim} > cutoff {oracle_cutoff}"
+            f"full spectrum refused for dimension {dim} > cutoff {ORACLE_CUTOFF}"
         )
     return np.linalg.eigvalsh(a)
 
@@ -371,11 +372,10 @@ def inertia(matrix) -> Inertia:
 class SharedSchurPair:
     """A scope, entered with ``with``, in which :func:`schur_complements`
     builds the pair of ``system`` once and returns that pair to every later
-    call on the same system object, until :meth:`release` or the end of the
-    scope drops it.  A failed build is not kept: each call raises again.
+    call on the same system object; the end of the scope drops it.  A
+    failed build is not kept: each call raises again.
 
-    The scope holds the pair, and nothing holds the scope once it ends, so
-    the pair lives no longer than the caller wants it; the system is left
+    The pair lives as long as the scope and no longer; the system is left
     untouched.  Calls on any other system, and calls outside a scope, build
     a fresh pair.
     """
@@ -390,10 +390,6 @@ class SharedSchurPair:
 
     def __exit__(self, *exc_info) -> None:
         _SHARED.reset(self._token)
-        self.release()
-
-    def release(self) -> None:
-        """Drop the pair; later calls in the scope build their own."""
         self.system = self.pair = None
 
 
@@ -415,7 +411,7 @@ def schur_complements(
     validate's (B, C) rank verdicts on to the pair.  Inside a
     :class:`SharedSchurPair` scope for ``system`` the first call builds the
     pair and later calls return it as built, whatever ``full_row_rank``
-    they pass.
+    they pass, until the scope ends.
     """
     shared = _SHARED.get()
     if shared is None or shared.system is not system:

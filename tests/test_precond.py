@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg as sla
 
 import saddlebounds.precond as precond_mod
+import saddlebounds.spectral as spectral_mod
 from saddlebounds import (
     DoubleSaddleSystem,
     assemble,
@@ -338,10 +339,28 @@ class TestSplitPreconditioned:
         oracle = generalized_spectrum(assemble(system).data, op.as_matrix())
         assert np.allclose(direct, oracle, atol=1e-9)
 
-    def test_refuses_oversize(self):
+    def test_refuses_oversize(self, monkeypatch):
         system, _ = random_valid_system(np.random.default_rng(60), 6, 4, 2)
+        monkeypatch.setattr(spectral_mod, "ORACLE_CUTOFF", 11)
         with pytest.raises(OracleSizeError, match="split matrix refused"):
-            split_preconditioned_matrix(system, build_exact(system), oracle_cutoff=11)
+            split_preconditioned_matrix(system, build_exact(system))
+
+    def test_dense_held_factors_are_not_redone(self, monkeypatch):
+        # only the sparse LU of A is replaced by a dense factor; the held
+        # sqrt(diag) vectors of the jacobi blocks are used as they are, and
+        # the matrix equals the one from every block refactored densely
+        system = poisson_boundary(2**-3, 1e-3)
+        op = build_approx(system, ("exact", "jacobi", "jacobi"))
+        assert [type(f).__name__ for f in op._factors] == ["SuperLU", "ndarray", "ndarray"]
+        refactored = precond_mod.from_blocks(op.blocks, op.dims, op.strategy)
+        reference = split_preconditioned_matrix(system, refactored)
+        labels = []
+        original = precond_mod._factor
+        monkeypatch.setattr(precond_mod, "_factor",
+                            lambda block, label: labels.append(label) or original(block, label))
+        split = split_preconditioned_matrix(system, op)
+        assert labels == ["leading"]
+        assert np.array_equal(split, reference)
 
     def test_inertia_preserved_by_congruence(self):
         rng = np.random.default_rng(59)

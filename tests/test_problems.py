@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 from saddlebounds import (
     BlockExtremes,
+    DoubleSaddleSystem,
     assemble,
     bounds_unpreconditioned,
     cubic_from_params,
@@ -237,25 +238,17 @@ class TestPoissonDistributed:
         assert inertia(assemble(system).data).astuple() == (2 * n, n, 0)
 
     def test_flipped_roles_match_reordered_original(self):
-        flipped, fem = poisson_distributed(2**-3, 1e-3)
-        original, _ = poisson_distributed(2**-3, 1e-3, flipped=False)
+        beta = 1e-3
+        flipped, fem = poisson_distributed(2**-3, beta)
+        mi, ki = fem.mass_interior, fem.stiffness_interior
+        n = mi.shape[0]
+        original = DoubleSaddleSystem(A=mi, B=ki, C=-mi, D=sp.csr_array((n, n)),
+                                      E=beta * mi)
         # reversing the three variable groups (all of size n) turns the
-        # original matrix into the flipped one
-        n = original.dims[0]
+        # original matrix (M, K, -M, 0, beta M) into the flipped one
         order = np.r_[2 * n:3 * n, n:2 * n, 0:n]
         reordered = assemble(original).data[np.ix_(order, order)]
         assert np.array_equal(assemble(flipped).data, reordered)
-
-    def test_original_ordering_pattern(self):
-        system, fem = poisson_distributed(2**-3, 1e-3, flipped=False)
-        data = assemble(system).data
-        n = system.dims[0]
-        m = fem.mass_interior.toarray()
-        k = fem.stiffness_interior.toarray()
-        assert np.allclose(data[:n, :n], m)
-        assert np.allclose(data[:n, n:2 * n], k)
-        assert np.allclose(data[n:2 * n, 2 * n:], -m)
-        assert np.allclose(data[2 * n:, 2 * n:], 1e-3 * m)
 
     def test_reference_ratio_scale(self):
         _, fem = poisson_distributed(2**-4, 1e-3)

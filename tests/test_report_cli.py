@@ -73,23 +73,28 @@ class TestAnalysisReport:
             "unprec", "prec-exact", "prec-inexact",
         }
 
-    def test_unverified_above_cutoff(self):
+    def test_unverified_above_cutoff(self, monkeypatch):
+        import saddlebounds.spectral as spectral_mod
+
         rng = np.random.default_rng(92)
         system, _ = random_valid_system(rng, 6, 4, 2)
-        report = analyze(system, scenarios=("unprec",), oracle_cutoff=8)
+        monkeypatch.setattr(spectral_mod, "ORACLE_CUTOFF", 8)
+        report = analyze(system, scenarios=("unprec",))
         assert report.scenarios[0]["containment"]["status"] == "unverified"
         assert report.scenarios[0]["intervals"] is not None
         assert report.passed  # nothing failed, nothing verified
 
     def test_unverified_above_cutoff_forms_no_split_matrix(self, monkeypatch):
         import saddlebounds.report as report_mod
+        import saddlebounds.spectral as spectral_mod
 
         def refused(*args):
             raise AssertionError("split matrix formed above the cutoff")
 
         monkeypatch.setattr(report_mod, "split_preconditioned_matrix", refused)
+        monkeypatch.setattr(spectral_mod, "ORACLE_CUTOFF", 8)
         system, _ = random_valid_system(np.random.default_rng(93), 8, 6, 4)
-        report = analyze(system, SCENARIOS, precond="jacobi", oracle_cutoff=8)
+        report = analyze(system, SCENARIOS, precond="jacobi")
         assert report.spectrum is None
         for entry in report.scenarios:
             assert entry["containment"] == {"status": "unverified"}, entry["name"]
@@ -196,14 +201,15 @@ class TestOneSchurBuildPerAnalysis:
         assert len(builds) == 1
 
     @pytest.mark.parametrize("scenarios, at_spectrum, at_splits", [
-        # kept through prec-exact's split spectrum, gone before prec-inexact's
-        (SCENARIOS, True, [True, False]),
-        # validate is the only reader
+        # a preconditioned scenario opens the scope, which keeps the pair
+        # through every split spectrum; unprec alone opens none, and
+        # validate, the only reader, drops the pair
+        (SCENARIOS, True, [True, True]),
         (("unprec",), False, []),
-        # prec-exact reads it last, before its own split spectrum
-        (("prec-inexact", "prec-exact"), True, [True, False]),
+        (("prec-inexact", "prec-exact"), True, [True, True]),
+        (("prec-exact",), True, [True]),
     ])
-    def test_pair_lives_until_its_last_reader_and_the_system_is_untouched(
+    def test_pair_lives_as_long_as_the_scope_and_the_system_is_untouched(
         self, scenarios, at_spectrum, at_splits, monkeypatch
     ):
         import saddlebounds.precond as precond_mod
@@ -322,7 +328,7 @@ class TestOneFactorPerBlock:
             strategy_tuple,
         )
         from saddlebounds.report import _split_spectrum
-        from saddlebounds.spectral import ORACLE_CUTOFF, full_spectrum
+        from saddlebounds.spectral import full_spectrum
 
         if label.startswith("poisson"):
             system, precond, context = _fem_input(label)
@@ -345,7 +351,7 @@ class TestOneFactorPerBlock:
 
         scales = entry.get("normalization_scales", [1.0, 1.0, 1.0])
         assert_close(entry.get("spectrum_normalized", entry["spectrum"]), reference(scales))
-        values, scaled = _split_spectrum(system, op, ORACLE_CUTOFF, (0.7, 1.3, 2.5))
+        values, scaled = _split_spectrum(system, op, (0.7, 1.3, 2.5))
         assert_close(values, reference((1.0, 1.0, 1.0)))
         assert_close(scaled, reference((0.7, 1.3, 2.5)))
 

@@ -49,45 +49,51 @@ class TestExtremalEigs:
         assert lo == pytest.approx(2.0 - 2.0 * np.cos(np.pi / 5.0), abs=1e-12)
         assert hi == pytest.approx(2.0 - 2.0 * np.cos(4.0 * np.pi / 5.0), abs=1e-12)
 
-    def test_lanczos_path_matches_dense(self):
+    def test_lanczos_path_matches_dense(self, monkeypatch):
+        monkeypatch.setattr(spectral_mod, "ORACLE_CUTOFF", 50)
         rng = np.random.default_rng(8)
         q, _ = np.linalg.qr(rng.standard_normal((200, 200)))
         vals = np.sort(rng.uniform(-4.0, 9.0, 200))
         a = (q * vals) @ q.T
-        lo, hi = extremal_eigs(a, dense_cutoff=50)
+        lo, hi = extremal_eigs(a)
         assert lo == pytest.approx(vals[0], abs=1e-9)
         assert hi == pytest.approx(vals[-1], abs=1e-9)
 
-    def test_lanczos_deterministic(self):
+    def test_lanczos_deterministic(self, monkeypatch):
+        monkeypatch.setattr(spectral_mod, "ORACLE_CUTOFF", 30)
         rng = np.random.default_rng(9)
         a = rng.standard_normal((120, 120))
         a = a + a.T
-        first = extremal_eigs(a, dense_cutoff=30)
-        second = extremal_eigs(a, dense_cutoff=30)
+        first = extremal_eigs(a)
+        second = extremal_eigs(a)
         assert first == second
 
-    def test_lanczos_handles_early_breakdown(self):
+    def test_lanczos_handles_early_breakdown(self, monkeypatch):
+        monkeypatch.setattr(spectral_mod, "ORACLE_CUTOFF", 20)
         # invariant subspace after one step: certified immediately
-        lo, hi = extremal_eigs(np.eye(80), dense_cutoff=20)
+        lo, hi = extremal_eigs(np.eye(80))
         assert lo == pytest.approx(1.0, abs=1e-12)
         assert hi == pytest.approx(1.0, abs=1e-12)
 
-    def test_arpack_path_semidefinite_and_zero(self):
+    def test_arpack_path_semidefinite_and_zero(self, monkeypatch):
         # zero eigenvalues are certified relative to the norm, not to themselves
         rng = np.random.default_rng(10)
         q, _ = np.linalg.qr(rng.standard_normal((300, 300)))
         vals = np.concatenate([np.zeros(50), rng.uniform(0.1, 2.0, 250)])
-        lo, hi = extremal_eigs((q * vals) @ q.T, dense_cutoff=50)
+        monkeypatch.setattr(spectral_mod, "ORACLE_CUTOFF", 50)
+        lo, hi = extremal_eigs((q * vals) @ q.T)
         assert lo == pytest.approx(0.0, abs=1e-9)
         assert hi == pytest.approx(vals.max(), abs=1e-9)
-        assert extremal_eigs(np.zeros((60, 60)), dense_cutoff=20) == (0.0, 0.0)
-        assert extremal_eigs(-np.eye(60), dense_cutoff=20) == pytest.approx((-1.0, -1.0))
+        monkeypatch.setattr(spectral_mod, "ORACLE_CUTOFF", 20)
+        assert extremal_eigs(np.zeros((60, 60))) == (0.0, 0.0)
+        assert extremal_eigs(-np.eye(60)) == pytest.approx((-1.0, -1.0))
 
-    def test_arpack_no_convergence_is_a_convergence_error(self):
+    def test_arpack_no_convergence_is_a_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(spectral_mod, "ORACLE_CUTOFF", 50)
         # the clustered ends of a 1-d Laplacian need more than the capped work
         t = 2.0 * np.eye(300) - np.eye(300, k=1) - np.eye(300, k=-1)
         with pytest.raises(ConvergenceError, match="ARPACK"):
-            extremal_eigs(t, dense_cutoff=50)
+            extremal_eigs(t)
 
 
 class TestExtremalSvals:
@@ -160,7 +166,11 @@ class TestKernelInputRule:
         with pytest.raises(StructuralError, match="non-finite"):
             kernel(corner(good))
 
-    @pytest.mark.parametrize("kernel, good, wrong", _kernels())
+    @pytest.mark.parametrize("kernel, good, wrong", _kernels() + [
+        # a matrix with no rows has no smallest singular value
+        pytest.param(extremal_svals, (2, 3), (0, 0), id="extremal_svals-0x0"),
+        pytest.param(extremal_svals, (2, 3), (0, 3), id="extremal_svals-0x3"),
+    ])
     def test_wrong_shape_fails_typed(self, kernel, good, wrong):
         with pytest.raises(ParameterError, match=rf"must be .*, got \(\d, \d\)"):
             kernel(np.ones(wrong))
@@ -220,9 +230,10 @@ class TestFullSpectrum:
         target = (1.0 - np.sqrt(5.0)) / 2.0
         assert np.abs(vals - target).min() <= 1e-12
 
-    def test_refuses_oversize(self):
+    def test_refuses_oversize(self, monkeypatch):
+        monkeypatch.setattr(spectral_mod, "ORACLE_CUTOFF", 5)
         with pytest.raises(OracleSizeError):
-            full_spectrum(np.eye(10), oracle_cutoff=5)
+            full_spectrum(np.eye(10))
 
 
 class TestInertia:
@@ -393,8 +404,6 @@ class TestSharedSchurPair:
             assert shared.pair is pair
             assert schur_complements(other) is not schur_complements(other)
             assert shared.pair is pair
-            shared.release()
-            assert schur_complements(system) is not pair
         assert _SHARED.get() is None and shared.pair is None
         assert schur_complements(system) is not schur_complements(system)
 
