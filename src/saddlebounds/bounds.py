@@ -12,6 +12,18 @@ negative and two positive real roots (they are characteristic polynomials
 of 1x1x1 saddle-point matrices), which is what makes the interval
 classification below well defined.
 
+Each theorem is stated once.  The quadratic endpoint, the negative root
+-2 s^2 / (mu + sqrt(mu^2 + 4 s^2)) of x^2 - mu x - s^2, is written in the
+form that loses no digits to cancellation when s << mu.  The unregularized
+and inexact-preconditioner intervals are :func:`bounds_unpreconditioned`
+applied to other block extremes: the unregularized ones with D and E
+zeroed, the inexact ones with the equivalence envelope of the split matrix
+U^-T K U^-1, itself a double saddle-point matrix
+(:func:`bounds_precond_inexact` gives the mapping).  Both therefore share
+its degenerate rule: a coupling whose lower singular value is at most
+``RANK_TOL`` times its upper one gives a zero interior endpoint and a
+``degenerate_interior`` warning.
+
 The production root path is the trigonometric three-real-root formula with
 Newton polishing.  Companion-matrix eigenvalues are deliberately not used
 here so the test suite can treat them as an independent oracle.
@@ -20,7 +32,7 @@ here so the test suite can treat them as an independent oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -277,10 +289,13 @@ def bounds_unpreconditioned(x: BlockExtremes) -> BoundIntervals:
     """Spectral inclusion intervals for the assembled (unpreconditioned) matrix.
 
     The negative interval runs from the negative root of the widest cubic to
-    a closed-form quadratic endpoint; the positive interval runs between the
-    small positive root of the narrow cubic and the large positive root of
-    the wide one.  When either coupling block is row-rank-deficient the
-    interior endpoints collapse to zero; that case is reported with a
+    the negative root of x^2 - mu_max_a x - sigma_min_b^2, written
+    -2 s^2 / (mu + sqrt(mu^2 + 4 s^2)) so that no digits cancel when
+    sigma_min_b << mu_max_a; the positive interval runs between the small
+    positive root of the narrow cubic and the large positive root of the
+    wide one.  When either coupling block is row-rank-deficient
+    (sigma_min <= ``RANK_TOL`` * sigma_max) the interior endpoint it
+    controls collapses to zero; that case is reported with a
     ``degenerate_interior`` warning instead of a refined bound.
     """
     warnings: list[str] = []
@@ -298,9 +313,8 @@ def bounds_unpreconditioned(x: BlockExtremes) -> BoundIntervals:
         neg_hi = 0.0
         warnings.append("degenerate_interior")
     else:
-        neg_hi = (
-            x.mu_max_a - math.sqrt(x.mu_max_a**2 + 4.0 * x.sigma_min_b**2)
-        ) / 2.0
+        s2 = x.sigma_min_b**2
+        neg_hi = -2.0 * s2 / (x.mu_max_a + math.sqrt(x.mu_max_a**2 + 4.0 * s2))
 
     if _degenerate(x.sigma_min_c, x.sigma_max_c):
         pos_lo = 0.0
@@ -322,13 +336,8 @@ def bounds_unpreconditioned(x: BlockExtremes) -> BoundIntervals:
 
 def bounds_k0(x: BlockExtremes) -> BoundIntervals:
     """Inclusion intervals for the unregularized matrix (both blocks zero)."""
-    base = bounds_unpreconditioned(x.without_regularization())
-    return BoundIntervals(
-        negative=base.negative,
-        positive=base.positive,
-        provenance="unpreconditioned-unregularized",
-        warnings=base.warnings,
-    )
+    return replace(bounds_unpreconditioned(x.without_regularization()),
+                   provenance="unpreconditioned-unregularized")
 
 
 def bounds_precond_exact(
@@ -407,12 +416,18 @@ def bounds_precond_inexact(
 ) -> BoundIntervals:
     """Inclusion intervals under an approximate block-diagonal preconditioner.
 
-    The three controlling cubics reuse the unpreconditioned patterns with
-    block extremes replaced by their equivalence-constant envelopes: the
-    coupling singular values land in
-    [sqrt(alpha_i alpha_{i+1} / (1 + eta)), sqrt(beta_i beta_{i+1})] and the
-    regularization blocks in [0, beta_i].  Case flags zero out the roles a
-    vanished regularization block plays.  The report carries the simplified
+    The split matrix U^-T K U^-1 (P = U^T U blockwise) is itself a double
+    saddle-point matrix, so these are :func:`bounds_unpreconditioned`
+    applied to its block extremes' equivalence envelope: the leading block
+    lies in [alpha0, beta0], the couplings' singular values in
+    [sqrt(alpha0 alpha1 / (1 + eta_d)), sqrt(beta0 beta1)] and
+    [sqrt(alpha1 alpha2 / (1 + eta_e)), sqrt(beta1 beta2)], and the
+    regularization blocks in [0, beta1] and [0, beta2], or [0, 0] when the
+    case flag says the block vanishes.  The endpoints, the cancellation-free
+    upper-negative one included, and the degenerate rule are therefore the
+    unpreconditioned ones: an envelope whose lower coupling value is at most
+    ``RANK_TOL`` times its upper one gets a zero interior endpoint and a
+    ``degenerate_interior`` warning.  The report carries the simplified
     first-order upper-negative estimate -alpha0*alpha1/beta0 alongside the
     exact quadratic endpoint.
     """
@@ -431,30 +446,21 @@ def bounds_precond_inexact(
     a0, b0 = consts.alpha0, consts.beta0
     a1, b1 = consts.alpha1, consts.beta1
     a2, b2 = consts.alpha2, consts.beta2
-
-    b_role = math.sqrt(b0 * b1)
-    c_narrow = math.sqrt(a1 * a2 / (1.0 + eta_e))
-    c_wide = math.sqrt(b1 * b2)
-    d_role = 0.0 if d_zero else b1
-    e_role = 0.0 if e_zero else b2
-
-    u_cubic = cubic_from_params(a0, b_role, c_narrow, d_role, 0.0)
-    v_cubic = cubic_from_params(b0, b_role, c_wide, 0.0, e_role)
-    w_cubic = cubic_from_params(a0, b_role, c_wide, d_role, 0.0)
-
-    neg_hi = (b0 - math.sqrt(b0 * b0 + 4.0 * a0 * a1 / (1.0 + eta_d))) / 2.0
+    envelope = BlockExtremes(
+        a0, b0,
+        math.sqrt(a0 * a1 / (1.0 + eta_d)), math.sqrt(b0 * b1),
+        math.sqrt(a1 * a2 / (1.0 + eta_e)), math.sqrt(b1 * b2),
+        0.0, 0.0 if d_zero else b1,
+        0.0, 0.0 if e_zero else b2,
+    )
     case = {
         (False, False): "full",
         (True, False): "middle-zero",
         (False, True): "tail-zero",
         (True, True): "both-zero",
     }[(d_zero, e_zero)]
-
-    return BoundIntervals(
-        negative=Interval(solve_classified(w_cubic).neg, neg_hi),
-        positive=Interval(
-            solve_classified(u_cubic).pos_min, solve_classified(v_cubic).pos_max
-        ),
+    return replace(
+        bounds_unpreconditioned(envelope),
         provenance=f"inexact-preconditioner-{case}",
         upper_negative_estimate=-a0 * a1 / b0,
     )

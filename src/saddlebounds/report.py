@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import spectral
 from .bounds import (
@@ -229,8 +230,9 @@ def analyze(
     ``scenarios`` picks any of ``unprec``, ``prec-exact``, ``prec-inexact``;
     the last uses ``precond`` to choose the approximation strategy.  Above
     ``ORACLE_CUTOFF`` the spectra are skipped and verdicts are reported as
-    ``unverified``; bounds are emitted either way.  A sparse system is
-    densified once, here: everything below is the dense oracle.  When a
+    ``unverified``; bounds are emitted either way.  A sparse system, and
+    each sparse user block, is densified once, here: everything below is
+    the dense oracle, which factors each user block once, densely.  When a
     preconditioned scenario is requested, the dense Schur pair is built
     once, in :func:`validate`, and shared for the length of the call
     (:class:`~saddlebounds.spectral.SharedSchurPair`) with the
@@ -253,6 +255,8 @@ def analyze(
         raise ParameterError(f"tol must be finite and non-negative, got {tol}")
     strategies = strategy_tuple(precond) if "prec-inexact" in scenarios else None
     system = system.dense()
+    if user_blocks is not None:
+        user_blocks = [b.toarray() if sp.issparse(b) else b for b in user_blocks]
     preconditioned = any(name != "unprec" for name in scenarios)
     with SharedSchurPair(system) if preconditioned else nullcontext():
         validation = validate(system)

@@ -342,28 +342,22 @@ def full_spectrum(matrix) -> np.ndarray:
 def inertia(matrix) -> Inertia:
     """Inertia of a symmetric matrix via a pivoted LDL^T factorization.
 
-    Signs are counted on the 1x1 and 2x2 blocks of the block-diagonal
-    factor, which Sylvester's law makes congruence-exact; values with
-    magnitude at most ``ZERO_TOL * ||M||_1`` count as zero.  The matrix
-    passes the kernels' input rule (:func:`_kernel_input`), after which
-    the factorization, which reads one triangle, cannot fail: singular,
-    zero and empty matrices factor too.
+    Signs are counted on the eigenvalues of the block-diagonal factor,
+    which Sylvester's law makes congruence-exact; that factor is
+    tridiagonal (its 1x1 and 2x2 pivot blocks are separated by exact
+    zeros), so :func:`scipy.linalg.eigvalsh_tridiagonal` takes it whole.
+    Values with magnitude at most ``ZERO_TOL * ||M||_1`` count as zero.
+    The matrix passes the kernels' input rule (:func:`_kernel_input`),
+    after which the factorization, which reads one triangle, cannot fail:
+    singular and zero matrices factor too, and an empty one has inertia
+    (0, 0, 0).
     """
     a = _kernel_input(matrix)
-    cut = ZERO_TOL * max(float(np.abs(a).sum(axis=0).max(initial=0.0)), _TINY)
+    if not a.size:
+        return Inertia(0, 0, 0)
+    cut = ZERO_TOL * max(float(np.abs(a).sum(axis=0).max()), _TINY)
     _, d, _ = sla.ldl(a, check_finite=False)
-    vals, i = [], 0
-    while i < len(d):
-        if i + 1 < len(d) and abs(d[i + 1, i]) > cut:
-            # 2x2 pivot block: take its two eigenvalues directly
-            t = 0.5 * (d[i, i] + d[i + 1, i + 1])
-            radius = np.hypot(0.5 * (d[i, i] - d[i + 1, i + 1]), d[i + 1, i])
-            vals += [t - radius, t + radius]
-            i += 2
-        else:
-            vals.append(d[i, i])
-            i += 1
-    vals = np.array(vals)
+    vals = sla.eigvalsh_tridiagonal(d.diagonal(), d.diagonal(-1), check_finite=False)
     n_plus = int(np.count_nonzero(vals > cut))
     n_minus = int(np.count_nonzero(vals < -cut))
     return Inertia(n_plus, n_minus, vals.size - n_plus - n_minus)

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from saddlebounds.bounds import (
     EigenvalueVerdict,
 )
 from saddlebounds.errors import ClassificationError, ParameterError
+from saddlebounds.spectral import RANK_TOL
 
 from helpers import companion_roots, random_valid_system
 
@@ -132,6 +134,13 @@ class TestSolveClassified:
                 assert abs(cubic(root)) <= 1e-9 * scale
 
 
+def _upper_negative_reference(mu: float, s2: Decimal) -> float:
+    """(mu - sqrt(mu^2 + 4 s2)) / 2 to 60 digits; call it, and form s2, in
+    a 60-digit decimal context."""
+    mu = Decimal(mu)
+    return float((mu - (mu * mu + 4 * s2).sqrt()) / 2)
+
+
 def _all_ones_extremes():
     return BlockExtremes(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
 
@@ -158,6 +167,21 @@ class TestBoundsUnpreconditioned:
         assert iv.degenerate_interior
         assert iv.negative.hi == 0.0
         assert iv.positive.lo == 0.0
+
+    def test_upper_negative_endpoint_without_cancellation(self):
+        # the textbook (mu - sqrt(mu^2 + 4 s^2)) / 2 gave -1.6391e-7 on the
+        # first row and was off by up to 2.9e16 ulp over these ranges
+        first = (52785189.091158904, 2.9308691432569582)
+        rng = np.random.default_rng(46)
+        rows = [first, *zip(10.0 ** rng.uniform(0, 10, 300), 10.0 ** rng.uniform(-3, 2, 300))]
+        for mu, sigma in rows:
+            x = BlockExtremes(1.0, mu, sigma, max(sigma, 1.0), 1.0, 1.0, 0.0, 1.0, 0.0, 1.0)
+            got = bounds_unpreconditioned(x).negative.hi
+            with localcontext(prec=60):
+                want = _upper_negative_reference(mu, Decimal(sigma) ** 2)
+            assert abs(got - want) <= 3 * math.ulp(want), (mu, sigma)
+            if (mu, sigma) == first:
+                assert got == pytest.approx(-1.6273e-7, rel=1e-4)
 
     def test_monotone_under_widening(self):
         rng = np.random.default_rng(43)
@@ -269,6 +293,47 @@ class TestBoundsPrecondInexact:
         assert iv.positive.lo == pytest.approx(0.2929, abs=1e-4)
         assert iv.positive.hi == pytest.approx(2.0, abs=1e-12)
 
+    @pytest.mark.parametrize("d_zero, e_zero", [
+        (False, False), (True, False), (False, True), (True, True),
+    ])
+    def test_envelope_matches_the_separate_cubics(self, d_zero, e_zero):
+        rng = np.random.default_rng([47, d_zero, e_zero])
+        for _ in range(200):
+            alphas = 10.0 ** rng.uniform(-3.0, 0.0, 3)
+            betas = 10.0 ** rng.uniform(0.0, 3.0, 3)
+            consts = EquivalenceConstants(*np.column_stack([alphas, betas]).ravel().tolist())
+            eta_d, eta_e = (0.0 if zero or rng.random() < 0.25
+                            else 10.0 ** rng.uniform(-8.0, 4.0)
+                            for zero in (d_zero, e_zero))
+            got = bounds_precond_inexact(consts, eta_d, eta_e, d_zero, e_zero)
+            want = _separate_cubics_inexact(consts, eta_d, eta_e, d_zero, e_zero)
+            for g, w in zip((got.negative.lo, got.positive.lo, got.positive.hi),
+                            (want.negative.lo, want.positive.lo, want.positive.hi)):
+                assert _bits(g) == _bits(w)
+            # the envelope's coupling value sqrt(a0 a1 / (1 + eta_d)) is rounded
+            # once more than the constants; that adds up to two ulp
+            a0, a1, b0 = consts.alpha0, consts.alpha1, consts.beta0
+            sigma = math.sqrt(a0 * a1 / (1.0 + eta_d))
+            with localcontext(prec=60):
+                at_envelope = _upper_negative_reference(b0, Decimal(sigma) ** 2)
+                at_constants = _upper_negative_reference(
+                    b0, Decimal(a0) * Decimal(a1) / (1 + Decimal(eta_d)))
+            assert abs(got.negative.hi - at_envelope) <= 3 * math.ulp(at_envelope)
+            assert abs(got.negative.hi - at_constants) <= 5 * math.ulp(at_constants)
+            assert (got.provenance, got.upper_negative_estimate, got.warnings) == (
+                want.provenance, want.upper_negative_estimate, ())
+
+    def test_degenerate_envelope_follows_the_unpreconditioned_rule(self):
+        consts = EquivalenceConstants(1e-6, 1e3, 1e-6, 1e3, 1.0, 1.0)
+        # sqrt(a0 a1 / (1 + eta_d)) = 1e-8 <= RANK_TOL * sqrt(b0 b1) = 1e-7
+        assert math.sqrt(1e-12 / (1.0 + 1e4)) <= RANK_TOL * 1e3
+        iv = bounds_precond_inexact(consts, eta_d=1e4)
+        assert iv.warnings == ("degenerate_interior",)
+        assert iv.negative.hi == 0.0
+        assert iv.positive.lo > 0.0
+        assert iv.provenance == "inexact-preconditioner-full"
+        assert iv.upper_negative_estimate == -1e-12 / 1e3
+
     def test_inconsistent_flags_rejected(self):
         consts = EquivalenceConstants(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
         with pytest.raises(ParameterError):
@@ -283,6 +348,43 @@ class TestBoundsPrecondInexact:
             EquivalenceConstants(0.0, 1.0, 1.0, 1.0, 1.0, 1.0)
         with pytest.raises(ParameterError):
             EquivalenceConstants(0.5, 0.9, 1.0, 1.0, 1.0, 1.0)
+
+
+def _separate_cubics_inexact(consts, eta_d, eta_e, d_zero, e_zero) -> BoundIntervals:
+    """The inexact intervals as written before they became the
+    unpreconditioned bound of the equivalence envelope: three cubics of
+    their own and the textbook quadratic endpoint.  Kept as the reference
+    the envelope form must reproduce."""
+    a0, b0 = consts.alpha0, consts.beta0
+    a1, b1 = consts.alpha1, consts.beta1
+    a2, b2 = consts.alpha2, consts.beta2
+
+    b_role = math.sqrt(b0 * b1)
+    c_narrow = math.sqrt(a1 * a2 / (1.0 + eta_e))
+    c_wide = math.sqrt(b1 * b2)
+    d_role = 0.0 if d_zero else b1
+    e_role = 0.0 if e_zero else b2
+
+    u_cubic = cubic_from_params(a0, b_role, c_narrow, d_role, 0.0)
+    v_cubic = cubic_from_params(b0, b_role, c_wide, 0.0, e_role)
+    w_cubic = cubic_from_params(a0, b_role, c_wide, d_role, 0.0)
+
+    neg_hi = (b0 - math.sqrt(b0 * b0 + 4.0 * a0 * a1 / (1.0 + eta_d))) / 2.0
+    case = {
+        (False, False): "full",
+        (True, False): "middle-zero",
+        (False, True): "tail-zero",
+        (True, True): "both-zero",
+    }[(d_zero, e_zero)]
+
+    return BoundIntervals(
+        negative=Interval(solve_classified(w_cubic).neg, neg_hi),
+        positive=Interval(
+            solve_classified(u_cubic).pos_min, solve_classified(v_cubic).pos_max
+        ),
+        provenance=f"inexact-preconditioner-{case}",
+        upper_negative_estimate=-a0 * a1 / b0,
+    )
 
 
 class TestVerifyContainment:

@@ -316,6 +316,39 @@ class TestOneFactorPerBlock:
         assert (calls["cho_factor"], calls["eigh"],
                 calls["split_preconditioned_matrix"]) == counts
 
+    def test_sparse_user_blocks_factored_once_densely(self, monkeypatch):
+        # cho_factor: A, S1 and S2 (validate and the exact build), then the
+        # three dense user blocks, each measured through its own factor; the
+        # parent factored each sparse user block again for the oracle (9
+        # cho_factor and 3 sparse_spd_factor calls)
+        import scipy.linalg as sla
+        import scipy.sparse as sp
+
+        import saddlebounds.precond as precond_mod
+
+        system = poisson_boundary(1 / 8, 1e-3)
+        user = [sp.diags_array([-1.0, 4.0, -1.0], offsets=[-1, 0, 1], shape=(k, k),
+                               format="csr") for k in system.dims]
+
+        def report_of(blocks):
+            data = analyze(system, ("prec-inexact",), precond="user",
+                           user_blocks=blocks).to_dict()
+            data.pop("timings")
+            return data
+
+        dense_report = report_of([b.toarray() for b in user])
+        calls = Counter()
+        for owner, name in ((sla, "cho_factor"), (precond_mod, "sparse_spd_factor")):
+            def run(*args, _name=name, _original=getattr(owner, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, run)
+        sparse_report = report_of(user)
+        assert (calls["cho_factor"], calls["sparse_spd_factor"]) == (6, 0)
+        assert sparse_report == dense_report
+        assert sparse_report["scenarios"][0]["containment"]["status"] == "pass"
+
     @pytest.mark.parametrize("label", ["jacobi", "scaled:0.5", "poisson-dist"])
     def test_normalized_spectrum_matches_refactored_scaled_blocks(self, label):
         # the parent took the normalized spectrum from from_blocks of the

@@ -243,6 +243,19 @@ class TestInertia:
     def test_signature_diagonal(self):
         assert inertia(np.diag([1.0, 0.0, -1.0])).astuple() == (1, 1, 1)
 
+    def test_two_by_two_pivots(self):
+        # zero diagonals force 2x2 pivots in the LDL^T factor, whose signs
+        # the tridiagonal eigensolve must count whole
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        cases = [
+            (swap, (1, 1, 0)),
+            (np.kron(np.eye(3), swap), (3, 3, 0)),
+            (sla.block_diag(swap, [[-3.0]], 2.0 * swap, [[0.0]]), (2, 3, 1)),
+        ]
+        for a, want in cases:
+            assert np.any(sla.ldl(a)[1].diagonal(-1))
+            assert inertia(a).astuple() == want
+
     def test_assembled_system(self):
         rng = np.random.default_rng(33)
         for _ in range(10):
