@@ -1,16 +1,16 @@
 """Bound formulas for double saddle-point spectra.
 
 Every interval endpoint produced here is either a closed-form quadratic
-root or a root of a monic cubic
+root or a root of the saddle cubic
 
-    x^3 + (d - a - e) x^2 + (a e - a d - d e - b^2 - c^2) x
-        + (a d e + a c^2 + b^2 e)
+    p(x) = (x - a)((x + d)(x - e) - c^2) - b^2 (x - e),
 
-built from five nonnegative parameters with a > 0 and positive nested
-pivots s1 = d + b^2/a, s2 = e + c^2/s1.  Such cubics always have one
-negative and two positive real roots (they are characteristic polynomials
-of 1x1x1 saddle-point matrices), which is what makes the interval
-classification below well defined.
+the characteristic polynomial of the 1x1x1 saddle-point matrix
+[[a, b, 0], [b, -d, c], [0, c, e]], built from five nonnegative
+parameters with a > 0 and positive nested pivots s1 = d + b^2/a,
+s2 = e + c^2/s1.  Such cubics always have one negative and two positive
+real roots, which is what makes the interval classification below well
+defined.
 
 Each theorem is stated once.  The quadratic endpoint, the negative root
 -2 s^2 / (mu + sqrt(mu^2 + 4 s^2)) of x^2 - mu x - s^2, is written in the
@@ -24,9 +24,11 @@ its degenerate rule: a coupling whose lower singular value is at most
 ``RANK_TOL`` times its upper one gives a zero interior endpoint and a
 ``degenerate_interior`` warning.
 
-The production root path is the trigonometric three-real-root formula with
-Newton polishing.  Companion-matrix eigenvalues are deliberately not used
-here so the test suite can treat them as an independent oracle.
+The cubic is evaluated in that factored form, as a Sturm sequence
+evaluates it, and each of its roots is found in its own bracket between
+the critical points by safeguarded Newton steps (:func:`solve_classified`).
+Companion-matrix eigenvalues are deliberately not used here so the test
+suite can treat them as an independent oracle.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ClassificationError, ParameterError
-from .spectral import RANK_TOL, BlockExtremes
+from .spectral import BlockExtremes, below_rank_tol
 
 ROOT_TOL = 1e-10
 CLUSTER_TOL = 1e-8
@@ -46,6 +48,7 @@ CONTAINMENT_TOL = 1e-9
 
 GOLDEN_UPPER = (1.0 + math.sqrt(5.0)) / 2.0
 GOLDEN_LOWER = (1.0 - math.sqrt(5.0)) / 2.0
+_EPS = float(np.finfo(float).eps)
 
 
 class Interval(NamedTuple):
@@ -65,21 +68,48 @@ class Interval(NamedTuple):
 
 @dataclass(frozen=True)
 class CubicPoly:
-    """Monic cubic x^3 + c2 x^2 + c1 x + c0."""
+    """The saddle cubic of five parameters, evaluated in factored form.
 
-    c2: float
-    c1: float
-    c0: float
+    It is the characteristic polynomial of the 1x1x1 saddle-point matrix
+    [[a, b, 0], [b, -d, c], [0, c, e]],
 
-    def __post_init__(self):
-        for name in ("c2", "c1", "c0"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        p(x) = (x - a)((x + d)(x - e) - c^2) - b^2 (x - e),
+
+    which is how it evaluates itself and its derivative: the factored form
+    keeps roots that are nearly multiple, where rounding the expanded
+    coefficients would merge them.  Build it with :func:`cubic_from_params`,
+    which checks the parameters, so its roots are one negative and two
+    positive.  ``c2``, ``c1``, ``c0`` and ``coefficients`` are the derived
+    monic coefficients x^3 + c2 x^2 + c1 x + c0.
+    """
+
+    a: float
+    b: float
+    c: float
+    d: float
+    e: float
 
     def __call__(self, x: float) -> float:
-        return ((x + self.c2) * x + self.c1) * x + self.c0
+        return ((x - self.a) * ((x + self.d) * (x - self.e) - self.c * self.c)
+                - self.b * self.b * (x - self.e))
 
     def deriv(self, x: float) -> float:
-        return (3.0 * x + 2.0 * self.c2) * x + self.c1
+        u, v, w = x - self.a, x + self.d, x - self.e
+        return v * w - self.c * self.c + u * (v + w) - self.b * self.b
+
+    @property
+    def c2(self) -> float:
+        return self.d - self.a - self.e
+
+    @property
+    def c1(self) -> float:
+        a, b, c, d, e = self.a, self.b, self.c, self.d, self.e
+        return a * e - a * d - d * e - b * b - c * c
+
+    @property
+    def c0(self) -> float:
+        a, b, c, d, e = self.a, self.b, self.c, self.d, self.e
+        return a * d * e + a * c * c + b * b * e
 
     @property
     def coefficients(self) -> tuple[float, float, float, float]:
@@ -169,120 +199,81 @@ def cubic_from_params(a: float, b: float, c: float, d: float, e: float) -> Cubic
     s2 = e + c * c / s1
     if not s2 > 0:
         raise ParameterError(f"need s2 = e + c^2/s1 > 0, got {s2}")
-    return CubicPoly(
-        c2=d - a - e,
-        c1=a * e - a * d - d * e - b * b - c * c,
-        c0=a * d * e + a * c * c + b * b * e,
-    )
+    return CubicPoly(float(a), float(b), float(c), float(d), float(e))
 
 
 def solve_classified(cubic: CubicPoly) -> ClassifiedRoots:
     """Solve a saddle-point cubic and classify its roots by sign.
 
-    The trigonometric three-real-root formula seeds the roots; each seed is
-    then Newton-polished (improvement-gated).  Because wildly scaled
-    parameters can make the two small roots cancel out of the depressed
-    form, the best-conditioned polished root is also used to reconstruct
-    its partners through the product/sum identities (divisions only), and
-    whichever root set has the smaller residual wins.  A complex pair or a
-    wrong sign pattern raises, signalling a cubic outside the admissible
-    family.
+    The critical points x_max < x_min of p split the line into three
+    brackets, each holding one root: (-F, min(x_max, 0)],
+    [max(x_max, 0), x_min] and [x_min, F), with F the Fujiwara bound on the
+    roots (p(0) > 0, so 0 separates the negative root from the positive
+    pair).  Each root is found in its bracket by :func:`_bracketed_root`,
+    started from its trigonometric three-real-root value.  When
+    p(x_min) >= 0 in floating point, x_min cannot separate the positive
+    pair, which is then returned as a double root at x_min.  A root
+    residual beyond ``ROOT_TOL``'s certificate raises
+    :class:`ClassificationError`.
     """
+    a, b, c, d, e = cubic.a, cubic.b, cubic.c, cubic.d, cubic.e
     c2, c1, c0 = cubic.c2, cubic.c1, cubic.c0
-    shift = c2 / 3.0
-    p = c1 - c2 * c2 / 3.0
+    # sqrt(c2^2 - 3 c1), expanded into terms none of which is negative
+    spread = math.sqrt(a * a - a * e + e * e + d * (a + d + e) + 3.0 * (b * b + c * c))
+    t = -c2 - math.copysign(spread, c2)
+    x_max, x_min = sorted((t / 3.0, c1 / t))
+    far = 2.0 * max(abs(c2), math.sqrt(abs(c1)), (0.5 * abs(c0)) ** (1.0 / 3.0))
+
+    # trigonometric seeds: the depressed cubic is y^3 - (spread^2 / 3) y + q
     q = 2.0 * c2**3 / 27.0 - c2 * c1 / 3.0 + c0
+    theta = math.acos(min(1.0, max(-1.0, -13.5 * q / spread**3)))
+    top, mid, neg = (2.0 * spread / 3.0 * math.cos((theta - 2.0 * math.pi * k) / 3.0)
+                     - c2 / 3.0 for k in range(3))
 
-    disc_scale = 4.0 * abs(p) ** 3 + 27.0 * q * q + np.finfo(float).tiny
-    disc = -4.0 * p**3 - 27.0 * q * q
-    if disc < -1e-10 * disc_scale:
-        raise ClassificationError(
-            "cubic has a complex conjugate root pair; not in the admissible family"
-        )
-
-    if p >= 0.0:
-        # only reachable at the degenerate triple-root boundary
-        seeds = [-shift] * 3
+    neg = _bracketed_root(cubic, neg, -far, min(x_max, 0.0), rising=True)
+    if cubic(x_min) >= 0.0:
+        mid = top = x_min
     else:
-        radius = 2.0 * math.sqrt(-p / 3.0)
-        arg = 3.0 * q / (p * radius)
-        theta = math.acos(min(1.0, max(-1.0, arg)))
-        seeds = [
-            radius * math.cos((theta - 2.0 * math.pi * k) / 3.0) - shift
-            for k in range(3)
-        ]
+        mid = _bracketed_root(cubic, mid, max(x_max, 0.0), x_min, rising=False)
+        top = _bracketed_root(cubic, top, x_min, far, rising=True)
 
-    polished = sorted(_newton(cubic, x) for x in seeds)
-    candidates = [polished]
-
-    # reconstruction: deflate by the dominant polished root (the stable
-    # direction) and recover the partner pair from the product and
-    # pairwise-sum identities, which are divisions and immune to the
-    # cancellation that loses small roots in the depressed form
-    anchor = max(polished, key=abs)
-    if anchor != 0.0:
-        pair_product = -c0 / anchor
-        pair_sum = (c1 - pair_product) / anchor
-        pair_disc = pair_sum * pair_sum - 4.0 * pair_product
-        if pair_disc >= 0.0:
-            sq = math.sqrt(pair_disc)
-            t = 0.5 * (pair_sum + sq) if pair_sum >= 0 else 0.5 * (pair_sum - sq)
-            if t != 0.0:
-                rebuilt = sorted(
-                    (anchor, _newton(cubic, t), _newton(cubic, pair_product / t))
-                )
-                candidates.append(rebuilt)
-
-    def valid(roots):
-        return roots[0] < 0.0 < roots[1] <= roots[2]
-
-    def score(roots):
-        return max(abs(cubic(x)) / (1.0 + abs(x) ** 3) for x in roots)
-
-    roots = min(candidates, key=lambda r: (not valid(r), score(r)))
-    if not valid(roots):
-        raise ClassificationError(
-            f"roots {roots} do not split into one negative and two positive"
-        )
-    neg, mid, top = roots
     xmax = max(abs(neg), abs(top))
     residual_scale = max(
         xmax**3 + abs(c2) * xmax * xmax + abs(c1) * xmax + abs(c0), 1.0
     )
-    worst = max(abs(cubic(x)) for x in roots)
+    worst = max(abs(cubic(x)) for x in (neg, mid, top))
     if worst > 1e3 * ROOT_TOL * residual_scale:
         raise ClassificationError(f"root residual {worst:.3e} out of tolerance")
     return ClassifiedRoots(neg=neg, pos_min=mid, pos_max=top)
 
 
-def _newton(cubic: CubicPoly, x: float) -> float:
-    """Newton refinement (at most 30 steps) keeping the best iterate seen.
-
-    Plain updates (no step damping) so a seed may transit an uphill stretch
-    before settling; the smallest-residual iterate wins.
-    """
-    best, best_val = x, abs(cubic(x))
-    for _ in range(30):
+def _bracketed_root(cubic: CubicPoly, x: float, lo: float, hi: float, rising: bool) -> float:
+    """The one root of ``cubic`` in [lo, hi], through which it rises (or
+    falls): Newton steps from ``x`` clipped into the bracket, each iterate
+    shrinking the bracket to its side of the root, and a bisection
+    whenever a step would leave the bracket.  It returns the first Newton
+    point within four units in the last place of its iterate."""
+    x = min(max(x, lo), hi)
+    for _ in range(100):
+        value = cubic(x)
+        if value == 0.0:
+            break
+        if (value < 0.0) == rising:
+            lo = x
+        else:
+            hi = x
         slope = cubic.deriv(x)
-        if slope == 0.0 or not math.isfinite(x):
-            break
-        x = x - cubic(x) / slope
-        val = abs(cubic(x))
-        if val < best_val:
-            best, best_val = x, val
-        if val == 0.0:
-            break
-    return best
+        newton = x - value / slope if slope != 0.0 else math.nan
+        if abs(newton - x) <= 4.0 * _EPS * abs(x):
+            return newton
+        x = newton if lo < newton < hi else 0.5 * (lo + hi)
+    return x
 
 
 def exact_preconditioner_roots() -> ClassifiedRoots:
     """Roots of x^3 - x^2 - 2x + 1, the endpoints every exact-preconditioner
     interval collapses to (about -1.2470, 0.4450, 1.8019)."""
-    return solve_classified(CubicPoly(-1.0, -2.0, 1.0))
-
-
-def _degenerate(sigma_min: float, sigma_max: float) -> bool:
-    return sigma_min <= RANK_TOL * max(sigma_max, 1e-300)
+    return solve_classified(cubic_from_params(1.0, 1.0, 1.0, 0.0, 0.0))
 
 
 def bounds_unpreconditioned(x: BlockExtremes) -> BoundIntervals:
@@ -309,14 +300,14 @@ def bounds_unpreconditioned(x: BlockExtremes) -> BoundIntervals:
     neg_lo = solve_classified(r_cubic).neg
     pos_hi = solve_classified(q_cubic).pos_max
 
-    if _degenerate(x.sigma_min_b, x.sigma_max_b):
+    if below_rank_tol(x.sigma_min_b, x.sigma_max_b):
         neg_hi = 0.0
         warnings.append("degenerate_interior")
     else:
         s2 = x.sigma_min_b**2
         neg_hi = -2.0 * s2 / (x.mu_max_a + math.sqrt(x.mu_max_a**2 + 4.0 * s2))
 
-    if _degenerate(x.sigma_min_c, x.sigma_max_c):
+    if below_rank_tol(x.sigma_min_c, x.sigma_max_c):
         pos_lo = 0.0
         if "degenerate_interior" not in warnings:
             warnings.append("degenerate_interior")

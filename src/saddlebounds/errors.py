@@ -19,7 +19,7 @@ class ParameterError(SaddleBoundsError):
 
 
 class ClassificationError(SaddleBoundsError):
-    """A cubic lacks the one-negative / two-positive real root pattern."""
+    """The computed roots of a saddle cubic fail their residual certificate."""
 
 
 class StrategyMismatchError(SaddleBoundsError):

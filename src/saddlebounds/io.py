@@ -113,6 +113,10 @@ def load_manifest(path: str | Path) -> DoubleSaddleSystem:
         if fmt == "inline":
             loaded[key] = _inline_block(blocks[key], path, "block " + key)
         elif fmt == "matrix-market":
+            if not isinstance(blocks[key], str):
+                raise StructuralError(
+                    f"manifest {path}: block {key} must name a Matrix Market file, "
+                    f"got {type(blocks[key]).__name__}")
             loaded[key] = _read_mtx(path.parent / blocks[key])
         else:
             raise StructuralError(f"unknown manifest format {fmt!r}")

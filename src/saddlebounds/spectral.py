@@ -309,8 +309,15 @@ def _singular_values(matrix) -> np.ndarray:
     return np.linalg.svd(_dense(matrix), compute_uv=False)
 
 
+def below_rank_tol(sigma, sigma_max: float):
+    """Whether a singular value (or each of an array of them) counts as
+    zero next to the largest, ``sigma_max``: the one rank rule, at most
+    ``RANK_TOL`` times ``sigma_max`` (floored at the smallest normal float)."""
+    return sigma <= RANK_TOL * max(sigma_max, _TINY)
+
+
 def _rank(svals: np.ndarray) -> int:
-    return int(np.count_nonzero(svals > RANK_TOL * max(float(svals[0]), _TINY)))
+    return svals.size - int(np.count_nonzero(below_rank_tol(svals, float(svals[0]))))
 
 
 def extremal_svals(matrix) -> tuple[float, float]:

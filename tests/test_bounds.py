@@ -1,5 +1,6 @@
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from saddlebounds import (
     BlockExtremes,
     BoundIntervals,
-    CubicPoly,
+    DoubleSaddleSystem,
     EquivalenceConstants,
     Interval,
     assemble,
@@ -20,7 +21,9 @@ from saddlebounds import (
     cubic_from_params,
     exact_preconditioner_roots,
     full_spectrum,
+    random_system,
     solve_classified,
+    validate,
     verify_containment,
 )
 from saddlebounds.bounds import (
@@ -31,7 +34,8 @@ from saddlebounds.bounds import (
     ContainmentReport,
     EigenvalueVerdict,
 )
-from saddlebounds.errors import ClassificationError, ParameterError
+from saddlebounds.errors import ParameterError
+from saddlebounds.report import SCENARIOS, analyze
 from saddlebounds.spectral import RANK_TOL
 
 from helpers import companion_roots, random_valid_system
@@ -74,30 +78,35 @@ class TestCubicFromParams:
 
 class TestSolveClassified:
     def test_reference_cubic_roots(self):
-        roots = solve_classified(CubicPoly(-1.0, -2.0, 1.0))
+        roots = solve_classified(cubic_from_params(1.0, 1.0, 1.0, 0.0, 0.0))
         assert roots.neg == pytest.approx(REF_NEG, abs=1e-4)
         assert roots.pos_min == pytest.approx(REF_POS_MIN, abs=1e-4)
         assert roots.pos_max == pytest.approx(REF_POS_MAX, abs=1e-4)
 
     def test_exactly_factorable(self):
-        roots = solve_classified(CubicPoly(-2.0, -1.0, 2.0))
+        # diag(2, -1, 1): roots -1, 1, 2
+        roots = solve_classified(cubic_from_params(2.0, 0.0, 0.0, 1.0, 1.0))
         assert roots.astuple() == pytest.approx((-1.0, 1.0, 2.0), abs=1e-14)
 
+    def test_double_root_returned_at_the_critical_point(self):
+        # diag(1, -1, 1): p(x) = (x - 1)^2 (x + 1), whose local minimum is the pair
+        roots = solve_classified(cubic_from_params(1.0, 0.0, 0.0, 1.0, 1.0))
+        assert roots.astuple() == (-1.0, 1.0, 1.0)
+
     def test_depressed_cubic_negative_root(self):
-        roots = solve_classified(CubicPoly(0.0, -3.0, 1.0))
-        oracle = companion_roots(CubicPoly(0.0, -3.0, 1.0))
+        # x^3 - 3x + 1
+        cubic = cubic_from_params(1.0, 1.0, 1.0, 1.0, 0.0)
+        assert cubic.coefficients == (1.0, 0.0, -3.0, 1.0)
+        roots = solve_classified(cubic)
+        oracle = companion_roots(cubic)
         assert roots.neg == pytest.approx(-1.8794, abs=1e-4)
         assert roots.neg == pytest.approx(oracle[0], abs=1e-12)
 
-    def test_rejects_complex_pair(self):
-        # (x - 1)(x^2 + x + 1) has one real root only
-        with pytest.raises(ClassificationError):
-            solve_classified(CubicPoly(0.0, 0.0, -1.0))
-
-    def test_rejects_wrong_sign_pattern(self):
-        # (x - 1)(x - 2)(x - 3): three positive roots
-        with pytest.raises(ClassificationError):
-            solve_classified(CubicPoly(-6.0, 11.0, -6.0))
+    def test_small_positive_root_kept_apart_from_the_pair(self):
+        # pos_min three decades below pos_max, with neg at -2.356e6
+        roots = solve_classified(cubic_from_params(8.445e-8, 2.092e-6, 5.454e-6, 2.356e6, 9.017e-5))
+        assert roots.pos_min == pytest.approx(8.445e-8, rel=1e-6)
+        assert roots.pos_max == pytest.approx(9.017e-5, rel=1e-6)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -168,6 +177,19 @@ class TestBoundsUnpreconditioned:
         assert iv.negative.hi == 0.0
         assert iv.positive.lo == 0.0
 
+    @pytest.mark.parametrize("ratio, degenerate", [(RANK_TOL, True), (2 * RANK_TOL, False)])
+    def test_degenerate_rule_is_the_rank_rule(self, ratio, degenerate):
+        # the coupling ranks validate reports and the degenerate endpoints
+        # are one test of the same singular values
+        system = DoubleSaddleSystem(
+            A=np.eye(3), B=np.array([[1.0, 0.0, 0.0], [0.0, ratio, 0.0]]),
+            C=np.array([[ratio, 0.0], [0.0, 1.0]]), D=np.eye(2), E=np.eye(2))
+        report = validate(system)
+        assert (report.b_full_row_rank, report.c_full_row_rank) == (not degenerate,) * 2
+        iv = bounds_unpreconditioned(report.extremes)
+        assert iv.degenerate_interior is degenerate
+        assert (iv.negative.hi == 0.0, iv.positive.lo == 0.0) == (degenerate,) * 2
+
     def test_upper_negative_endpoint_without_cancellation(self):
         # the textbook (mu - sqrt(mu^2 + 4 s^2)) / 2 gave -1.6391e-7 on the
         # first row and was off by up to 2.9e16 ulp over these ranges
@@ -202,6 +224,85 @@ class TestBoundsUnpreconditioned:
             assert wide_iv.negative.hi >= iv.negative.hi - 1e-12
             assert wide_iv.positive.lo <= iv.positive.lo + 1e-12
             assert wide_iv.positive.hi >= iv.positive.hi - 1e-12
+
+
+def _count_below(diag, off, sigma) -> int:
+    """Eigenvalues below ``sigma`` of the symmetric tridiagonal matrix with
+    diagonal ``diag`` and off-diagonal ``off``: the negative pivots of the
+    LDL^T of T - sigma I, in the exact arithmetic of the entries.  A zero
+    pivot ahead of a nonzero coupling opens a 2x2 block with one negative
+    eigenvalue, so the next pivot counts as -inf."""
+    count, prev = 0, None  # None: the previous pivot is infinite
+    for i, alpha in enumerate(diag):
+        coupling = off[i - 1] ** 2 if i else 0
+        if prev == 0 and coupling:
+            count, prev = count + 1, None
+            continue
+        pivot = alpha - sigma - (coupling / prev if prev else 0)
+        count += pivot < 0
+        prev = pivot
+    return count
+
+
+def _exact_count(params, lo: float, hi: float) -> int:
+    """Eigenvalues of [[a, b, 0], [b, -d, c], [0, c, e]] in [lo, hi],
+    counted by Sturm sequences on the exact rationals of the floats."""
+    a, b, c, d, e = map(Fraction, params)
+    diag, off = (a, -d, e), (b, c)
+    return (3 - _count_below(diag, off, Fraction(lo))
+            - _count_below([-x for x in diag], off, -Fraction(hi)))
+
+
+def _draw(stratum: str, rng) -> tuple[float, ...]:
+    """One parameter set (a, b, c, d, e): ``wide`` spreads all five over
+    10^[-8, 8] and zeroes d and e in a fifth of draws each; ``equal`` sets
+    e = a with small couplings, which makes the positive pair nearly
+    double; ``near`` moves e off a by a relative 1e-16 to 1e-8."""
+    if stratum == "wide":
+        a, b, c, d, e = (10.0 ** rng.uniform(-8, 8, 5)).tolist()
+        return a, b, c, 0.0 if rng.random() < 0.2 else d, 0.0 if rng.random() < 0.2 else e
+    a = 10.0 ** rng.uniform(-8, 8)
+    b, c = (a * 10.0 ** rng.uniform(-8, -1, 2)).tolist()
+    d = 0.0 if rng.random() < 0.2 else a * 10.0 ** rng.uniform(-3, 3)
+    if stratum == "equal":
+        return a, b, c, d, a
+    return a, b, c, d, a * (1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-16, -8))
+
+
+# 1x1x1 systems (A, B, C, D, E) whose bounds the former root vote got wrong:
+# R1 lost the eigenvalue 1.7e-23 (a repeated root won the vote), R2 raised
+# ClassificationError (its positive pair is double to 5e-10)
+R1 = (0.0453, 3.376e-6, 3.319e-8, 6.433e7, 0.0)
+R2 = (0.47959838325632587, 1.922470567071254e-06, 1.0480831764665423e-05,
+      0.002796416328746761, 0.47959838325632587)
+
+
+class TestExactContainment:
+    @pytest.mark.parametrize("stratum, seed", [("wide", 60), ("equal", 61), ("near", 62)])
+    def test_point_extremes_hold_all_three_eigenvalues(self, stratum, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(1000):
+            params = a, b, c, d, e = _draw(stratum, rng)
+            iv = bounds_unpreconditioned(BlockExtremes(a, a, b, b, c, c, d, d, e, e))
+            neg = iv.negative.inflate(CONTAINMENT_TOL)
+            pos = iv.positive.inflate(CONTAINMENT_TOL)
+            # an eigenvalue in the overlap of the two intervals counts once
+            spans = [Interval(neg.lo, max(neg.hi, pos.hi))] if pos.lo <= neg.hi else [neg, pos]
+            assert sum(_exact_count(params, *span) for span in spans) == 3, params
+
+    @pytest.mark.parametrize("params", [R1, R2], ids=["R1", "R2"])
+    def test_one_by_one_regression_rows(self, params):
+        system = DoubleSaddleSystem(*(np.array([[v]]) for v in params))
+        report = analyze(system, SCENARIOS, precond="exact")
+        assert [entry.get("error") for entry in report.scenarios] == [None] * 3
+        assert report.passed
+
+    @pytest.mark.parametrize("seed", [21, 25])
+    def test_small_couplings_classify(self, seed):
+        x = BlockExtremes(1, 2, 1e-5, 2e-5, 1e-5, 2e-5, 0, 0.5, 1, 1)
+        report = analyze(random_system(8, 6, 4, seed, x), ("unprec",))
+        assert "error" not in report.scenarios[0]
+        assert report.passed
 
 
 class TestBoundsK0:
@@ -558,6 +659,6 @@ class TestVectorizedContainment:
 
 def test_exact_preconditioner_roots_residual():
     roots = exact_preconditioner_roots()
-    cubic = CubicPoly(-1.0, -2.0, 1.0)
+    cubic = cubic_from_params(1.0, 1.0, 1.0, 0.0, 0.0)
     for root in roots.astuple():
         assert abs(cubic(root)) <= 1e-14

@@ -62,6 +62,19 @@ def test_manifest_rejects_missing_block(tmp_path):
         load_manifest(manifest)
 
 
+@pytest.mark.parametrize("entry", [5, None, [[1.0]]])
+def test_manifest_rejects_a_block_file_that_is_not_a_name(tmp_path, entry):
+    rng = np.random.default_rng(24)
+    system, _ = random_valid_system(rng, 4, 3, 2)
+    manifest = save_manifest(system, tmp_path)
+    data = json.loads(manifest.read_text())
+    data["blocks"]["A"] = entry
+    manifest.write_text(json.dumps(data))
+    with pytest.raises(StructuralError, match=f"manifest .*system.json: block A must name "
+                       f"a Matrix Market file, got {type(entry).__name__}"):
+        load_manifest(manifest)
+
+
 def test_user_block_manifest(tmp_path):
     blocks = [np.diag([1.0, 2.0]), np.eye(2), [[3.0]]]
     path = tmp_path / "precond.json"
