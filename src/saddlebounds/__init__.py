@@ -20,7 +20,6 @@ from .bounds import (
 from .io import load_manifest, save_manifest
 from .krylov import SolveResult, minres
 from .precond import (
-    EquivalenceMeasurement,
     PoissonControlContext,
     PreconditionerOperator,
     build_approx,

@@ -133,8 +133,10 @@ class EquivalenceConstants:
     """Spectral-equivalence endpoints for the three preconditioner blocks.
 
     Each pair (alpha_i, beta_i) brackets the spectrum of the exact block
-    measured against its approximation, normalized so that
-    0 < alpha_i <= 1 <= beta_i.
+    measured against its approximation P_i as built, alpha_i P_i <= X_i <=
+    beta_i P_i for X = (A, S1, S2), with 0 < alpha_i <= beta_i < inf.  No
+    pair needs to straddle 1: the envelope of :func:`bounds_precond_inexact`
+    holds for the raw constants.
     """
 
     alpha0: float
@@ -150,9 +152,9 @@ class EquivalenceConstants:
             (self.alpha1, self.beta1, 1),
             (self.alpha2, self.beta2, 2),
         ):
-            if not (0.0 < alpha <= 1.0 <= beta):
+            if not (0.0 < alpha <= beta < math.inf):
                 raise ParameterError(
-                    f"equivalence pair {idx} must satisfy 0 < alpha <= 1 <= beta, "
+                    f"equivalence pair {idx} must satisfy 0 < alpha <= beta < inf, "
                     f"got ({alpha}, {beta})"
                 )
 
@@ -409,12 +411,22 @@ def bounds_precond_inexact(
 
     The split matrix U^-T K U^-1 (P = U^T U blockwise) is itself a double
     saddle-point matrix, so these are :func:`bounds_unpreconditioned`
-    applied to its block extremes' equivalence envelope: the leading block
-    lies in [alpha0, beta0], the couplings' singular values in
-    [sqrt(alpha0 alpha1 / (1 + eta_d)), sqrt(beta0 beta1)] and
-    [sqrt(alpha1 alpha2 / (1 + eta_e)), sqrt(beta1 beta2)], and the
-    regularization blocks in [0, beta1] and [0, beta2], or [0, 0] when the
-    case flag says the block vanishes.  The endpoints, the cancellation-free
+    applied to its block extremes' equivalence envelope, which holds for
+    the raw constants of the blocks as built.  With D <= eta_d B A^-1 B^T
+    and E <= eta_e C S1^-1 C^T:
+
+    * the leading block U0^-T A U0^-1 lies in [alpha0, beta0];
+    * B P0^-1 B^T >= alpha0 B A^-1 B^T >= alpha0 S1 / (1 + eta_d)
+      >= alpha0 alpha1 P1 / (1 + eta_d), and B P0^-1 B^T <= beta0 S1
+      <= beta0 beta1 P1, so the first coupling's singular values lie in
+      [sqrt(alpha0 alpha1 / (1 + eta_d)), sqrt(beta0 beta1)];
+    * the same steps with (P1, S1, S2, P2) give the second coupling
+      [sqrt(alpha1 alpha2 / (1 + eta_e)), sqrt(beta1 beta2)];
+    * 0 <= D <= S1 <= beta1 P1 and 0 <= E <= S2 <= beta2 P2 put the
+      regularization blocks in [0, beta1] and [0, beta2], or [0, 0] when
+      the case flag says the block vanishes.
+
+    The endpoints, the cancellation-free
     upper-negative one included, and the degenerate rule are therefore the
     unpreconditioned ones: an envelope whose lower coupling value is at most
     ``RANK_TOL`` times its upper one gets a zero interior endpoint and a

@@ -75,14 +75,18 @@ def _read_manifest(path: Path) -> dict:
 
 
 def _inline_block(entry, path: Path, label: str) -> np.ndarray:
-    """A block written out in a manifest, as a float array;
+    """A block written out in a manifest, as a 2-d float array;
     :class:`StructuralError` naming the file and block when an entry is not
-    a number or the rows are ragged."""
+    a number, the rows are ragged or the block is not a list of rows."""
     try:
-        return np.asarray(entry, dtype=float)
+        block = np.asarray(entry, dtype=float)
     except (TypeError, ValueError) as exc:
         raise StructuralError(
             f"manifest {path}: {label} is not an array of numbers") from exc
+    if block.ndim != 2:
+        raise StructuralError(
+            f"manifest {path}: {label} must be a 2-d array, got {block.ndim}-d")
+    return block
 
 
 def _read_mtx(path: Path):

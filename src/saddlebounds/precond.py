@@ -217,21 +217,6 @@ class PreconditionerOperator:
         return sla.block_diag(*(_dense(b) for b in self.blocks))
 
 
-@dataclass(frozen=True)
-class EquivalenceMeasurement:
-    """Measured generalized spectrum of an exact block against its approximation.
-
-    ``raw`` is the untouched interval of generalized eigenvalues; ``alpha``
-    and ``beta`` are the same endpoints after rescaling the approximation by
-    ``scale`` so that the interval straddles 1.
-    """
-
-    raw: Interval
-    alpha: float
-    beta: float
-    scale: float
-
-
 def _splu(matrix, label: str, **options):
     """SuperLU factor of a sparse matrix; SuperLU's "exactly singular" error
     becomes :class:`DefinitenessError` naming ``label``."""
@@ -524,8 +509,9 @@ def split_preconditioned_matrix(
 
 def equivalence_constants(
     exact: np.ndarray, approx: np.ndarray, factor=None
-) -> EquivalenceMeasurement:
-    """Extremal generalized eigenvalues of an (exact, approximation) pair.
+) -> Interval:
+    """Extremal generalized eigenvalues [alpha, beta] of an (exact,
+    approximation) pair: alpha P <= exact <= beta P for the approximation P.
 
     Each block passes the kernels' input rule
     (:func:`~saddlebounds.spectral._kernel_input`, errors naming
@@ -536,15 +522,10 @@ def equivalence_constants(
     whose failure names it ``approximation``.  The generalized eigenvalues
     are the eigenvalues of the congruence U^-T exact U^-1 for P = U^T U, the
     reduction ``scipy.linalg.eigh(exact, approx)`` makes after factoring P
-    itself.
-    Bitwise-identical blocks give the exact interval [1, 1] with no
-    eigensolve (the factor alone shows they are definite), so round-off
-    never normalizes them.
-
-    The raw interval is reported as-is; for the bound formulas it is also
-    normalized to straddle 1 by rescaling the approximation (scaling the
-    approximation by s divides the whole interval by s), and the applied
-    scale is part of the measurement.
+    itself.  Bitwise-identical blocks give the exact interval [1, 1] with no
+    eigensolve (the factor alone shows they are definite).  The interval is
+    the one of the approximation as built: scaling it by s divides the
+    interval by s, and nothing is rescaled here.
     """
     exact = _kernel_input(exact, "exact block")
     approx = _kernel_input(approx, "approximation")
@@ -554,19 +535,8 @@ def equivalence_constants(
         )
     factor = _dense_factor(approx, factor, "approximation")
     if np.array_equal(exact, approx):
-        vals = (1.0, 1.0)
-    else:
-        vals = np.linalg.eigvalsh(_congruence(factor, exact, factor))
-    raw = Interval(float(vals[0]), float(vals[-1]))
-    if raw.lo <= 0:
+        return Interval(1.0, 1.0)
+    vals = np.linalg.eigvalsh(_congruence(factor, exact, factor))
+    if vals[0] <= 0:
         raise DefinitenessError("exact block is not positive definite")
-
-    if raw.lo > 1.0:
-        scale = raw.lo
-    elif raw.hi < 1.0:
-        scale = raw.hi
-    else:
-        scale = 1.0
-    alpha = min(raw.lo / scale, 1.0)
-    beta = max(raw.hi / scale, 1.0)
-    return EquivalenceMeasurement(raw=raw, alpha=alpha, beta=beta, scale=scale)
+    return Interval(float(vals[0]), float(vals[-1]))

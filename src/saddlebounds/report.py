@@ -1,7 +1,7 @@
 """Analysis pipelines and machine-readable reports.
 
 The CLI is a thin wrapper over :func:`analyze`, :func:`solve` and
-:func:`plot_rows`.  Reports are plain JSON documents (``schema: 1``) that
+:func:`plot_rows`.  Reports are plain JSON documents (``schema: 2``) that
 round-trip losslessly; all CSV output formats floats with 17 significant
 digits so re-parsing reproduces them bit for bit.
 """
@@ -9,7 +9,6 @@ digits so re-parsing reproduces them bit for bit.
 from __future__ import annotations
 
 import json
-import math
 import time
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
@@ -50,7 +49,7 @@ from .spectral import (
 )
 from .system import DoubleSaddleSystem, assemble, assemble_csr
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 FLOAT_FMT = ".17g"
 
 SCENARIOS = ("unprec", "prec-exact", "prec-inexact")
@@ -239,9 +238,11 @@ def analyze(
     preconditioner builds and the eta read; ``unprec`` alone opens no
     scope, so the pair is dropped when :func:`validate` returns.  Each
     dense block is factored once: both exact preconditioners take S2's
-    factor from the pair, the equivalence constants reuse the approximate
-    preconditioner's factors, and the normalized spectrum comes from the
-    inexact split matrix rescaled in place (see :func:`_split_spectrum`).
+    factor from the pair, and the equivalence constants reuse the approximate
+    preconditioner's factors.  The inexact bounds use the raw equivalence
+    constants of the approximation as built, so each preconditioned scenario
+    takes one spectrum, of its own split matrix, and checks both its bounds
+    and any reference intervals against it.
     """
     t_start = time.perf_counter()
     timings: dict[str, float] = {}
@@ -332,16 +333,12 @@ def _scenario_prec_inexact(
     exact_op = build_exact(system)
     approx_op = build_approx(system, strategies, context=context, user_blocks=user_blocks)
 
-    measurements = [
+    equivalence = [
         equivalence_constants(exact_block, approx_block, factor)
         for exact_block, approx_block, factor in zip(
             exact_op.blocks, approx_op.blocks, approx_op._factors)
     ]
-    consts = EquivalenceConstants(
-        alpha0=measurements[0].alpha, beta0=measurements[0].beta,
-        alpha1=measurements[1].alpha, beta1=measurements[1].beta,
-        alpha2=measurements[2].alpha, beta2=measurements[2].beta,
-    )
+    consts = EquivalenceConstants(*(end for iv in equivalence for end in iv))
     pair = schur_complements(system)
     eta_d = 0.0 if d_zero else pair.eta_d
     eta_e = 0.0 if e_zero else pair.eta_e
@@ -349,15 +346,7 @@ def _scenario_prec_inexact(
     entry = {
         "precond": {
             "strategy": list(approx_op.strategy),
-            "equivalence": [
-                {
-                    "raw": _interval_list(m.raw),
-                    "alpha": m.alpha,
-                    "beta": m.beta,
-                    "scale": m.scale,
-                }
-                for m in measurements
-            ],
+            "equivalence": [_interval_list(iv) for iv in equivalence],
             "eta_d": _json_float(eta_d),
             "eta_e": _json_float(eta_e),
         },
@@ -376,59 +365,29 @@ def _scenario_prec_inexact(
     reference = _reference_intervals(strategies, context, d_zero, e_zero)
     if reference is not None:
         entry["reference_intervals"] = intervals_to_dict(reference)
-    # the normalized constants describe the rescaled blocks, so the measured
-    # bounds are checked against the spectrum of that rescaled operator
-    scales = [m.scale for m in measurements]
-    return _split_verdicts(entry, system, approx_op, bounds, tol, scales, reference)
+    return _split_verdicts(entry, system, approx_op, bounds, tol, reference)
 
 
-def _split_verdicts(
-    entry, system, op, bounds, tol, scales=(1.0, 1.0, 1.0), reference=None
-) -> dict:
+def _split_verdicts(entry, system, op, bounds, tol, reference=None) -> dict:
     """The tail both preconditioned scenarios share: above ``ORACLE_CUTOFF``
     ``entry`` is marked ``unverified`` and no split matrix is formed;
     otherwise it gets the split spectrum of ``op``, its summary, and the
-    containment verdict of ``bounds`` (``unverified`` when None) on the
-    spectrum normalized by ``scales``, plus that of ``reference`` on the
-    unnormalized spectrum when given.  Returns ``entry``.
+    containment verdicts on that spectrum of ``bounds`` (``unverified`` when
+    None) and of ``reference`` when given.  Returns ``entry``.
     """
     if system.total > spectral.ORACLE_CUTOFF:
         entry["containment"] = {"status": "unverified"}
         return entry
-    values, norm_values = _split_spectrum(system, op, scales)
+    values = full_spectrum(split_preconditioned_matrix(system, op))
     entry["spectrum"] = [float(v) for v in values]
     entry["spectrum_summary"] = _spectrum_summary(values)
-    if norm_values is not values:
-        entry["normalization_scales"] = scales
-        entry["spectrum_normalized"] = [float(v) for v in norm_values]
     if bounds is not None:
-        entry["containment"] = _containment_dict(norm_values, bounds, tol)
+        entry["containment"] = _containment_dict(values, bounds, tol)
     else:
         entry["containment"] = {"status": "unverified"}
     if reference is not None:
         entry["reference_containment"] = _containment_dict(values, reference, tol)
     return entry
-
-
-def _split_spectrum(system, op, scales=(1.0, 1.0, 1.0)):
-    """Spectra of the split-preconditioned matrix of ``op`` and of the
-    operator with block i scaled by ``scales[i]``; the second is the first
-    array itself when every scale is 1.
-
-    The factor of s P is sqrt(s) U, so the scaled operator's split matrix
-    is this one with block (i, j) divided by sqrt(s_i s_j), which is done in
-    place once the first spectrum is taken.  The matrix is dropped at once.
-    """
-    matrix = split_preconditioned_matrix(system, op)
-    values = full_spectrum(matrix)
-    if all(s == 1.0 for s in scales):
-        return values, values
-    n, m, _ = system.dims
-    parts = (slice(0, n), slice(n, n + m), slice(n + m, system.total))
-    for i, s_i in zip(parts, scales):
-        for j, s_j in zip(parts, scales):
-            matrix[i, j] /= math.sqrt(s_i * s_j)
-    return values, full_spectrum(matrix)
 
 
 def _reference_intervals(strategies, context, d_zero, e_zero):

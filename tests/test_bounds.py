@@ -445,10 +445,12 @@ class TestBoundsPrecondInexact:
             bounds_precond_inexact(consts, eta_e=float("inf"))
 
     def test_constants_validated(self):
-        with pytest.raises(ParameterError):
-            EquivalenceConstants(0.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-        with pytest.raises(ParameterError):
-            EquivalenceConstants(0.5, 0.9, 1.0, 1.0, 1.0, 1.0)
+        # raw constants need not straddle 1
+        EquivalenceConstants(0.5, 0.9, 1.0, 1.0, 2.0, 3.0)
+        for alpha, beta in ((0.0, 1.0), (-1.0, 1.0), (2.0, 1.0), (0.5, math.inf),
+                            (math.nan, 1.0), (0.5, math.nan)):
+            with pytest.raises(ParameterError):
+                EquivalenceConstants(1.0, 1.0, alpha, beta, 1.0, 1.0)
 
 
 def _separate_cubics_inexact(consts, eta_d, eta_e, d_zero, e_zero) -> BoundIntervals:

@@ -1,5 +1,4 @@
 import dataclasses
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ from saddlebounds import (
     inertia,
     poisson_boundary,
     poisson_distributed,
-    random_system,
     schur_complements,
     split_preconditioned_matrix,
     verify_containment,
@@ -33,7 +31,8 @@ from saddlebounds.errors import (
 )
 from saddlebounds.bounds import Interval
 from saddlebounds.precond import PoissonControlContext, strategy_tuple
-from saddlebounds.report import analyze
+from saddlebounds.problems import haar_orthogonal
+from saddlebounds.report import analyze, intervals_from_dict
 
 from helpers import generalized_spectrum, random_valid_system
 
@@ -391,34 +390,30 @@ class TestEquivalenceConstants:
         rng = np.random.default_rng(61)
         system, _ = random_valid_system(rng, 5, 4, 2)
         block = build_exact(system).blocks[1]
-        meas = equivalence_constants(block, block)
-        assert meas.alpha == pytest.approx(1.0, abs=1e-12)
-        assert meas.beta == pytest.approx(1.0, abs=1e-12)
-        assert meas.scale == 1.0
+        lo, hi = equivalence_constants(block, block)
+        assert lo == pytest.approx(1.0, abs=1e-12)
+        assert hi == pytest.approx(1.0, abs=1e-12)
 
-    def test_doubled_approximation_normalizes(self):
+    def test_doubled_approximation_measures_half(self):
         rng = np.random.default_rng(62)
         system, _ = random_valid_system(rng, 5, 4, 2)
         block = build_exact(system).blocks[0]
-        meas = equivalence_constants(block, 2.0 * block)
-        assert meas.raw.lo == pytest.approx(0.5, abs=1e-12)
-        assert meas.raw.hi == pytest.approx(0.5, abs=1e-12)
-        assert meas.scale == pytest.approx(0.5, abs=1e-12)
-        assert meas.alpha == pytest.approx(1.0, abs=1e-10)
-        assert meas.beta == pytest.approx(1.0, abs=1e-10)
+        lo, hi = equivalence_constants(block, 2.0 * block)
+        assert lo == pytest.approx(0.5, abs=1e-12)
+        assert hi == pytest.approx(0.5, abs=1e-12)
 
     def test_square_completion_interval_within_half_one(self):
         h, beta = 2**-4, 1e-3
         system, fem = poisson_distributed(h, beta)
         ctx = distributed_context(fem, beta)
         exact_tail = build_exact(system).blocks[2]
-        meas = equivalence_constants(exact_tail, ctx.square_completion_block())
-        assert meas.raw.lo >= 0.5 - 1e-6
-        assert meas.raw.hi <= 1.0 + 1e-6
+        lo, hi = equivalence_constants(exact_tail, ctx.square_completion_block())
+        assert lo >= 0.5 - 1e-6
+        assert hi <= 1.0 + 1e-6
 
     def test_identical_blocks_measure_exactly_one(self, monkeypatch):
         # eigh would put the generalized eigenvalues of (S, S) a few ulps off
-        # 1 and normalize by round-off; identical blocks never reach it
+        # 1; identical blocks never reach it
         rng = np.random.default_rng(66)
         system, _ = random_valid_system(rng, 14, 9, 2)
         blocks = build_exact(system).blocks
@@ -428,29 +423,9 @@ class TestEquivalenceConstants:
 
         monkeypatch.setattr(sla, "eigh", no_eigh)
         for block in blocks:
-            meas = equivalence_constants(block, block.copy())
-            assert meas.raw == Interval(1.0, 1.0)
-            assert (meas.alpha, meas.beta, meas.scale) == (1.0, 1.0, 1.0)
+            assert equivalence_constants(block, block.copy()) == Interval(1.0, 1.0)
         with pytest.raises(DefinitenessError):
             equivalence_constants(-blocks[0], -blocks[0])
-
-    def test_exact_strategy_never_normalized_on_desk_inputs(self, monkeypatch):
-        # the exact-strategy prec-inexact entries of desk seeds 0-5
-        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
-        from perfbench.workloads import desk_inputs
-
-        entries = []
-        for seed in range(6):
-            for item in desk_inputs(seed):
-                if item.strategy != "exact":
-                    continue
-                system = random_system(*item.dims, item.system_seed, item.extremes)
-                report = analyze(system, ("prec-inexact",), precond="exact")
-                entries.append(report.scenarios[0])
-        assert len(entries) == 108
-        assert [e for e in entries if "normalization_scales" in e] == []
-        assert all(m["raw"] == [1.0, 1.0] for e in entries
-                   for m in e["precond"]["equivalence"])
 
     @pytest.mark.parametrize("strategy", ["jacobi", "scaled:0.5", "pearson-wathen"])
     def test_held_factor_matches_generalized_eigh(self, strategy):
@@ -466,7 +441,7 @@ class TestEquivalenceConstants:
         for e, a, factor in zip(exact.blocks, approx.blocks, approx._factors):
             want = sla.eigh(e, a, eigvals_only=True)
             for held in (factor, None):
-                raw = equivalence_constants(e, a, held).raw
+                raw = equivalence_constants(e, a, held)
                 if np.array_equal(e, a):
                     assert raw == Interval(1.0, 1.0)
                     continue
@@ -487,6 +462,54 @@ class TestEquivalenceConstants:
     def test_indefinite_approximation_rejected(self):
         with pytest.raises(DefinitenessError):
             equivalence_constants(np.eye(2), -np.eye(2))
+
+
+def _congruent_user_blocks(rng, system, spread):
+    """Each exact block X = L L^T (A, S1, S2) as s L Q diag(d) Q^T L^T: its
+    equivalence interval is exactly 1 / (s d) over the draws d = spread(k)
+    of a Haar Q and the scale s = 10^U(-6, 6)."""
+    blocks = []
+    for block in build_exact(system).blocks:
+        k = block.shape[0]
+        q = haar_orthogonal(rng, k)
+        low = np.linalg.cholesky(block)
+        user = 10.0 ** rng.uniform(-6, 6) * (low @ ((q * spread(k)) @ q.T) @ low.T)
+        blocks.append((user + user.T) / 2)
+    return blocks
+
+
+class TestNearSingularApproximations:
+    """Inexact containment for user blocks whose raw equivalence constants
+    run from about 1e-9 to 1e9; the bounds are those of the blocks as built,
+    checked against the spectrum the report carries."""
+
+    @staticmethod
+    def _inexact_entry(rng, spread):
+        n = int(rng.integers(4, 11))
+        m = int(rng.integers(3, min(n, 8) + 1))
+        p = int(rng.integers(2, min(m, 6) + 1))
+        system, _ = random_valid_system(rng, n, m, p, d_zero=rng.random() < 0.25,
+                                        e_zero=rng.random() < 0.25)
+        blocks = _congruent_user_blocks(rng, system, spread)
+        report = analyze(system, ("prec-inexact",), precond="user", user_blocks=blocks)
+        return report.scenarios[0]
+
+    def test_scaled_congruent_blocks_contain_their_spectrum(self):
+        rng = np.random.default_rng(1701)
+        for _ in range(300):
+            entry = self._inexact_entry(rng, lambda k: 10.0 ** rng.uniform(-3, 3, k))
+            bounds = intervals_from_dict(entry["intervals"])
+            assert verify_containment(entry["spectrum"], bounds).passed, entry["precond"]
+
+    def test_degenerate_envelope_contains_its_spectrum(self):
+        # a 1e12 spread in every block puts the lower coupling value of the
+        # envelope below RANK_TOL times the upper one
+        rng = np.random.default_rng(1702)
+        for _ in range(20):
+            entry = self._inexact_entry(rng, lambda k: np.geomspace(1e-6, 1e6, k))
+            bounds = intervals_from_dict(entry["intervals"])
+            assert bounds.degenerate_interior
+            assert verify_containment(entry["spectrum"], bounds).passed, entry["precond"]
 
 
 class TestSpectralStructure:
@@ -536,9 +559,9 @@ class TestSpectralStructure:
         mid_reg = -split[n:n + m, n:n + m]
         tail_reg = split[n + m:, n + m:]
 
-        a0, b0 = meas[0].raw
-        a1, b1 = meas[1].raw
-        a2, b2 = meas[2].raw
+        a0, b0 = meas[0]
+        a1, b1 = meas[1]
+        a2, b2 = meas[2]
         lead_vals = np.linalg.eigvalsh(lead)
         assert lead_vals[0] >= a0 - 1e-9 and lead_vals[-1] <= b0 + 1e-9
 

@@ -58,11 +58,7 @@ class TestAnalysisReport:
             containment = scenario.get("containment")
             if not containment or containment.get("status") == "unverified":
                 continue
-            values = (
-                scenario.get("spectrum_normalized")
-                or scenario.get("spectrum")
-                or data["spectrum"]
-            )
+            values = scenario.get("spectrum") or data["spectrum"]
             bounds = intervals_from_dict(scenario["intervals"])
             recheck = verify_containment(values, bounds, tol=containment["tol"])
             assert recheck.passed == (containment["status"] == "pass")
@@ -237,8 +233,8 @@ class TestOneSchurBuildPerAnalysis:
         for module in (spectral_mod, precond_mod, report_mod):
             monkeypatch.setattr(module, "schur_complements", traced)
         monkeypatch.setattr(report_mod, "assemble", noting(report_mod.assemble))
-        monkeypatch.setattr(report_mod, "_split_spectrum",
-                            noting(report_mod._split_spectrum))
+        monkeypatch.setattr(report_mod, "split_preconditioned_matrix",
+                            noting(report_mod.split_preconditioned_matrix))
         gc.disable()
         try:
             report = analyze(system, scenarios, precond="jacobi")
@@ -283,8 +279,7 @@ class TestOneFactorPerBlock:
         # cho_factor: A and S1 (validate), S2 (the first build_exact; the
         # second reuses it), the mass matrix and the square-completion block;
         # eigh: the reference (stiffness, mass) pencil and eta_e; split
-        # matrices: prec-exact and prec-inexact, whose normalized spectrum
-        # rescales the inexact one (the parent counted 11, 3 and 3)
+        # matrices: prec-exact and prec-inexact, one spectrum each
         ("poisson-dist", (5, 2, 2)),
         # cho_factor: A, S1 and S2; eigh: eta_e (the parent counted 4, 4, 2)
         ("poisson-bnd", (3, 1, 2)),
@@ -350,17 +345,15 @@ class TestOneFactorPerBlock:
         assert sparse_report["scenarios"][0]["containment"]["status"] == "pass"
 
     @pytest.mark.parametrize("label", ["jacobi", "scaled:0.5", "poisson-dist"])
-    def test_normalized_spectrum_matches_refactored_scaled_blocks(self, label):
-        # the parent took the normalized spectrum from from_blocks of the
-        # scaled blocks; a jacobi interval always straddles 1 (its generalized
-        # eigenvalues average 1), so jacobi is checked with scales of its own
+    def test_inexact_spectrum_matches_refactored_blocks(self, label):
+        # the inexact spectrum is that of the approximation as built, the
+        # same blocks refactored densely by from_blocks
         from saddlebounds.precond import (
             build_approx,
             from_blocks,
             split_preconditioned_matrix,
             strategy_tuple,
         )
-        from saddlebounds.report import _split_spectrum
         from saddlebounds.spectral import full_spectrum
 
         if label.startswith("poisson"):
@@ -371,22 +364,12 @@ class TestOneFactorPerBlock:
         system = system.dense()
         entry = analyze(system, ("prec-inexact",), precond=precond,
                         context=context).scenarios[0]
-        assert ("normalization_scales" in entry) == (label != "jacobi")
         op = build_approx(system, strategy_tuple(precond), context=context)
-
-        def reference(scales):
-            scaled = from_blocks([s * b for s, b in zip(scales, op.blocks)],
-                                 system.dims, op.strategy)
-            return full_spectrum(split_preconditioned_matrix(system, scaled))
-
-        def assert_close(got, want):
-            assert np.abs(np.asarray(got) - want).max() <= 1e-12 * np.abs(want).max()
-
-        scales = entry.get("normalization_scales", [1.0, 1.0, 1.0])
-        assert_close(entry.get("spectrum_normalized", entry["spectrum"]), reference(scales))
-        values, scaled = _split_spectrum(system, op, (0.7, 1.3, 2.5))
-        assert_close(values, reference((1.0, 1.0, 1.0)))
-        assert_close(scaled, reference((0.7, 1.3, 2.5)))
+        refactored = from_blocks(op.blocks, system.dims, op.strategy)
+        want = full_spectrum(split_preconditioned_matrix(system, refactored))
+        got = np.asarray(entry["spectrum"])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert entry["containment"]["status"] == "pass"
 
 
 class TestPlotRows:
@@ -417,6 +400,22 @@ class TestPlotRows:
         assert report.spectrum and "error" in report.scenarios[1]
         assert len(plot_rows([report], scenario="unprec")) == 1 + system.total
         assert len(plot_rows([report], scenario="prec-exact")) == 1
+
+    def test_inexact_rows_lie_within_their_bound_columns(self):
+        # the bound columns are those of the scaled:0.5 operator as built,
+        # whose spectrum the rows plot
+        from saddlebounds.bounds import Interval
+
+        system, _ = random_valid_system(np.random.default_rng(97), 12, 8, 5)
+        report = analyze(system, ("prec-inexact",), precond="scaled:0.5")
+        tol = report.scenarios[0]["containment"]["tol"]
+        rows = plot_rows([report], scenario="prec-inexact")
+        assert len(rows) == 1 + system.total
+        for row in rows[1:]:
+            _, value, *ends = map(float, row.split(","))
+            negative = Interval(*ends[:2]).inflate(tol)
+            positive = Interval(*ends[2:]).inflate(tol)
+            assert negative.contains(value) or positive.contains(value), row
 
     def test_byte_identical_across_runs(self):
         rng1 = np.random.default_rng(93)
@@ -449,7 +448,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         data = json.loads(out)
-        assert data["schema"] == 1
+        assert data["schema"] == 2
         assert data["validation"]["ok"] is True
 
     def test_analyze_validation_failure_exits_two(self, tmp_path, capsys):
@@ -603,6 +602,12 @@ class TestCli:
         (["analyze", "--problem", "random", "--scenario", "prec-inexact",
           "--precond", "user:{word_user}"],
          "manifest {word_user}: user block 2 is not an array of numbers"),
+        (["analyze", "--problem", "manifest:{scalar_entry}"],
+         "manifest {scalar_entry}: block A must be a 2-d array, got 0-d"),
+        (["analyze", "--problem", "manifest:{vector_entry}"],
+         "manifest {vector_entry}: block A must be a 2-d array, got 1-d"),
+        (["solve", "--problem", "random", "--precond", "user:{scalar_user}"],
+         "manifest {scalar_user}: user block 0 must be a 2-d array, got 0-d"),
         (["analyze", "--problem", "manifest:{mtx_manifest}"],
          "{bad_mtx} is not a Matrix Market file"),
         (["solve", "--problem", "random", "--precond", "user:{mtx_user}"],
@@ -652,6 +657,14 @@ class TestCli:
         user_blocks[2][0][0] = "one"
         word_user = tmp_path / "word_user.json"
         word_user.write_text(json.dumps({"blocks": user_blocks}))
+        scalar_entry = tmp_path / "scalar_entry.json"
+        scalar_entry.write_text(json.dumps(
+            {"schema": 1, "format": "inline", "blocks": dict(blocks, A=5)}))
+        vector_entry = tmp_path / "vector_entry.json"
+        vector_entry.write_text(json.dumps(
+            {"schema": 1, "format": "inline", "blocks": dict(blocks, A=[1, 2])}))
+        scalar_user = tmp_path / "scalar_user.json"
+        scalar_user.write_text(json.dumps({"blocks": [5, [[1.0]], [[1.0]]]}))
         bad_mtx = tmp_path / "bad.mtx"
         bad_mtx.write_text("not a matrix\n")
         mtx_manifest = tmp_path / "mtx.json"
@@ -663,7 +676,9 @@ class TestCli:
                  "asymmetric": asymmetric, "asymmetric_user": asymmetric_user,
                  "not_json": not_json, "json_list": json_list,
                  "word_entry": word_entry, "word_user": word_user,
-                 "bad_mtx": bad_mtx, "mtx_manifest": mtx_manifest, "mtx_user": mtx_user}
+                 "scalar_entry": scalar_entry, "vector_entry": vector_entry,
+                 "scalar_user": scalar_user, "bad_mtx": bad_mtx,
+                 "mtx_manifest": mtx_manifest, "mtx_user": mtx_user}
         code = main([arg.format(**paths) for arg in argv])
         err = capsys.readouterr().err
         assert code == 1
@@ -746,9 +761,9 @@ class TestCli:
         data = json.loads(out)
         entry = data["scenarios"][0]
         # user blocks equal the exact ones, so every constant is 1
-        for meas in entry["precond"]["equivalence"]:
-            assert meas["alpha"] == pytest.approx(1.0, abs=1e-9)
-            assert meas["beta"] == pytest.approx(1.0, abs=1e-9)
+        for lo, hi in entry["precond"]["equivalence"]:
+            assert lo == pytest.approx(1.0, abs=1e-9)
+            assert hi == pytest.approx(1.0, abs=1e-9)
         assert entry["containment"]["status"] == "pass"
 
     def test_generate_poisson_manifest_lists_five_blocks(self, tmp_path, capsys):

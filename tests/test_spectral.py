@@ -21,6 +21,7 @@ from saddlebounds import (
     validate,
 )
 from saddlebounds.bounds import bounds_unpreconditioned
+from saddlebounds.problems import haar_orthogonal
 from saddlebounds.errors import (
     ConvergenceError,
     DefinitenessError,
@@ -404,6 +405,23 @@ class TestSchurComplements:
             pair = schur_complements(system)
             assert np.array_equal(pair.s1, pair.s1.T)
             assert np.array_equal(pair.s2, pair.s2.T)
+
+
+    def test_singular_s1_judged_by_its_spectrum_not_its_cholesky(self):
+        # B has two equal rows and D = 0, so S1 = B A^-1 B^T is singular;
+        # for this seed cho_factor of the formed S1 still succeeds (it does
+        # for 67 of seeds 0-199), so validate keeps its SYM_TOL rule on the
+        # extremal eigenvalues instead of trusting the factor
+        rng = np.random.default_rng(1)
+        n, m, p = 8, 6, 4
+        q = haar_orthogonal(rng, n)
+        a = (q * rng.uniform(0.5, 3.0, n)) @ q.T
+        b = rng.standard_normal((m, n))
+        b[1] = b[0]
+        system = DoubleSaddleSystem(A=a, B=b, C=rng.standard_normal((p, m)),
+                                    D=np.zeros((m, m)), E=np.eye(p))
+        sla.cho_factor(schur_complements(system).s1)
+        assert validate(system).schur_definite == (False, False)
 
 
 class TestSharedSchurPair:

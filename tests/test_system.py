@@ -257,9 +257,8 @@ class TestSymmetry:
         self, precond, calls, monkeypatch
     ):
         # after construction, the only symmetrizations left in an analysis
-        # are of the diagonal blocks of its two split congruences; the
-        # normalized spectrum of scaled:0.5 rescales the inexact one and
-        # forms no third
+        # are of the diagonal blocks of its two split congruences, one per
+        # preconditioned scenario
         system = random_system(8, 6, 4, 7, TOUR_EXTREMES)
         callers = []
         for module in [m for k, m in sys.modules.items() if k.startswith("saddlebounds")]:
