@@ -17,7 +17,7 @@ from .bounds import (
     solve_classified,
     verify_containment,
 )
-from .io import load_manifest, save_manifest
+from .io import load_manifest, load_problem, save_manifest
 from .krylov import SolveResult, minres
 from .precond import (
     PoissonControlContext,

@@ -54,7 +54,7 @@ def _build_problem(args):
     kind = args.problem
     if kind.startswith("manifest:"):
         path = kind.split(":", 1)[1]
-        return sbio.load_manifest(path), None, {"kind": "manifest", "path": path}
+        return (*sbio.load_problem(path), {"kind": "manifest", "path": path})
     if kind == "poisson-dist":
         system, fem = poisson_distributed(args.h, args.beta)
         info = {"kind": "poisson-dist", "h": args.h, "beta": args.beta,
@@ -115,10 +115,10 @@ def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_generate(args) -> int:
-    system, _, info = _build_problem(args)
+    system, context, info = _build_problem(args)
     out_dir = args.out or f"problem-{info['kind']}"
     manifest = sbio.save_manifest(
-        system, out_dir, name=args.name, inline=args.inline
+        system, out_dir, name=args.name, inline=args.inline, context=context
     )
     print(manifest)
     return 0

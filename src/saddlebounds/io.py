@@ -8,6 +8,11 @@ Two on-disk forms are supported, both driven by a JSON manifest:
 * ``inline`` -- the manifest embeds the five blocks as dense arrays, which
   is convenient for tiny systems and for tests.
 
+A manifest may also carry the :class:`~saddlebounds.precond.PoissonControlContext`
+of a distributed-control system under ``context``: its ``beta`` and its mass
+and stiffness matrices, stored like the blocks (``.mtx`` files, or dense
+arrays in an inline manifest).
+
 Values are read back as IEEE-754 doubles; bit exactness across writers is
 not promised.
 """
@@ -21,10 +26,12 @@ import numpy as np
 import scipy.io
 
 from .errors import StructuralError
+from .precond import PoissonControlContext
 from .system import DoubleSaddleSystem, _dense, _symmetric_input
 
 SCHEMA_VERSION = 1
 BLOCK_NAMES = ("A", "B", "C", "D", "E")
+CONTEXT_MATRICES = ("mass", "stiffness")
 
 
 def save_manifest(
@@ -32,26 +39,27 @@ def save_manifest(
     out_dir: str | Path,
     name: str = "system",
     inline: bool = False,
+    context: PoissonControlContext | None = None,
 ) -> Path:
-    """Write a system to ``out_dir`` and return the manifest path."""
+    """Write a system, and its distributed-control ``context`` when given,
+    to ``out_dir`` and return the manifest path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     n, m, p = system.dims
-    manifest: dict = {"schema": SCHEMA_VERSION, "dims": [n, m, p]}
+    manifest: dict = {"schema": SCHEMA_VERSION, "dims": [n, m, p],
+                      "format": "inline" if inline else "matrix-market"}
 
-    if inline:
-        manifest["format"] = "inline"
-        manifest["blocks"] = {
-            key: _dense(getattr(system, key)).tolist() for key in BLOCK_NAMES
-        }
-    else:
-        manifest["format"] = "matrix-market"
-        blocks = {}
-        for key in BLOCK_NAMES:
-            fname = f"{name}_{key}.mtx"
-            scipy.io.mmwrite(out_dir / fname, getattr(system, key))
-            blocks[key] = fname
-        manifest["blocks"] = blocks
+    def stored(key, matrix):
+        if inline:
+            return _dense(matrix).tolist()
+        fname = f"{name}_{key}.mtx"
+        scipy.io.mmwrite(out_dir / fname, matrix)
+        return fname
+
+    manifest["blocks"] = {key: stored(key, getattr(system, key)) for key in BLOCK_NAMES}
+    if context is not None:
+        manifest["context"] = {"beta": float(context.beta), **{
+            key: stored(key, getattr(context, key)) for key in CONTEXT_MATRICES}}
 
     manifest_path = out_dir / f"{name}.json"
     with open(manifest_path, "w") as handle:
@@ -101,6 +109,20 @@ def _read_mtx(path: Path):
 def load_manifest(path: str | Path) -> DoubleSaddleSystem:
     """Load a system from a JSON manifest (either on-disk form); a file
     that is not a manifest raises :class:`StructuralError` naming it."""
+    return load_problem(path)[0]
+
+
+def load_problem(
+    path: str | Path,
+) -> tuple[DoubleSaddleSystem, PoissonControlContext | None]:
+    """Load a system and its distributed-control context (``None`` when the
+    manifest carries none) from a JSON manifest.
+
+    A file that is not a manifest raises :class:`StructuralError` naming
+    it.  The context is rebuilt through :class:`PoissonControlContext`,
+    which checks it; :func:`~saddlebounds.precond.build_approx` checks that
+    it fits the system where it is used.
+    """
     path = Path(path)
     manifest = _read_manifest(path)
 
@@ -112,26 +134,38 @@ def load_manifest(path: str | Path) -> DoubleSaddleSystem:
         raise StructuralError("manifest must define exactly the blocks A, B, C, D, E")
 
     fmt = manifest.get("format", "matrix-market")
-    loaded = {}
-    for key in BLOCK_NAMES:
-        if fmt == "inline":
-            loaded[key] = _inline_block(blocks[key], path, "block " + key)
-        elif fmt == "matrix-market":
-            if not isinstance(blocks[key], str):
-                raise StructuralError(
-                    f"manifest {path}: block {key} must name a Matrix Market file, "
-                    f"got {type(blocks[key]).__name__}")
-            loaded[key] = _read_mtx(path.parent / blocks[key])
-        else:
-            raise StructuralError(f"unknown manifest format {fmt!r}")
+    if fmt not in ("inline", "matrix-market"):
+        raise StructuralError(f"unknown manifest format {fmt!r}")
 
-    system = DoubleSaddleSystem(**loaded)
+    def loaded(entry, label):
+        if fmt == "inline":
+            return _inline_block(entry, path, label)
+        if not isinstance(entry, str):
+            raise StructuralError(
+                f"manifest {path}: {label} must name a Matrix Market file, "
+                f"got {type(entry).__name__}")
+        return _read_mtx(path.parent / entry)
+
+    system = DoubleSaddleSystem(**{key: loaded(blocks[key], "block " + key)
+                                   for key in BLOCK_NAMES})
     dims = manifest.get("dims")
     if dims is not None and dims != list(system.dims):
         raise StructuralError(
             f"manifest dims {dims} disagree with block shapes {system.dims}"
         )
-    return system
+
+    entry = manifest.get("context")
+    if entry is None:
+        return system, None
+    if not isinstance(entry, dict) or set(entry) != {"beta", *CONTEXT_MATRICES}:
+        raise StructuralError(
+            f"manifest {path}: context must define exactly beta, mass and stiffness")
+    beta = entry["beta"]
+    if isinstance(beta, bool) or not isinstance(beta, (int, float)):
+        raise StructuralError(f"manifest {path}: context beta must be a number")
+    return system, PoissonControlContext(
+        beta=float(beta),
+        **{key: loaded(entry[key], "context " + key) for key in CONTEXT_MATRICES})
 
 
 def load_spd_blocks(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

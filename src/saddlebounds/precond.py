@@ -55,7 +55,7 @@ from .errors import (
     StrategyMismatchError,
     StructuralError,
 )
-from .spectral import _gram, _kernel_input, _solve_upper_t, schur_complements
+from .spectral import _eigvalsh, _gram, _kernel_input, _solve_upper_t, schur_complements
 from .system import (
     DoubleSaddleSystem,
     _dense,
@@ -525,7 +525,9 @@ def equivalence_constants(
     itself.  Bitwise-identical blocks give the exact interval [1, 1] with no
     eigensolve (the factor alone shows they are definite).  The interval is
     the one of the approximation as built: scaling it by s divides the
-    interval by s, and nothing is rescaled here.
+    interval by s, and nothing is rescaled here.  Neither block is written:
+    the congruence is formed here and is the only array the eigensolve
+    overwrites.
     """
     exact = _kernel_input(exact, "exact block")
     approx = _kernel_input(approx, "approximation")
@@ -536,7 +538,7 @@ def equivalence_constants(
     factor = _dense_factor(approx, factor, "approximation")
     if np.array_equal(exact, approx):
         return Interval(1.0, 1.0)
-    vals = np.linalg.eigvalsh(_congruence(factor, exact, factor))
+    vals = _eigvalsh(_congruence(factor, exact, factor), overwrite=True)
     if vals[0] <= 0:
         raise DefinitenessError("exact block is not positive definite")
     return Interval(float(vals[0]), float(vals[-1]))

@@ -242,7 +242,10 @@ def analyze(
     preconditioner's factors.  The inexact bounds use the raw equivalence
     constants of the approximation as built, so each preconditioned scenario
     takes one spectrum, of its own split matrix, and checks both its bounds
-    and any reference intervals against it.
+    and any reference intervals against it.  K and each split matrix are
+    formed only to be eigensolved, so they are handed over
+    (``full_spectrum(..., overwrite=True)``) and each spectrum holds one
+    N x N array, not two.
     """
     t_start = time.perf_counter()
     timings: dict[str, float] = {}
@@ -275,7 +278,7 @@ def analyze(
         spectrum = None
         if system.total <= spectral.ORACLE_CUTOFF:
             t0 = time.perf_counter()
-            spectrum = full_spectrum(assemble(system).data)
+            spectrum = full_spectrum(assemble(system).data, overwrite=True)
             report.spectrum = [float(v) for v in spectrum]
             timings["spectrum"] = time.perf_counter() - t0
 
@@ -378,7 +381,7 @@ def _split_verdicts(entry, system, op, bounds, tol, reference=None) -> dict:
     if system.total > spectral.ORACLE_CUTOFF:
         entry["containment"] = {"status": "unverified"}
         return entry
-    values = full_spectrum(split_preconditioned_matrix(system, op))
+    values = full_spectrum(split_preconditioned_matrix(system, op), overwrite=True)
     entry["spectrum"] = [float(v) for v in values]
     entry["spectrum_summary"] = _spectrum_summary(values)
     if bounds is not None:

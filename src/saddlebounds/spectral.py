@@ -1,11 +1,13 @@
 """Eigenvalue and singular-value kernels, and the structural checks built on them.
 
 Extremal eigenvalues come from a dense symmetric decomposition up to
-``ORACLE_CUTOFF`` and from ARPACK (``eigsh``) above it.  Singular values,
-and with them every rank decision, come from one SVD helper.  Also home to
-the Schur complements of a system (dense; each Gram from one U^-T solve
-against an upper Cholesky factor, the helper the preconditioners'
-congruence shares; one analysis builds them once, see
+``ORACLE_CUTOFF`` and from ARPACK (``eigsh``) above it; every dense
+symmetric eigensolve is one call of LAPACK's ``?syevr`` (:func:`_eigvalsh`),
+which works in place: in a copy, unless the caller hands the matrix over.
+Singular values, and with them every rank decision, come from one SVD
+helper.  Also home to the Schur complements of a system (dense; each Gram
+from one U^-T solve against an upper Cholesky factor, the helper the
+preconditioners' congruence shares; one analysis builds them once, see
 :class:`SharedSchurPair`), the two regularization ratios (largest generalized
 eigenvalues of the regularization blocks against the coupling Grams) that
 drive the inexact-preconditioner bounds, and :func:`validate`, which checks
@@ -47,6 +49,9 @@ _ARPACK_SEED = 0x5ADD1E
 # 630 matrix-vector products
 _ARPACK_NCV = 32
 _ARPACK_RESTARTS = 20
+
+# LAPACK's MRRR driver and its workspace query; the driver overwrites its input
+_SYEVR, _SYEVR_LWORK = sla.get_lapack_funcs(("syevr", "syevr_lwork"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -251,21 +256,47 @@ def _kernel_input(matrix, label: str = "matrix", wide: bool = False) -> np.ndarr
     return a
 
 
+def _eigvalsh(a: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """All eigenvalues of a symmetric float array, ascending, from its lower
+    triangle, by one call of ``?syevr``.
+
+    The driver works in place on ``a.T``, which for a C-ordered ``a`` is
+    Fortran-ordered with ``a``'s lower triangle as its upper one.  With
+    ``overwrite`` the caller hands ``a`` over and it is destroyed when it is
+    C-ordered and writeable; otherwise, and always without ``overwrite``,
+    the driver gets one C-ordered copy, so ``a`` is left as it was and the
+    eigenvalues are bitwise the same either way.  A nonzero LAPACK ``info``
+    raises :class:`ConvergenceError`.
+    """
+    dim = a.shape[0]
+    if not dim:
+        return np.empty(0)
+    if not (overwrite and a.flags.c_contiguous and a.flags.writeable):
+        a = np.array(a, order="C")
+    work, iwork, _ = _SYEVR_LWORK(dim)
+    vals, _, _, _, info = _SYEVR(a.T, compute_v=0, lower=0, lwork=int(work),
+                                 liwork=iwork, overwrite_a=1)
+    if info:
+        raise ConvergenceError(f"dense symmetric eigensolve failed (LAPACK info {info})")
+    return vals
+
+
 def extremal_eigs(matrix) -> tuple[float, float]:
     """Smallest and largest eigenvalues of a symmetric matrix, which passes
     the kernels' input rule (:func:`_kernel_input`).
 
     A matrix that stores no nonzero gives (0, 0) without an eigensolve.
     Otherwise a dense decomposition up to ``ORACLE_CUTOFF``, which reads one
-    triangle of the matrix; beyond that ARPACK from a fixed-seed start
-    vector, which applies all of it, certified by the residual test
-    ||A v - t v|| <= EIG_TOL * max|t|.
+    triangle of a copy of the matrix (the caller's matrix, a system block or
+    a Schur complement, is never written); beyond that ARPACK from a
+    fixed-seed start vector, which applies all of it, certified by the
+    residual test ||A v - t v|| <= EIG_TOL * max|t|.
     """
     a = _kernel_input(matrix)
     if not a.any():
         return 0.0, 0.0
     if a.shape[0] <= ORACLE_CUTOFF:
-        vals = np.linalg.eigvalsh(a)
+        vals = _eigvalsh(a)
         return float(vals[0]), float(vals[-1])
     return _arpack_extremes(a.copy())  # the shift stays local to the copy
 
@@ -332,18 +363,26 @@ def extremal_svals(matrix) -> tuple[float, float]:
     return float(svals[-1]), float(svals[0])
 
 
-def full_spectrum(matrix) -> np.ndarray:
+def full_spectrum(matrix, overwrite: bool = False) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, ascending, from one triangle
     of it; desk scale only.  The matrix passes the kernels' input rule
     (:func:`_kernel_input`), then a dimension above ``ORACLE_CUTOFF``
-    raises :class:`OracleSizeError`."""
+    raises :class:`OracleSizeError`.
+
+    The caller owns the matrix, and by default it is never written: the
+    eigensolve works in one N x N copy.  ``overwrite=True``, as in scipy's
+    ``overwrite_a``, hands the matrix over: a C-ordered, writeable float
+    array is then destroyed by the eigensolve and no copy is made, so a
+    caller that forms a matrix only to eigensolve it holds one N x N array,
+    not two.  The eigenvalues are bitwise the same either way.
+    """
     a = _kernel_input(matrix)
     dim = a.shape[0]
     if dim > ORACLE_CUTOFF:
         raise OracleSizeError(
             f"full spectrum refused for dimension {dim} > cutoff {ORACLE_CUTOFF}"
         )
-    return np.linalg.eigvalsh(a)
+    return _eigvalsh(a, overwrite)
 
 
 def inertia(matrix) -> Inertia:

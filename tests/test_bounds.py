@@ -35,6 +35,7 @@ from saddlebounds.bounds import (
     EigenvalueVerdict,
 )
 from saddlebounds.errors import ParameterError
+from saddlebounds.problems import haar_orthogonal
 from saddlebounds.report import SCENARIOS, analyze
 from saddlebounds.spectral import RANK_TOL
 
@@ -224,6 +225,56 @@ class TestBoundsUnpreconditioned:
             assert wide_iv.negative.hi >= iv.negative.hi - 1e-12
             assert wide_iv.positive.lo <= iv.positive.lo + 1e-12
             assert wide_iv.positive.hi >= iv.positive.hi - 1e-12
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 14),
+        m_frac=st.floats(0.0, 1.0),
+        p_frac=st.floats(0.0, 1.0),
+        lost_b=st.floats(0.0, 1.0),
+        lost_c=st.floats(0.0, 1.0),
+        d_zero=st.booleans(),
+        e_zero=st.booleans(),
+        log_scale=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_rank_deficient_couplings_contained(
+        self, n, m_frac, p_frac, lost_b, lost_c, d_zero, e_zero, log_scale, seed
+    ):
+        # B and C lose some but not all of their singular values (at least
+        # one between them), so the measured extremes take the
+        # degenerate_interior path; K may then be singular, and its dense
+        # spectrum must still lie in the intervals
+        m = 2 + int(m_frac * (n - 2))
+        p = 1 + int(p_frac * (m - 1))
+        k_b, k_c = round(lost_b * (m - 1)), round(lost_c * (p - 1))
+        if k_b + k_c == 0:
+            k_b = 1
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+
+        def sym(dim, lo, hi):
+            q = haar_orthogonal(rng, dim)
+            return (q * rng.uniform(lo, hi, dim)) @ q.T
+
+        def coupling(rows, cols, lost):
+            svals = scale * rng.uniform(0.2, 2.0, rows)
+            svals[:lost] = 0.0
+            u, v = haar_orthogonal(rng, rows), haar_orthogonal(rng, cols)
+            return (u * svals) @ v[:, :rows].T
+
+        system = DoubleSaddleSystem(
+            A=sym(n, 0.5, 4.0), B=coupling(m, n, k_b), C=coupling(p, m, k_c),
+            D=np.zeros((m, m)) if d_zero else sym(m, 0.0, 1.0),
+            E=np.zeros((p, p)) if e_zero else sym(p, 0.0, 1.0),
+        )
+        bounds = bounds_unpreconditioned(BlockExtremes.from_system(system))
+        assert bounds.degenerate_interior
+        assert (bounds.negative.hi == 0.0) is (k_b > 0)
+        assert (bounds.positive.lo == 0.0) is (k_c > 0)
+        spectrum = full_spectrum(assemble(system).data)
+        report = verify_containment(spectrum, bounds, tol=CONTAINMENT_TOL)
+        assert report.passed, [v.value for v in report.verdicts if not v.ok]
 
 
 def _count_below(diag, off, sigma) -> int:

@@ -3,9 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from saddlebounds import load_manifest, poisson_distributed, save_manifest
-from saddlebounds.errors import StructuralError
+from saddlebounds import (
+    distributed_context,
+    load_manifest,
+    load_problem,
+    poisson_distributed,
+    save_manifest,
+)
+from saddlebounds.errors import ParameterError, StructuralError
 from saddlebounds.io import load_spd_blocks
+from saddlebounds.report import analyze, solve
 from saddlebounds.system import _dense
 
 from helpers import random_valid_system
@@ -38,6 +45,70 @@ def test_sparse_manifest_round_trip(tmp_path, inline):
     if not inline:
         header = (tmp_path / "system_A.mtx").read_text().splitlines()[0]
         assert "coordinate" in header
+
+
+@pytest.mark.parametrize("inline", [False, True])
+def test_context_round_trip(tmp_path, inline):
+    system, fem = poisson_distributed(2**-3, 1e-3)
+    context = distributed_context(fem, 1e-3)
+    back, back_context = load_problem(
+        save_manifest(system, tmp_path, inline=inline, context=context))
+    assert back_context.beta == context.beta
+    for key in ("mass", "stiffness"):
+        np.testing.assert_allclose(_dense(getattr(back_context, key)),
+                                   getattr(context, key).toarray(), rtol=1e-15, atol=0)
+    # the loaded context gives the published-recipe reference intervals again
+    scenarios = ("prec-inexact",)
+    direct = analyze(system, scenarios, precond="pearson-wathen", context=context)
+    loaded = analyze(back, scenarios, precond="pearson-wathen", context=back_context)
+    want, got = direct.scenarios[0], loaded.scenarios[0]
+    assert got["reference_containment"]["status"] == "pass"
+    np.testing.assert_allclose(got["reference_intervals"]["negative"]
+                               + got["reference_intervals"]["positive"],
+                               want["reference_intervals"]["negative"]
+                               + want["reference_intervals"]["positive"], rtol=1e-12)
+
+
+def test_manifest_context_of_another_size_fails_where_it_is_used(tmp_path):
+    system, _ = poisson_distributed(2**-3, 1e-3)
+    _, other = poisson_distributed(2**-2, 1e-3)
+    manifest = save_manifest(system, tmp_path, context=distributed_context(other, 1e-3))
+    back, context = load_problem(manifest)
+    with pytest.raises(StructuralError, match="must be 49 x 49 to match block E"):
+        solve(back, precond="pearson-wathen", context=context)
+
+
+@pytest.mark.parametrize("inline", [False, True])
+def test_manifest_without_context_loads_none(tmp_path, inline):
+    rng = np.random.default_rng(25)
+    system, _ = random_valid_system(rng, 4, 3, 2)
+    manifest = save_manifest(system, tmp_path, inline=inline)
+    assert "context" not in json.loads(manifest.read_text())
+    back, context = load_problem(manifest)
+    assert context is None and back.dims == system.dims
+
+
+@pytest.mark.parametrize("edit, error, match", [
+    (lambda c: c.pop("stiffness"), StructuralError, "exactly beta, mass and stiffness"),
+    (lambda c: c.update(beta="1e-3"), StructuralError, "beta must be a number"),
+    (lambda c: c.update(beta=True), StructuralError, "beta must be a number"),
+    (lambda c: c.update(beta=-1.0), ParameterError, "beta must be finite and positive"),
+    (lambda c: c.update(mass=[[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+     StructuralError, "mass matrix"),
+    (lambda c: c.update(stiffness="system_K.mtx"), StructuralError,
+     "context stiffness is not an array of numbers"),
+])
+def test_manifest_context_checked_where_it_loads(tmp_path, edit, error, match):
+    rng = np.random.default_rng(26)
+    system, _ = random_valid_system(rng, 4, 3, 3)
+    manifest = save_manifest(system, tmp_path, inline=True)
+    data = json.loads(manifest.read_text())
+    data["context"] = {"beta": 1e-3, "mass": np.eye(3).tolist(),
+                       "stiffness": (2 * np.eye(3)).tolist()}
+    edit(data["context"])
+    manifest.write_text(json.dumps(data))
+    with pytest.raises(error, match=match):
+        load_problem(manifest)
 
 
 def test_manifest_rejects_bad_dims(tmp_path):

@@ -263,7 +263,7 @@ class TestOneSchurBuildPerAnalysis:
         import saddlebounds.report as report_mod
         import saddlebounds.spectral as spectral_mod
 
-        def broken(*args):
+        def broken(*args, **kwargs):
             raise RuntimeError("spectrum failed")
 
         monkeypatch.setattr(report_mod, "full_spectrum", broken)
@@ -502,6 +502,27 @@ class TestCli:
         assert loaded.passed and direct.passed
         assert loaded.dims == direct.dims and loaded.validation == direct.validation
         np.testing.assert_allclose(loaded.spectrum, direct.spectrum, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("inline", [False, True])
+    def test_generate_poisson_then_solve_manifest_with_pearson_wathen(
+        self, tmp_path, capsys, inline
+    ):
+        # the manifest carries the mass, stiffness and beta the
+        # square-completion tail block needs
+        code = main(["generate", "--problem", "poisson-dist", "--h", "0.125",
+                     "--out", str(tmp_path)] + ["--inline"] * inline)
+        assert code == 0
+        manifest = capsys.readouterr().out.strip()
+        code = main(["solve", "--problem", f"manifest:{manifest}",
+                     "--precond", "pearson-wathen", "--out", str(tmp_path / "s.json")])
+        capsys.readouterr()
+        assert code == 0
+        loaded = json.loads((tmp_path / "s.json").read_text())
+        system, fem = poisson_distributed(0.125, 1e-3)
+        direct = solve(system, precond="pearson-wathen",
+                       context=distributed_context(fem, 1e-3))
+        assert loaded["converged"]
+        assert loaded["iterations"] == direct["iterations"]
 
     def test_desk_analyze_leaves_sparse_linalg_unimported(self):
         # loading scipy.sparse.linalg costs every process about 2 MB of

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +186,7 @@ class TestKernelInputRule:
         empty = np.zeros((0, 0))
         assert extremal_eigs(empty) == (0.0, 0.0)
         assert full_spectrum(empty).shape == (0,)
+        assert full_spectrum(empty, overwrite=True).shape == (0,)
         assert inertia(empty) == Inertia(0, 0, 0)
 
     def test_sparse_and_list_input(self):
@@ -235,6 +237,71 @@ class TestFullSpectrum:
         monkeypatch.setattr(spectral_mod, "ORACLE_CUTOFF", 5)
         with pytest.raises(OracleSizeError):
             full_spectrum(np.eye(10))
+
+    @staticmethod
+    def _symmetric(dim, seed):
+        x = np.random.default_rng(seed).standard_normal((dim, dim))
+        return x + x.T
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 60, 177])
+    def test_matches_the_numpy_oracle(self, dim):
+        a = self._symmetric(dim, 70 + dim)
+        expected = np.linalg.eigvalsh(a)
+        vals = full_spectrum(a)
+        assert np.all(np.diff(vals) >= 0)
+        assert np.abs(vals - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("layout", ["c-order", "f-order", "strided", "read-only"])
+    def test_default_leaves_the_matrix_as_it_was(self, layout):
+        a = self._symmetric(90, 71)
+        reference = full_spectrum(a.copy(), overwrite=True)
+        if layout == "f-order":
+            a = np.asfortranarray(a)
+        elif layout == "strided":
+            wide = np.zeros((180, 180))
+            wide[::2, ::2] = a
+            a = wide[::2, ::2]
+        elif layout == "read-only":
+            a.setflags(write=False)
+        before = a.tobytes()
+        # the driver sees the same bytes whatever the layout or ownership
+        assert np.array_equal(full_spectrum(a), reference)
+        assert a.tobytes() == before
+        if layout != "c-order":
+            # only a C-ordered, writeable array can be handed over
+            assert np.array_equal(full_spectrum(a, overwrite=True), reference)
+            assert a.tobytes() == before
+
+    def test_overwrite_allocates_no_copy(self):
+        # a wrong memory order would make f2py copy the input silently
+        dim = 600
+        copy_bytes = dim * dim * 8
+        a, b = self._symmetric(dim, 73), self._symmetric(dim, 74)
+        tracemalloc.start()
+        try:
+            full_spectrum(a, overwrite=True)
+            in_place = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            full_spectrum(b)
+            copied = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert in_place < copy_bytes / 2
+        assert copy_bytes <= copied < 1.5 * copy_bytes
+
+    def test_nonzero_lapack_info_is_a_convergence_error(self, monkeypatch):
+        original = spectral_mod._SYEVR
+
+        def failing(a, **kwargs):
+            *out, _ = original(a, **kwargs)
+            return (*out, 3)
+
+        monkeypatch.setattr(spectral_mod, "_SYEVR", failing)
+        a = self._symmetric(8, 75)
+        with pytest.raises(ConvergenceError, match="LAPACK info 3"):
+            full_spectrum(a)
+        with pytest.raises(ConvergenceError):
+            extremal_eigs(a)
 
 
 class TestInertia:
@@ -522,8 +589,8 @@ class TestBlockExtremes:
         rng = np.random.default_rng(48)
         system, _ = random_valid_system(rng, 7, 5, 3, d_zero=True, e_zero=True)
         solved = []
-        original = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh",
+        original = spectral_mod._eigvalsh
+        monkeypatch.setattr(spectral_mod, "_eigvalsh",
                             lambda a: solved.append(a.shape) or original(a))
         report = validate(system)
         assert solved == [(7, 7), (5, 5), (3, 3)]
