@@ -47,6 +47,7 @@ from .spectral import (
     extremal_svals,
     full_spectrum,
     inertia,
+    regularization_ratio,
     schur_complements,
     validate,
 )

@@ -60,7 +60,9 @@ def minres(
 ) -> SolveResult:
     """Solve a symmetric (possibly indefinite) system with preconditioned MINRES.
 
-    ``operator`` is a dense/sparse symmetric matrix or a callable matvec.
+    ``rhs`` is a 1-d vector of some length dim, and ``operator`` a
+    dense/sparse symmetric matrix of shape (dim, dim) (else
+    :class:`ParameterError`) or a callable matvec.
     ``preconditioner`` must be SPD (or None for plain MINRES); an indefinite
     one is detected through a negative inner product and rejected.
     Convergence is declared when the preconditioned residual norm drops
@@ -69,6 +71,8 @@ def minres(
     coefficient stops the run with ``breakdown="non-finite"``.
     """
     b = np.asarray(rhs, dtype=float)
+    if b.ndim != 1:
+        raise ParameterError(f"right-hand side must be a 1-d vector, got shape {b.shape}")
     if not np.all(np.isfinite(b)):
         raise ParameterError("right-hand side must be finite")
     check_stopping(rtol, maxit)
@@ -76,6 +80,10 @@ def minres(
     if callable(operator):
         matvec = operator
     else:
+        shape = np.shape(operator)
+        if shape != (dim, dim):
+            raise ParameterError(
+                f"operator must be {dim} x {dim} to match the right-hand side, got {shape}")
         mat = operator
         matvec = lambda v: mat @ v  # noqa: E731
     if preconditioner is None:

@@ -44,6 +44,7 @@ from .spectral import (
     SharedSchurPair,
     ValidationReport,
     full_spectrum,
+    regularization_ratio,
     schur_complements,
     validate,
 )
@@ -235,7 +236,8 @@ def analyze(
     preconditioned scenario is requested, the dense Schur pair is built
     once, in :func:`validate`, and shared for the length of the call
     (:class:`~saddlebounds.spectral.SharedSchurPair`) with the
-    preconditioner builds and the eta read; ``unprec`` alone opens no
+    preconditioner builds and the eta read, which takes its Grams and
+    :func:`validate`'s rank verdicts; ``unprec`` alone opens no
     scope, so the pair is dropped when :func:`validate` returns.  Each
     dense block is factored once: both exact preconditioners take S2's
     factor from the pair, and the equivalence constants reuse the approximate
@@ -292,10 +294,11 @@ def analyze(
                     entry = _scenario_unprec(extremes, spectrum, tol)
                 elif name == "prec-exact":
                     entry = _scenario_prec_exact(
-                        system, report.validation["c_nullity_k"], d_zero, e_zero, tol)
+                        system, validation.c_nullity_k, d_zero, e_zero, tol)
                 else:
                     entry = _scenario_prec_inexact(
-                        system, strategies, context, user_blocks, d_zero, e_zero, tol)
+                        system, validation, strategies, context, user_blocks,
+                        d_zero, e_zero, tol)
             except SaddleBoundsError as exc:
                 entry = {"name": name, "error": f"{type(exc).__name__}: {exc}"}
             entry["name"] = name
@@ -331,7 +334,7 @@ def _scenario_prec_exact(system, nullity_k, d_zero, e_zero, tol) -> dict:
 
 
 def _scenario_prec_inexact(
-    system, strategies, context, user_blocks, d_zero, e_zero, tol
+    system, validation, strategies, context, user_blocks, d_zero, e_zero, tol
 ) -> dict:
     exact_op = build_exact(system)
     approx_op = build_approx(system, strategies, context=context, user_blocks=user_blocks)
@@ -343,8 +346,8 @@ def _scenario_prec_inexact(
     ]
     consts = EquivalenceConstants(*(end for iv in equivalence for end in iv))
     pair = schur_complements(system)
-    eta_d = 0.0 if d_zero else pair.eta_d
-    eta_e = 0.0 if e_zero else pair.eta_e
+    eta_d = regularization_ratio(system.D, pair.gram_b, validation.b_full_row_rank)
+    eta_e = regularization_ratio(system.E, pair.gram_c, validation.c_full_row_rank)
 
     entry = {
         "precond": {

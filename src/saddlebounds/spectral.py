@@ -8,9 +8,9 @@ Singular values, and with them every rank decision, come from one SVD
 helper.  Also home to the Schur complements of a system (dense; each Gram
 from one U^-T solve against an upper Cholesky factor, the helper the
 preconditioners' congruence shares; one analysis builds them once, see
-:class:`SharedSchurPair`), the two regularization ratios (largest generalized
-eigenvalues of the regularization blocks against the coupling Grams) that
-drive the inexact-preconditioner bounds, and :func:`validate`, which checks
+:class:`SharedSchurPair`), the regularization ratio (largest generalized
+eigenvalue of a regularization block against its coupling Gram) that drives
+the inexact-preconditioner bounds, and :func:`validate`, which checks
 the hypotheses of the bounds with these same kernels on the densified
 system.  The symmetric kernels take a symmetric matrix as given: system
 blocks are made exactly symmetric when the system is built, and the
@@ -160,8 +160,8 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class SchurPair:
-    """The Schur complements of a system, the ``cho_factor`` results of A,
-    S1 and S2, and the regularization ratio constants, all dense.
+    """The Schur complements of a system and the ``cho_factor`` results of
+    A, S1 and S2, all dense.
 
     The pair serves the dense oracle and every dense system; on a sparse
     system a preconditioner builds it only for ``jacobi`` and when D or E
@@ -171,21 +171,15 @@ class SchurPair:
     analysis builds it once and shares it (:class:`SharedSchurPair`).
     S1 = D + B A^-1 B^T is formed with the pair; when D stores no nonzero,
     ``s1`` is the array ``gram_b`` itself.  The tail Gram
-    C S1^-1 C^T, S2 = E + C S1^-1 C^T, its factor ``cho_2``, diag(S2) and
-    both ratios are formed on first read, so a caller that replaces S2
-    never pays for it, and every exact-S2 reader shares one factor; a
-    failed factorization of S2 raises each time and is not kept.  Each
-    Gram is W^T W with W = U^-T (coupling)^T for the upper Cholesky factor
-    U, so it and both complements are exactly symmetric; A is densified
-    for its factor when it is sparse, since the Gram is dense anyway.
-
-    ``eta_d`` is the largest generalized eigenvalue of (D, B A^-1 B^T) and
-    ``eta_e`` of (E, C S1^-1 C^T); either is ``inf`` when the corresponding
-    coupling block is row-rank-deficient while the regularization block is
-    nonzero, and exactly zero when the regularization block vanishes.  The
-    rank is the SVD rank :func:`validate` reports; ``full_row_rank`` holds
-    its (B, C) verdicts when the caller has them, else they are measured on
-    first read of a ratio.
+    C S1^-1 C^T, S2 = E + C S1^-1 C^T, its factor ``cho_2`` and diag(S2)
+    are formed on first read, so a caller that replaces S2 never pays for
+    it, and every exact-S2 reader shares one factor; a failed factorization
+    of S2 raises each time and is not kept.  Each Gram is W^T W with
+    W = U^-T (coupling)^T for the upper Cholesky factor U, so it and both
+    complements are exactly symmetric; A is densified for its factor when
+    it is sparse, since the Gram is dense anyway.  The pair holds no rank:
+    the regularization ratios take the Grams and :func:`validate`'s rank
+    verdicts (:func:`regularization_ratio`).
     """
 
     system: DoubleSaddleSystem = field(repr=False)
@@ -193,7 +187,6 @@ class SchurPair:
     gram_b: np.ndarray = field(repr=False)
     cho_a: tuple = field(repr=False)
     cho_1: tuple = field(repr=False)
-    full_row_rank: tuple[bool, bool] | None = field(default=None, repr=False)
 
     @cached_property
     def gram_c(self) -> np.ndarray:
@@ -220,27 +213,6 @@ class SchurPair:
         else:
             half = _solve_upper_t(self.cho_1, coupling.T)
         return self.system.E.diagonal() + np.einsum("ij,ij->j", half, half)
-
-    @cached_property
-    def eta_d(self) -> float:
-        return self._ratio(self.system.D, 0, "gram_b")
-
-    @cached_property
-    def eta_e(self) -> float:
-        return self._ratio(self.system.E, 1, "gram_c")
-
-    def _ratio(self, reg, which: int, gram: str) -> float:
-        reg = _dense(reg)
-        if not np.any(reg):
-            return 0.0
-        if self.full_row_rank is not None:
-            full = self.full_row_rank[which]
-        else:
-            coupling = (self.system.B, self.system.C)[which]
-            full = _rank(_singular_values(coupling)) == coupling.shape[0]
-        if not full:
-            return float("inf")
-        return _regularization_ratio(reg, getattr(self, gram))
 
 
 def _kernel_input(matrix, label: str = "matrix", wide: bool = False) -> np.ndarray:
@@ -437,21 +409,15 @@ class SharedSchurPair:
 _SHARED: ContextVar[SharedSchurPair | None] = ContextVar("shared_schur", default=None)
 
 
-def schur_complements(
-    system: DoubleSaddleSystem, full_row_rank: tuple[bool, bool] | None = None
-) -> SchurPair:
+def schur_complements(system: DoubleSaddleSystem) -> SchurPair:
     """Factor A, form S1 = D + B A^-1 B^T and factor it; S2 = E + C S1^-1 C^T
-    and the ratios follow on first read of the returned pair.
+    follows on first read of the returned pair.
 
     Each Gram costs one triangular solve against the upper Cholesky factor
     and one symmetric product (see :class:`SchurPair`); when D stores no
-    nonzero, S1 is the B-Gram itself.  The ratios are symmetric generalized
-    eigenproblems (D v = eta * (B A^-1 B^T) v and its analogue), defined
-    when the coupling block has full row rank; ``full_row_rank`` passes
-    validate's (B, C) rank verdicts on to the pair.  Inside a
-    :class:`SharedSchurPair` scope for ``system`` the first call builds the
-    pair and later calls return it as built, whatever ``full_row_rank``
-    they pass, until the scope ends.
+    nonzero, S1 is the B-Gram itself.  Inside a :class:`SharedSchurPair`
+    scope for ``system`` the first call builds the pair and later calls
+    return it as built until the scope ends.
     """
     shared = _SHARED.get()
     if shared is None or shared.system is not system:
@@ -469,8 +435,7 @@ def schur_complements(
         cho_1 = sla.cho_factor(s1)
     except sla.LinAlgError as exc:
         raise DefinitenessError("first-schur block is not positive definite") from exc
-    pair = SchurPair(system=system, s1=s1, gram_b=gram_b, cho_a=cho_a,
-                     cho_1=cho_1, full_row_rank=full_row_rank)
+    pair = SchurPair(system=system, s1=s1, gram_b=gram_b, cho_a=cho_a, cho_1=cho_1)
     if shared is not None:
         shared.pair = pair
     return pair
@@ -492,9 +457,20 @@ def _gram(factor, coupling) -> np.ndarray:
     return half.T @ half
 
 
-def _regularization_ratio(reg: np.ndarray, gram: np.ndarray) -> float:
+def regularization_ratio(reg, gram: np.ndarray, full_row_rank: bool) -> float:
+    """eta = the largest generalized eigenvalue of (reg, gram), clamped at 0:
+    eta_D for (D, B A^-1 B^T) and eta_E for (E, C S1^-1 C^T).
+
+    A ``reg`` that stores no nonzero gives 0.0 with no eigensolve.  The
+    ratio exists only for a coupling of full row rank, so a ``False``
+    ``full_row_rank`` (:func:`validate`'s SVD verdict on the coupling) gives
+    ``inf``, as does a Gram that is singular in floating point.
+    """
+    reg = _dense(reg)
     if not np.any(reg):
         return 0.0
+    if not full_row_rank:
+        return float("inf")
     try:
         vals = sla.eigh(reg, gram, eigvals_only=True)
     except sla.LinAlgError:  # the Gram is singular
@@ -526,12 +502,14 @@ def validate(system: DoubleSaddleSystem) -> ValidationReport:
     to ``SYM_TOL``, ranks by singular values above ``RANK_TOL`` times the
     largest one; the nullity of C^T is p - rank(C).  A kernel condition
     whose top block is injective (A definite, B or C of full row rank)
-    holds without a rank test of the stack.  S1 and S2 come from
-    :func:`schur_complements`, given the (B, C) rank verdicts, so inside a
+    holds without a rank test of the stack.  The (B, C) row-rank verdicts
+    are the only ranks of the couplings an analysis measures; the
+    regularization ratios take them (:func:`regularization_ratio`).  S1 and
+    S2 come from :func:`schur_complements`, so inside a
     :class:`SharedSchurPair` scope this builds the pair every later reader
     gets (S2's factor included, formed by the first preconditioner that
-    reads it), and a ratio read from it needs no new SVD.  The
-    eigen-ranges and singular values measured here also give ``extremes``.
+    reads it).  The eigen-ranges and singular values measured here also
+    give ``extremes``.
     A sparse system is checked densified; a scope shares its pair only
     with a system that is already dense, since densifying makes a new
     system.
@@ -562,7 +540,7 @@ def validate(system: DoubleSaddleSystem) -> ValidationReport:
     s1_pd = s2_pd = False
     if a_pd:
         try:
-            pair = schur_complements(system, (b_full_row_rank, c_full_row_rank))
+            pair = schur_complements(system)
         except DefinitenessError:
             pass
         else:

@@ -8,7 +8,14 @@ SVD, preconditioned spectra from a dense generalized eigensolver.
 import numpy as np
 import scipy.linalg as sla
 
-from saddlebounds import BlockExtremes, DoubleSaddleSystem, random_system
+from saddlebounds import (
+    BlockExtremes,
+    DoubleSaddleSystem,
+    random_system,
+    regularization_ratio,
+    schur_complements,
+    validate,
+)
 
 
 def companion_roots(cubic) -> np.ndarray:
@@ -71,6 +78,15 @@ def singular_s1_system() -> DoubleSaddleSystem:
         D=np.zeros((3, 3)),
         E=np.eye(2),
     )
+
+
+def measured_etas(system) -> tuple[float, float]:
+    """(eta_d, eta_e) as ``analyze`` measures them: the Schur pair's Grams
+    with the rank verdicts of :func:`validate`."""
+    report = validate(system)
+    pair = schur_complements(system)
+    return (regularization_ratio(system.D, pair.gram_b, report.b_full_row_rank),
+            regularization_ratio(system.E, pair.gram_c, report.c_full_row_rank))
 
 
 def random_dims(rng, n_max=14):

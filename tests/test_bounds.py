@@ -320,6 +320,43 @@ def _draw(stratum: str, rng) -> tuple[float, ...]:
     return a, b, c, d, a * (1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-16, -8))
 
 
+def _merged_count(params, iv: BoundIntervals) -> int:
+    """Eigenvalues of the 1x1x1 matrix of ``params`` in the union of the two
+    intervals of ``iv``, each inflated by ``CONTAINMENT_TOL``; an eigenvalue
+    in the overlap of the two intervals counts once."""
+    neg = iv.negative.inflate(CONTAINMENT_TOL)
+    pos = iv.positive.inflate(CONTAINMENT_TOL)
+    spans = [Interval(neg.lo, max(neg.hi, pos.hi))] if pos.lo <= neg.hi else [neg, pos]
+    return sum(_exact_count(params, *span) for span in spans)
+
+
+def _draw_inexact(rng):
+    """Constants, ratios and case flags of one inexact bound, drawn as
+    alpha_i = 10^U(-3, 3), beta_i = alpha_i 10^U(0, 3) and eta = 10^U(-6, 3),
+    with each case flag on (and its eta zero) in a quarter of draws."""
+    alphas = 10.0 ** rng.uniform(-3.0, 3.0, 3)
+    betas = alphas * 10.0 ** rng.uniform(0.0, 3.0, 3)
+    consts = EquivalenceConstants(*np.column_stack([alphas, betas]).ravel().tolist())
+    d_zero, e_zero = (bool(flag) for flag in rng.random(2) < 0.25)
+    eta_d, eta_e = (0.0 if zero else 10.0 ** rng.uniform(-6.0, 3.0)
+                    for zero in (d_zero, e_zero))
+    return consts, eta_d, eta_e, d_zero, e_zero
+
+
+def _envelope_ranges(consts, eta_d, eta_e, d_zero, e_zero):
+    """The ranges of (a, b, c, d, e) the split matrix's blocks lie in: the
+    leading block, both couplings' singular values and both regularization
+    blocks, as the docstring of ``bounds_precond_inexact`` derives them."""
+    a0, b0 = consts.alpha0, consts.beta0
+    a1, b1 = consts.alpha1, consts.beta1
+    a2, b2 = consts.alpha2, consts.beta2
+    return ((a0, b0),
+            (math.sqrt(a0 * a1 / (1.0 + eta_d)), math.sqrt(b0 * b1)),
+            (math.sqrt(a1 * a2 / (1.0 + eta_e)), math.sqrt(b1 * b2)),
+            (0.0, 0.0 if d_zero else b1),
+            (0.0, 0.0 if e_zero else b2))
+
+
 # 1x1x1 systems (A, B, C, D, E) whose bounds the former root vote got wrong:
 # R1 lost the eigenvalue 1.7e-23 (a repeated root won the vote), R2 raised
 # ClassificationError (its positive pair is double to 5e-10)
@@ -335,11 +372,19 @@ class TestExactContainment:
         for _ in range(1000):
             params = a, b, c, d, e = _draw(stratum, rng)
             iv = bounds_unpreconditioned(BlockExtremes(a, a, b, b, c, c, d, d, e, e))
-            neg = iv.negative.inflate(CONTAINMENT_TOL)
-            pos = iv.positive.inflate(CONTAINMENT_TOL)
-            # an eigenvalue in the overlap of the two intervals counts once
-            spans = [Interval(neg.lo, max(neg.hi, pos.hi))] if pos.lo <= neg.hi else [neg, pos]
-            assert sum(_exact_count(params, *span) for span in spans) == 3, params
+            assert _merged_count(params, iv) == 3, params
+
+    def test_inexact_envelope_holds_all_three_eigenvalues(self):
+        # each value of the 1x1x1 matrix sits at its envelope range's lower
+        # end, its upper end, or uniformly between them
+        rng = np.random.default_rng(63)
+        for _ in range(1000):
+            bound = _draw_inexact(rng)
+            iv = bounds_precond_inexact(*bound)
+            params = tuple(
+                (lo, hi, lo + (hi - lo) * rng.random())[rng.integers(3)]
+                for lo, hi in _envelope_ranges(*bound))
+            assert _merged_count(params, iv) == 3, (bound, params)
 
     @pytest.mark.parametrize("params", [R1, R2], ids=["R1", "R2"])
     def test_one_by_one_regression_rows(self, params):

@@ -99,6 +99,21 @@ def test_nonfinite_rhs_rejected():
         minres(np.eye(2), None, np.array([np.nan, 1.0]))
 
 
+@pytest.mark.parametrize("operator", [
+    np.eye(3), np.ones((2, 3)), sp.eye_array(3, format="csr"), np.eye(3).tolist(),
+], ids=["square-3", "wide", "sparse-3", "list-3"])
+def test_operator_of_the_wrong_shape_rejected(operator):
+    # a typed error before the first matvec, not numpy's raw ValueError
+    with pytest.raises(ParameterError, match="operator must be 2 x 2"):
+        minres(operator, None, np.ones(2))
+
+
+@pytest.mark.parametrize("rhs", [np.ones((3, 1)), 1.0], ids=["column", "scalar"])
+def test_rhs_that_is_not_a_vector_rejected(rhs):
+    with pytest.raises(ParameterError, match="right-hand side must be a 1-d vector"):
+        minres(np.eye(3), None, rhs)
+
+
 @pytest.mark.parametrize("rtol, maxit, message", [
     (np.nan, None, "rtol must be finite and positive"),
     (0.0, 10, "rtol must be finite and positive"),

@@ -15,7 +15,9 @@ from saddlebounds import (
     nullity_system,
     poisson_boundary,
     poisson_distributed,
+    regularization_ratio,
     schur_complements,
+    validate,
     verify_containment,
 )
 from saddlebounds.cli import main
@@ -131,13 +133,19 @@ class TestAnalysisReport:
         entry = report.scenarios[0]
         assert entry["precond"]["eta_e"] == "inf"
         assert entry["warnings"] == ["eta-not-finite: inexact bounds suppressed"]
-        assert schur_complements(system).eta_e == np.inf
+        assert regularization_ratio(system.E, schur_complements(system).gram_c,
+                                    validate(system).c_full_row_rank) == np.inf
 
-    def test_analyze_measures_each_block_once(self, monkeypatch):
+    @pytest.mark.parametrize("scenarios", [
+        ("unprec",), ("prec-exact",), ("prec-inexact",), SCENARIOS,
+    ], ids=["unprec", "prec-exact", "prec-inexact", "all"])
+    def test_analyze_measures_each_block_once(self, scenarios, monkeypatch):
+        # the eta read takes validate's rank verdicts: no second SVD of B or C
         import saddlebounds.spectral as spectral_mod
 
         rng = np.random.default_rng(94)
         system, _ = random_valid_system(rng, 6, 4, 2)
+        assert system.D.any() and system.E.any()
         seen = []
 
         def counted(fn):
@@ -148,7 +156,7 @@ class TestAnalysisReport:
 
         for name in ("extremal_eigs", "_singular_values"):
             monkeypatch.setattr(spectral_mod, name, counted(getattr(spectral_mod, name)))
-        report = analyze(system, scenarios=("unprec",))
+        report = analyze(system, scenarios=scenarios)
         assert report.passed and report.extremes is not None
         assert [seen.count(k) for k in "ABC"] == [1, 1, 1]
 

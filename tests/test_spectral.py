@@ -17,6 +17,7 @@ from saddlebounds import (
     full_spectrum,
     inertia,
     nullity_system,
+    regularization_ratio,
     schur_complements,
     tightness_upper_negative,
     validate,
@@ -30,10 +31,10 @@ from saddlebounds.errors import (
     ParameterError,
     StructuralError,
 )
-from saddlebounds.spectral import _SHARED, Inertia, SharedSchurPair, _regularization_ratio
+from saddlebounds.spectral import _SHARED, Inertia, SharedSchurPair
 from saddlebounds.system import _sym
 
-from helpers import random_valid_system, singular_s1_system, svd_extremes
+from helpers import measured_etas, random_valid_system, singular_s1_system, svd_extremes
 
 
 class TestExtremalEigs:
@@ -358,24 +359,23 @@ class TestSchurComplements:
         )
         pair = schur_complements(system)
         assert np.allclose(pair.s1, 2.0 * np.eye(n))
-        assert pair.eta_d == pytest.approx(1.0, abs=1e-12)
+        assert measured_etas(system)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_regularization_gives_zero_ratios(self):
         rng = np.random.default_rng(36)
         system, _ = random_valid_system(rng, 6, 4, 3, d_zero=True, e_zero=True)
-        pair = schur_complements(system)
-        assert pair.eta_d == 0.0
-        assert pair.eta_e == 0.0
+        assert measured_etas(system) == (0.0, 0.0)
+        # a block that stores no nonzero takes no eigensolve and no verdict
+        assert regularization_ratio(system.D, np.zeros((4, 4)), False) == 0.0
 
     def test_ratio_scales_linearly(self):
         rng = np.random.default_rng(37)
         system, _ = random_valid_system(rng, 6, 4, 3)
-        pair = schur_complements(system)
         scaled = DoubleSaddleSystem(
             A=system.A, B=system.B, C=system.C, D=3.0 * system.D, E=system.E
         )
-        assert schur_complements(scaled).eta_d == pytest.approx(
-            3.0 * pair.eta_d, rel=1e-10
+        assert measured_etas(scaled)[0] == pytest.approx(
+            3.0 * measured_etas(system)[0], rel=1e-10
         )
 
     def test_rank_deficient_coupling_gives_infinite_ratio(self):
@@ -386,18 +386,18 @@ class TestSchurComplements:
             D=np.eye(2),
             E=np.array([[1.0]]),
         )
-        pair = schur_complements(system)
-        assert pair.eta_d == np.inf
+        assert not validate(system).b_full_row_rank
+        assert measured_etas(system)[0] == np.inf
 
     def test_ratios_nonnegative(self):
         rng = np.random.default_rng(38)
         for _ in range(8):
             system, _ = random_valid_system(rng, 6, 4, 2)
-            pair = schur_complements(system)
-            assert pair.eta_d >= 0.0
-            assert pair.eta_e >= 0.0
+            eta_d, eta_e = measured_etas(system)
+            assert eta_d >= 0.0
+            assert eta_e >= 0.0
 
-    def test_lazy_ratios_match_independent_pencils(self):
+    def test_ratios_match_independent_pencils(self):
         def top(reg, gram):
             return float(sla.eigh(reg, gram, eigvals_only=True)[-1])
 
@@ -407,13 +407,12 @@ class TestSchurComplements:
             a, b, c, d, e = system.A, system.B, system.C, system.D, system.E
             gram_b = b @ np.linalg.solve(a, b.T)
             gram_c = c @ np.linalg.solve(d + gram_b, c.T)
-            pair = schur_complements(system)
-            assert "eta_d" not in vars(pair) and "eta_e" not in vars(pair)
-            assert pair.eta_d == pytest.approx(top(d, gram_b), rel=1e-9)
-            assert pair.eta_e == pytest.approx(top(e, gram_c), rel=1e-9)
+            eta_d, eta_e = measured_etas(system)
+            assert eta_d == pytest.approx(top(d, gram_b), rel=1e-9)
+            assert eta_e == pytest.approx(top(e, gram_c), rel=1e-9)
 
         zero, _ = random_valid_system(rng, 6, 4, 3, d_zero=True, e_zero=True)
-        assert (schur_complements(zero).eta_d, schur_complements(zero).eta_e) == (0.0, 0.0)
+        assert measured_etas(zero) == (0.0, 0.0)
 
         # rank-deficient couplings under nonzero regularization: singular Grams
         deficient = DoubleSaddleSystem(
@@ -427,9 +426,11 @@ class TestSchurComplements:
             deficient.D + deficient.B @ deficient.B.T, deficient.C.T
         )
         assert np.linalg.matrix_rank(gram_c) < 2
-        pair = schur_complements(deficient)
-        assert pair.eta_d == pytest.approx(top(deficient.D, deficient.B @ deficient.B.T))
-        assert pair.eta_e == np.inf
+        eta_d, eta_e = measured_etas(deficient)
+        assert eta_d == pytest.approx(top(deficient.D, deficient.B @ deficient.B.T))
+        assert eta_e == np.inf
+        # the verdict alone decides: with it the Gram is not even factored
+        assert regularization_ratio(deficient.E, np.full((2, 2), np.nan), False) == np.inf
 
     @staticmethod
     def _cho_solve_gemm(system):
@@ -439,8 +440,8 @@ class TestSchurComplements:
         gram_b = _sym(b @ sla.cho_solve(sla.cho_factor(_sym(a)), b.T))
         s1 = _sym(d + gram_b)
         gram_c = _sym(c @ sla.cho_solve(sla.cho_factor(s1), c.T))
-        return (s1, _sym(e + gram_c), _regularization_ratio(d, gram_b),
-                _regularization_ratio(e, gram_c))
+        return (s1, _sym(e + gram_c), regularization_ratio(d, gram_b, True),
+                regularization_ratio(e, gram_c, True))
 
     @staticmethod
     def _schur_inputs():
@@ -461,11 +462,13 @@ class TestSchurComplements:
             assert "gram_c" not in vars(pair) and "s2" not in vars(pair)
             for new, old in ((pair.s1, s1), (pair.s2, s2)):
                 assert np.linalg.norm(new - old) <= 1e-12 * np.linalg.norm(old)
-            assert pair.eta_d == pytest.approx(eta_d, rel=1e-12, abs=0)
+            assert regularization_ratio(system.D, pair.gram_b, True) == pytest.approx(
+                eta_d, rel=1e-12, abs=0)
             # with C row-rank-deficient the Gram is singular, and either
             # form gives inf or a round-off value near 1/eps
             if c_full_rank:
-                assert pair.eta_e == pytest.approx(eta_e, rel=1e-12, abs=0)
+                assert regularization_ratio(system.E, pair.gram_c, True) == pytest.approx(
+                    eta_e, rel=1e-12, abs=0)
 
     def test_complements_are_exactly_symmetric(self):
         for system, _ in self._schur_inputs():
@@ -498,7 +501,7 @@ class TestSharedSchurPair:
         other, _ = random_valid_system(rng, 6, 4, 2)
         with SharedSchurPair(system) as shared:
             pair = schur_complements(system)
-            assert schur_complements(system, (True, True)) is pair
+            assert schur_complements(system) is pair
             assert shared.pair is pair
             assert schur_complements(other) is not schur_complements(other)
             assert shared.pair is pair
