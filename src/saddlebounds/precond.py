@@ -8,10 +8,11 @@ principal submatrix of K and forms neither block (:class:`SchurComplement`),
 provided D (and, for S2, E) is certified semidefinite.  A dense system,
 ``jacobi`` (which reads only diag(S1) and diag(S2)) and a sparse system
 whose D or E fails that certificate take S1 and the factors of A and S1
-from one dense :func:`~saddlebounds.spectral.schur_complements` pair, and
-read S2 only when the tail strategy derives its block from it (``exact``,
-``scaled:<t>``); ``pearson-wathen``, ``drop-term``, ``user`` and ``jacobi``
-never form it.
+from one :func:`~saddlebounds.spectral.schur_complements` pair, whose S1 is
+dense but which factors a sparse A by a sparse LU and never densifies it,
+and read S2 only when the tail strategy derives its block from it
+(``exact``, ``scaled:<t>``); ``pearson-wathen``, ``drop-term``, ``user``
+and ``jacobi`` never form it.
 Every block is kept as a matrix, or as an implicit block that can form its
 dense self, so that equivalence constants stay measurable at desk scale.
 Inputs from outside the system (``user`` and :func:`from_blocks` blocks, a
@@ -22,7 +23,7 @@ own type:
 * a diagonal block (such as ``jacobi``): the 1-D vector sqrt(diag);
 * any other dense block: a ``cho_factor`` result;
 * any other sparse block: a pivot-free symmetric sparse LU
-  (:func:`sparse_spd_factor`);
+  (:func:`~saddlebounds.spectral.sparse_spd_factor`);
 * the square-completion block X M^-1 X of a sparse system: one sparse LU
   of X, applied as X^-1 M X^-1, so X M^-1 X is never formed;
 * S1 or S2 of a sparse system: one sparse LU of K2 = [[A, B^T], [B, -D]]
@@ -55,7 +56,15 @@ from .errors import (
     StrategyMismatchError,
     StructuralError,
 )
-from .spectral import _eigvalsh, _gram, _kernel_input, _solve_upper_t, schur_complements
+from .spectral import (
+    _eigvalsh,
+    _gram,
+    _kernel_input,
+    _solve_upper_t,
+    _splu,
+    schur_complements,
+    sparse_spd_factor,
+)
 from .system import (
     DoubleSaddleSystem,
     _dense,
@@ -217,36 +226,6 @@ class PreconditionerOperator:
         return sla.block_diag(*(_dense(b) for b in self.blocks))
 
 
-def _splu(matrix, label: str, **options):
-    """SuperLU factor of a sparse matrix; SuperLU's "exactly singular" error
-    becomes :class:`DefinitenessError` naming ``label``."""
-    # imported here: loading it adds about 2 MB of resident memory to every
-    # process, and only sparse blocks need it
-    import scipy.sparse.linalg as spla
-
-    try:
-        return spla.splu(sp.csc_array(matrix), **options)
-    except RuntimeError as exc:
-        raise DefinitenessError(f"{label} block is not positive definite") from exc
-
-
-def sparse_spd_factor(block, label: str):
-    """Pivot-free symmetric sparse LU (SuperLU) of a sparse SPD block.
-
-    Symmetric mode with a zero pivot threshold keeps every pivot on the
-    diagonal of the symmetrically reordered block, so the block is
-    positive definite exactly when the row and column orderings agree and
-    every pivot is positive; otherwise, or when SuperLU finds the block
-    singular, :class:`DefinitenessError` names ``label``.  The result
-    applies P^-1 through its ``solve``.
-    """
-    lu = _splu(block, label, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-               options={"SymmetricMode": True})
-    if not (np.array_equal(lu.perm_r, lu.perm_c) and (lu.U.diagonal() > 0).all()):
-        raise DefinitenessError(f"{label} block is not positive definite")
-    return lu
-
-
 def _factor(block, label: str):
     """Factor of an SPD block, by the block's type: the vector sqrt(diag)
     when every nonzero lies on the diagonal, a sparse LU of X for a
@@ -326,8 +305,8 @@ def build_approx(
     nonzero or passing :func:`sparse_spd_factor`, the block is positive
     semidefinite, so a nonsingular LU proves it SPD, and a singular one
     raises :class:`DefinitenessError` naming it.  Any other system takes
-    the dense Schur pair: exact blocks reuse its Cholesky factors (the
-    leading one only when A is dense), so the builds that share one pair
+    the Schur pair: exact blocks reuse its factors (A's as the pair holds
+    it, a sparse LU for a sparse A), so the builds that share one pair
     share one factor of S2, and S2 is formed only for a tail strategy that
     reads it (``jacobi`` reads only its diagonal).  Every other block is
     factored by its type (see :func:`_factor`).  The ``jacobi`` blocks of a
@@ -355,11 +334,10 @@ def build_approx(
         elif reads[2]:
             tail = pair.s2
         exact_blocks = (system.A, pair.s1, tail)
-        # exact dense positions reuse the pair's factors; the rest go now
-        cho_a = None if sp.issparse(system.A) else pair.cho_a
+        # exact positions reuse the pair's factors; the rest go now
         cho_2 = pair.cho_2 if strategies[2] == "exact" else None
         reused = [f if s == "exact" else None
-                  for f, s in zip((cho_a, pair.cho_1, cho_2), strategies)]
+                  for f, s in zip((pair.factor_a, pair.cho_1, cho_2), strategies)]
     blocks = tuple(_approx_block(system, i, s, exact_blocks[i], context, user_blocks)
                    for i, s in enumerate(strategies))
     factors = tuple(f if f is not None else _factor(b, lbl)

@@ -5,10 +5,12 @@ Extremal eigenvalues come from a dense symmetric decomposition up to
 symmetric eigensolve is one call of LAPACK's ``?syevr`` (:func:`_eigvalsh`),
 which works in place: in a copy, unless the caller hands the matrix over.
 Singular values, and with them every rank decision, come from one SVD
-helper.  Also home to the Schur complements of a system (dense; each Gram
-from one U^-T solve against an upper Cholesky factor, the helper the
-preconditioners' congruence shares; one analysis builds them once, see
-:class:`SharedSchurPair`), the regularization ratio (largest generalized
+helper.  Also home to the Schur complements of a system (each Gram of a
+dense leading block from one U^-T solve against an upper Cholesky factor,
+the helper the preconditioners' congruence shares, and of a sparse one from
+sparse LU solves in column blocks; one analysis builds them once, see
+:class:`SharedSchurPair`), the pivot-free symmetric sparse LU that factors
+every sparse SPD block, the regularization ratio (largest generalized
 eigenvalue of a regularization block against its coupling Gram) that drives
 the inexact-preconditioner bounds, and :func:`validate`, which checks
 the hypotheses of the bounds with these same kernels on the densified
@@ -49,6 +51,11 @@ _ARPACK_SEED = 0x5ADD1E
 # 630 matrix-vector products
 _ARPACK_NCV = 32
 _ARPACK_RESTARTS = 20
+
+# columns per block of the sparse-A Gram and of diag(S2) for a sparse C:
+# each block costs one n x _BLOCK solve.  On a 2-vCPU machine at h = 1/64,
+# 64 to 128 columns formed the Gram in 1.2-1.4 s, one whole solve in 2.3-2.6 s
+_BLOCK = 128
 
 # LAPACK's MRRR driver and its workspace query; the driver overwrites its input
 _SYEVR, _SYEVR_LWORK = sla.get_lapack_funcs(("syevr", "syevr_lwork"), dtype=np.float64)
@@ -160,9 +167,12 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class SchurPair:
-    """The Schur complements of a system and the ``cho_factor`` results of
-    A, S1 and S2, all dense.
+    """The Schur complements of a system, dense, with the factors of A, S1
+    and S2.
 
+    ``factor_a`` is A's factor by A's type: a ``cho_factor`` result for a
+    dense A, the pivot-free symmetric sparse LU (:func:`sparse_spd_factor`)
+    for a sparse one.  ``cho_1`` and ``cho_2`` are ``cho_factor`` results.
     The pair serves the dense oracle and every dense system; on a sparse
     system a preconditioner builds it only for ``jacobi`` and when D or E
     fails the semidefiniteness certificate of the sparse LU route (see
@@ -174,18 +184,20 @@ class SchurPair:
     C S1^-1 C^T, S2 = E + C S1^-1 C^T, its factor ``cho_2`` and diag(S2)
     are formed on first read, so a caller that replaces S2 never pays for
     it, and every exact-S2 reader shares one factor; a failed factorization
-    of S2 raises each time and is not kept.  Each Gram is W^T W with
-    W = U^-T (coupling)^T for the upper Cholesky factor U, so it and both
-    complements are exactly symmetric; A is densified for its factor when
-    it is sparse, since the Gram is dense anyway.  The pair holds no rank:
-    the regularization ratios take the Grams and :func:`validate`'s rank
+    of S2 raises each time and is not kept.  Against a Cholesky factor a
+    Gram is W^T W with W = U^-T (coupling)^T for the upper factor U; against
+    A's sparse LU it is formed a block of columns at a time with its lower
+    triangle mirrored from the upper one (:func:`_sparse_gram`), so no dense
+    A and no n x m array is formed.  Either way each Gram and both
+    complements are exactly symmetric.  The pair holds no rank: the
+    regularization ratios take the Grams and :func:`validate`'s rank
     verdicts (:func:`regularization_ratio`).
     """
 
     system: DoubleSaddleSystem = field(repr=False)
     s1: np.ndarray
     gram_b: np.ndarray = field(repr=False)
-    cho_a: tuple = field(repr=False)
+    factor_a: object = field(repr=False)
     cho_1: tuple = field(repr=False)
 
     @cached_property
@@ -206,13 +218,21 @@ class SchurPair:
     @cached_property
     def s2_diagonal(self) -> np.ndarray:
         """diag(S2) as diag(E) plus the column sums of W * W, W = U^-T C^T,
-        which forms neither the tail Gram nor S2."""
+        which forms neither the tail Gram nor S2; for a sparse C, W is
+        solved in place in fresh dense blocks of ``_BLOCK`` columns of C^T."""
         coupling = self.system.C
-        if sp.issparse(coupling):  # a fresh dense copy the solve may overwrite
-            half = _solve_upper_t(self.cho_1, coupling.toarray().T, overwrite=True)
+        if sp.issparse(coupling):  # fresh dense blocks the solve may overwrite
+            halves = (_solve_upper_t(self.cho_1, coupling[j0:j1].toarray().T, overwrite=True)
+                      for j0, j1 in _column_blocks(coupling.shape[0]))
         else:
-            half = _solve_upper_t(self.cho_1, coupling.T)
-        return self.system.E.diagonal() + np.einsum("ij,ij->j", half, half)
+            halves = (_solve_upper_t(self.cho_1, coupling.T),)
+        return self.system.E.diagonal() + np.concatenate(
+            [np.einsum("ij,ij->j", half, half) for half in halves])
+
+
+def _column_blocks(count: int):
+    """(start, stop) of consecutive blocks of ``_BLOCK`` of ``count`` columns."""
+    return ((j0, min(j0 + _BLOCK, count)) for j0 in range(0, count, _BLOCK))
 
 
 def _kernel_input(matrix, label: str = "matrix", wide: bool = False) -> np.ndarray:
@@ -413,32 +433,70 @@ def schur_complements(system: DoubleSaddleSystem) -> SchurPair:
     """Factor A, form S1 = D + B A^-1 B^T and factor it; S2 = E + C S1^-1 C^T
     follows on first read of the returned pair.
 
-    Each Gram costs one triangular solve against the upper Cholesky factor
-    and one symmetric product (see :class:`SchurPair`); when D stores no
-    nonzero, S1 is the B-Gram itself.  Inside a :class:`SharedSchurPair`
-    scope for ``system`` the first call builds the pair and later calls
-    return it as built until the scope ends.
+    A dense A gets a ``cho_factor`` result, and the B-Gram costs one
+    triangular solve against its upper factor and one symmetric product;
+    a sparse A gets one pivot-free symmetric sparse LU
+    (:func:`sparse_spd_factor`), and the B-Gram is formed from it in
+    blocks of columns (:func:`_sparse_gram`), so A is never densified.
+    Either failure is :class:`DefinitenessError` naming the leading block.
+    When D stores no nonzero, S1 is the B-Gram itself.  Inside a
+    :class:`SharedSchurPair` scope for ``system`` the first call builds the
+    pair and later calls return it as built until the scope ends.
     """
     shared = _SHARED.get()
     if shared is None or shared.system is not system:
         shared = None
     elif shared.pair is not None:
         return shared.pair
-    try:
-        cho_a = sla.cho_factor(_dense(system.A))
-    except sla.LinAlgError as exc:
-        raise DefinitenessError("leading block is not positive definite") from exc
-    gram_b = _gram(cho_a, system.B)
+    if sp.issparse(system.A):
+        factor_a = sparse_spd_factor(system.A, "leading")
+        gram_b = _sparse_gram(factor_a, system.B)
+    else:
+        try:
+            factor_a = sla.cho_factor(system.A)
+        except sla.LinAlgError as exc:
+            raise DefinitenessError("leading block is not positive definite") from exc
+        gram_b = _gram(factor_a, system.B)
     # dense + sparse is dense; with D = 0, S1 is the Gram itself, not a copy
     s1 = gram_b + system.D if np.any(_values(system.D)) else gram_b
     try:
         cho_1 = sla.cho_factor(s1)
     except sla.LinAlgError as exc:
         raise DefinitenessError("first-schur block is not positive definite") from exc
-    pair = SchurPair(system=system, s1=s1, gram_b=gram_b, cho_a=cho_a, cho_1=cho_1)
+    pair = SchurPair(system=system, s1=s1, gram_b=gram_b, factor_a=factor_a, cho_1=cho_1)
     if shared is not None:
         shared.pair = pair
     return pair
+
+
+def _splu(matrix, label: str, **options):
+    """SuperLU factor of a sparse matrix; SuperLU's "exactly singular" error
+    becomes :class:`DefinitenessError` naming ``label``."""
+    # imported here: loading it adds about 2 MB of resident memory to every
+    # process, and only sparse blocks need it
+    import scipy.sparse.linalg as spla
+
+    try:
+        return spla.splu(sp.csc_array(matrix), **options)
+    except RuntimeError as exc:
+        raise DefinitenessError(f"{label} block is not positive definite") from exc
+
+
+def sparse_spd_factor(block, label: str):
+    """Pivot-free symmetric sparse LU (SuperLU) of a sparse SPD block.
+
+    Symmetric mode with a zero pivot threshold keeps every pivot on the
+    diagonal of the symmetrically reordered block, so the block is
+    positive definite exactly when the row and column orderings agree and
+    every pivot is positive; otherwise, or when SuperLU finds the block
+    singular, :class:`DefinitenessError` names ``label``.  The result
+    applies P^-1 through its ``solve``.
+    """
+    lu = _splu(block, label, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+               options={"SymmetricMode": True})
+    if not (np.array_equal(lu.perm_r, lu.perm_c) and (lu.U.diagonal() > 0).all()):
+        raise DefinitenessError(f"{label} block is not positive definite")
+    return lu
 
 
 def _solve_upper_t(factor, rhs: np.ndarray, overwrite: bool = False) -> np.ndarray:
@@ -452,9 +510,32 @@ def _solve_upper_t(factor, rhs: np.ndarray, overwrite: bool = False) -> np.ndarr
 
 def _gram(factor, coupling) -> np.ndarray:
     """coupling P^-1 coupling^T as W^T W, W = U^-T coupling^T (dense); numpy
-    forms the product of an array with its own transpose symmetrically."""
-    half = _solve_upper_t(factor, _dense(coupling.T))
+    forms the product of an array with its own transpose symmetrically.  A
+    sparse coupling is solved in place in its fresh dense copy."""
+    if sp.issparse(coupling):
+        half = _solve_upper_t(factor, _dense(coupling).T, overwrite=True)
+    else:
+        half = _solve_upper_t(factor, coupling.T)
     return half.T @ half
+
+
+def _sparse_gram(lu, coupling) -> np.ndarray:
+    """coupling A^-1 coupling^T from a sparse LU of A, a block of ``_BLOCK``
+    columns at a time: for the columns j0:j1, X = A^-1 coupling[j0:j1]^T
+    (one n x _BLOCK solve) gives the upper block column coupling[:j1] X,
+    whose transpose fills the block row left of the diagonal, and the
+    diagonal block keeps its upper triangle, so the Gram is exactly
+    symmetric.  No dense A, no n x m array and no dense coupling^T is
+    formed."""
+    rows = coupling.shape[0]
+    gram = np.empty((rows, rows))
+    for j0, j1 in _column_blocks(rows):
+        gram[:j1, j0:j1] = coupling[:j1] @ lu.solve(_dense(coupling[j0:j1]).T)
+        gram[j0:j1, :j0] = gram[:j0, j0:j1].T
+        diagonal = gram[j0:j1, j0:j1]
+        upper = np.triu_indices(j1 - j0, 1)
+        diagonal.T[upper] = diagonal[upper]
+    return gram
 
 
 def regularization_ratio(reg, gram: np.ndarray, full_row_rank: bool) -> float:

@@ -400,11 +400,12 @@ class TestSolveOnCsr:
     def test_tail_gram_formed_only_when_the_tail_reads_s2(
         self, problem, precond, schur, grams, monkeypatch
     ):
-        # on a sparse system only jacobi builds the dense Schur pair, for
-        # diag(S1) and diag(S2): one Gram for S1 and none for the tail
+        # on a sparse system only jacobi builds the Schur pair, for diag(S1)
+        # and diag(S2): one Gram for S1, from the sparse LU of A, and none
+        # for the tail (the dense-factor helper _gram is never called)
         system, context = problem
         user_blocks = (system.A, -system.B / context.beta, system.E)
-        calls = {"schur": 0, "gram": 0}
+        calls = {"schur": 0, "sparse_gram": 0, "gram": 0}
 
         def counted(key, fn):
             def run(*args, **kwargs):
@@ -412,12 +413,14 @@ class TestSolveOnCsr:
                 return fn(*args, **kwargs)
             return run
 
-        monkeypatch.setattr(spectral_mod, "_gram", counted("gram", spectral_mod._gram))
+        for name in ("_gram", "_sparse_gram"):
+            monkeypatch.setattr(spectral_mod, name,
+                                counted(name[1:], getattr(spectral_mod, name)))
         monkeypatch.setattr(precond_mod, "schur_complements",
                             counted("schur", precond_mod.schur_complements))
         data = solve(system, precond=precond, context=context, user_blocks=user_blocks)
         assert data["converged"]
-        assert calls == {"schur": schur, "gram": grams}
+        assert calls == {"schur": schur, "sparse_gram": grams, "gram": 0}
 
 
 class TestSparseSchurCertificate:
@@ -471,6 +474,27 @@ class TestSparseSchurCertificate:
         np.testing.assert_allclose(
             data["residual_history"], dense["residual_history"], rtol=1e-10, atol=0
         )
+
+    def test_fallback_reuses_the_pairs_sparse_factor_of_a(self, problem, monkeypatch):
+        # an exact leading block on the fallback path applies the pair's
+        # sparse LU of A, not a second one
+        system, _ = problem
+        m = system.dims[1]
+        d = sp.diags_array(np.r_[1.0, np.zeros(m - 1)], format="csr")
+        regularized = dataclasses.replace(system, D=d)
+        pairs = []
+        schur = precond_mod.schur_complements
+        monkeypatch.setattr(precond_mod, "schur_complements",
+                            lambda *args: pairs.append(schur(*args)) or pairs[-1])
+        factored = []
+        spd_factor = precond_mod.sparse_spd_factor
+        monkeypatch.setattr(precond_mod, "sparse_spd_factor",
+                            lambda block, label: factored.append(label)
+                            or spd_factor(block, label))
+        op = build_approx(regularized, strategy_tuple("exact"))
+        [pair] = pairs
+        assert op._factors[0] is pair.factor_a
+        assert "leading" not in factored
 
     def test_a_checked_when_the_leading_block_is_not_derived_from_it(self, problem):
         # the certificate needs A SPD; a user leading block does not show it
