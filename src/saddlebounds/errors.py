@@ -27,7 +27,8 @@ class StrategyMismatchError(SaddleBoundsError):
 
 
 class ConvergenceError(SaddleBoundsError):
-    """An iterative eigenvalue computation failed to certify its result.
+    """An eigenvalue or singular-value computation failed to converge or to
+    certify its result.
 
     ``best`` carries the uncertified estimates for diagnostics.
     """

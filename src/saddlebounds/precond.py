@@ -5,14 +5,16 @@ complements.  Approximate variants replace individual blocks by cheaper
 spectrally equivalent matrices.  On a sparse system :func:`build_approx`
 applies an exact (or scaled) S1 or S2 through a sparse LU of a leading
 principal submatrix of K and forms neither block (:class:`SchurComplement`),
-provided D (and, for S2, E) is certified semidefinite.  A dense system,
-``jacobi`` (which reads only diag(S1) and diag(S2)) and a sparse system
-whose D or E fails that certificate take S1 and the factors of A and S1
-from one :func:`~saddlebounds.spectral.schur_complements` pair, whose S1 is
-dense but which factors a sparse A by a sparse LU and never densifies it,
-and read S2 only when the tail strategy derives its block from it
-(``exact``, ``scaled:<t>``); ``pearson-wathen``, ``drop-term``, ``user``
-and ``jacobi`` never form it.
+provided D (and, for S2, E) is certified semidefinite.  On a sparse
+system ``jacobi``, which reads only diag(S1) and diag(S2), takes them from
+:func:`~saddlebounds.spectral.schur_diagonals`, which keeps no copy of S1.
+A dense system and a sparse system whose D or E fails that certificate
+take S1 and the factors of A and S1 from one
+:func:`~saddlebounds.spectral.schur_complements` pair, whose S1 is dense
+but which factors a sparse A by a sparse LU and never densifies it, and
+read S2 only when the tail strategy derives its block from it (``exact``,
+``scaled:<t>``); ``pearson-wathen``, ``drop-term``, ``user`` and
+``jacobi`` never form it.
 Every block is kept as a matrix, or as an implicit block that can form its
 dense self, so that equivalence constants stay measurable at desk scale.
 Inputs from outside the system (``user`` and :func:`from_blocks` blocks, a
@@ -63,6 +65,7 @@ from .spectral import (
     _solve_upper_t,
     _splu,
     schur_complements,
+    schur_diagonals,
     sparse_spd_factor,
 )
 from .system import (
@@ -304,7 +307,11 @@ def build_approx(
     leading block is not derived from it) and D, for S2 also E, storing no
     nonzero or passing :func:`sparse_spd_factor`, the block is positive
     semidefinite, so a nonsingular LU proves it SPD, and a singular one
-    raises :class:`DefinitenessError` naming it.  Any other system takes
+    raises :class:`DefinitenessError` naming it.  A sparse system with a
+    ``jacobi`` Schur position and no Schur position that reads the whole
+    block takes diag(S1), diag(S2) and A's factor from
+    :func:`~saddlebounds.spectral.schur_diagonals`, which keeps no copy of
+    S1; an exact leading block reuses that factor.  Any other system takes
     the Schur pair: exact blocks reuse its factors (A's as the pair holds
     it, a sparse LU for a sparse A), so the builds that share one pair
     share one factor of S2, and S2 is formed only for a tail strategy that
@@ -326,6 +333,13 @@ def build_approx(
         exact_blocks = (system.A, SchurComplement(system, 1), SchurComplement(system, 2))
         if (reads[1] or reads[2]) and not reads[0]:
             _factor(system.A, _BLOCK_LABELS[0])  # the certificate needs A SPD
+    elif system.is_sparse and not (reads[1] or reads[2]):
+        # only diagonals of S1 and S2 are read: S1's one array becomes its factor
+        factor_a, diagonal_1, diagonal_2 = schur_diagonals(
+            system, tail=strategies[2] == "jacobi")
+        exact_blocks = (system.A, _diagonal_matrix(diagonal_1, True),
+                        None if diagonal_2 is None else _diagonal_matrix(diagonal_2, True))
+        reused[0] = factor_a if strategies[0] == "exact" else None
     else:
         pair = schur_complements(system)
         tail = None

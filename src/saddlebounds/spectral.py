@@ -4,12 +4,14 @@ Extremal eigenvalues come from a dense symmetric decomposition up to
 ``ORACLE_CUTOFF`` and from ARPACK (``eigsh``) above it; every dense
 symmetric eigensolve is one call of LAPACK's ``?syevr`` (:func:`_eigvalsh`),
 which works in place: in a copy, unless the caller hands the matrix over.
-Singular values, and with them every rank decision, come from one SVD
-helper.  Also home to the Schur complements of a system (each Gram of a
-dense leading block from one U^-T solve against an upper Cholesky factor,
-the helper the preconditioners' congruence shares, and of a sparse one from
-sparse LU solves in column blocks; one analysis builds them once, see
-:class:`SharedSchurPair`), the pivot-free symmetric sparse LU that factors
+Singular values, and with them every rank decision, come from one call of
+``?gesdd`` (:func:`_singular_values`).  Also home to the Schur complements
+of a system (each Gram of a dense leading block from one U^-T solve against
+an upper Cholesky factor and one ``?syrk``, the helper the preconditioners'
+congruence shares, and of a sparse one from sparse LU solves in column
+blocks; one analysis builds them once, see :class:`SharedSchurPair`; a
+reader of their diagonals alone keeps no copy of S1, see
+:func:`schur_diagonals`), the pivot-free symmetric sparse LU that factors
 every sparse SPD block, the regularization ratio (largest generalized
 eigenvalue of a regularization block against its coupling Gram) that drives
 the inexact-preconditioner bounds, and :func:`validate`, which checks
@@ -19,7 +21,13 @@ blocks are made exactly symmetric when the system is built, and the
 matrices formed here are symmetric by construction.  Every public kernel
 (and :func:`~saddlebounds.precond.equivalence_constants`) takes its matrix
 arguments through one input rule, :func:`_kernel_input`.
-"""
+
+Every dense BLAS and LAPACK call here goes through scipy's OpenBLAS
+(``scipy.linalg.get_blas_funcs``, ``get_lapack_funcs`` and the
+``scipy.linalg`` solvers), never through numpy's: numpy loads an OpenBLAS
+of its own, and when one analysis alternates between the two, each
+library's worker threads keep spinning after a call and take a core from
+the other's next call."""
 
 from __future__ import annotations
 
@@ -56,9 +64,16 @@ _ARPACK_RESTARTS = 20
 # each block costs one n x _BLOCK solve.  On a 2-vCPU machine at h = 1/64,
 # 64 to 128 columns formed the Gram in 1.2-1.4 s, one whole solve in 2.3-2.6 s
 _BLOCK = 128
+# the strict lower triangle of a diagonal block, which _mirror_upper fills
+_STRICT_LOWER = np.tri(_BLOCK, k=-1, dtype=bool)
 
 # LAPACK's MRRR driver and its workspace query; the driver overwrites its input
 _SYEVR, _SYEVR_LWORK = sla.get_lapack_funcs(("syevr", "syevr_lwork"), dtype=np.float64)
+# LAPACK's divide-and-conquer SVD and its workspace query
+_GESDD, _GESDD_LWORK = sla.get_lapack_funcs(("gesdd", "gesdd_lwork"), dtype=np.float64)
+# BLAS: the symmetric rank-k update of the Grams, and the dense products of
+# the ARPACK path
+_SYRK, _GEMV, _GEMM = sla.get_blas_funcs(("syrk", "gemv", "gemm"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -174,9 +189,11 @@ class SchurPair:
     dense A, the pivot-free symmetric sparse LU (:func:`sparse_spd_factor`)
     for a sparse one.  ``cho_1`` and ``cho_2`` are ``cho_factor`` results.
     The pair serves the dense oracle and every dense system; on a sparse
-    system a preconditioner builds it only for ``jacobi`` and when D or E
-    fails the semidefiniteness certificate of the sparse LU route (see
-    :func:`~saddlebounds.precond.build_approx`), and an implicit
+    system a preconditioner builds it only when D or E fails the
+    semidefiniteness certificate of the sparse LU route, or when a
+    ``jacobi`` Schur position comes with one that reads the whole other
+    block (see :func:`~saddlebounds.precond.build_approx`; ``jacobi``
+    alone takes :func:`schur_diagonals`), and an implicit
     ``SchurComplement`` builds it when its dense form is asked for.  One
     analysis builds it once and shares it (:class:`SharedSchurPair`).
     S1 = D + B A^-1 B^T is formed with the pair; when D stores no nonzero,
@@ -217,17 +234,22 @@ class SchurPair:
 
     @cached_property
     def s2_diagonal(self) -> np.ndarray:
-        """diag(S2) as diag(E) plus the column sums of W * W, W = U^-T C^T,
-        which forms neither the tail Gram nor S2; for a sparse C, W is
-        solved in place in fresh dense blocks of ``_BLOCK`` columns of C^T."""
-        coupling = self.system.C
-        if sp.issparse(coupling):  # fresh dense blocks the solve may overwrite
-            halves = (_solve_upper_t(self.cho_1, coupling[j0:j1].toarray().T, overwrite=True)
-                      for j0, j1 in _column_blocks(coupling.shape[0]))
-        else:
-            halves = (_solve_upper_t(self.cho_1, coupling.T),)
-        return self.system.E.diagonal() + np.concatenate(
-            [np.einsum("ij,ij->j", half, half) for half in halves])
+        return _s2_diagonal(self.cho_1, self.system)
+
+
+def _s2_diagonal(cho_1: tuple, system: DoubleSaddleSystem) -> np.ndarray:
+    """diag(S2) as diag(E) plus the column sums of W * W, W = U^-T C^T for
+    S1's upper factor U, which forms neither the tail Gram nor S2; for a
+    sparse C, W is solved in place in fresh dense blocks of ``_BLOCK``
+    columns of C^T."""
+    coupling = system.C
+    if sp.issparse(coupling):  # fresh dense blocks the solve may overwrite
+        halves = (_solve_upper_t(cho_1, coupling[j0:j1].toarray().T, overwrite=True)
+                  for j0, j1 in _column_blocks(coupling.shape[0]))
+    else:
+        halves = (_solve_upper_t(cho_1, coupling.T),)
+    return system.E.diagonal() + np.concatenate(
+        [np.einsum("ij,ij->j", half, half) for half in halves])
 
 
 def _column_blocks(count: int):
@@ -306,9 +328,12 @@ def _arpack_extremes(a: np.ndarray) -> tuple[float, float]:
     shift = 2.0 * float(np.abs(a).sum(axis=1).max())
     a.flat[:: dim + 1] += shift
     start = np.random.default_rng(_ARPACK_SEED).standard_normal(dim)
+    # a.T is the Fortran-ordered view BLAS takes without a copy
+    operator = spla.LinearOperator((dim, dim), dtype=float,
+                                   matvec=lambda x: _GEMV(1.0, a.T, x, trans=1))
     try:
         theta, vecs = spla.eigsh(
-            a, k=2, which="BE", v0=start, ncv=min(dim, _ARPACK_NCV),
+            operator, k=2, which="BE", v0=start, ncv=min(dim, _ARPACK_NCV),
             maxiter=_ARPACK_RESTARTS, tol=1e-3 * EIG_TOL,
         )
     except spla.ArpackNoConvergence as exc:
@@ -317,7 +342,8 @@ def _arpack_extremes(a: np.ndarray) -> tuple[float, float]:
         raise ConvergenceError(
             "ARPACK did not converge to both extremal eigenvalues", best=best
         ) from exc
-    residual = float(np.linalg.norm(a @ vecs - vecs * theta, axis=0).max())
+    applied = _GEMM(1.0, a.T, vecs, trans_a=1)
+    residual = float(np.linalg.norm(applied - vecs * theta, axis=0).max())
     best = (float(theta[0] - shift), float(theta[-1] - shift))
     if residual > EIG_TOL * max(abs(best[0]), abs(best[1]), _TINY):
         raise ConvergenceError(
@@ -328,8 +354,16 @@ def _arpack_extremes(a: np.ndarray) -> tuple[float, float]:
 
 
 def _singular_values(matrix) -> np.ndarray:
-    """All singular values, descending: the one source of ranks and sigma extremes."""
-    return np.linalg.svd(_dense(matrix), compute_uv=False)
+    """All singular values, descending: the one source of ranks and sigma
+    extremes.  One call of ``?gesdd`` without singular vectors, on a
+    Fortran-ordered copy of the matrix; a nonzero LAPACK ``info`` raises
+    :class:`ConvergenceError`."""
+    a = _dense(matrix)
+    work, _ = _GESDD_LWORK(*a.shape, compute_uv=0)
+    _, svals, _, info = _GESDD(a, compute_uv=0, lwork=int(work))
+    if info:
+        raise ConvergenceError(f"singular value decomposition failed (LAPACK info {info})")
+    return svals
 
 
 def below_rank_tol(sigma, sigma_max: float):
@@ -434,7 +468,7 @@ def schur_complements(system: DoubleSaddleSystem) -> SchurPair:
     follows on first read of the returned pair.
 
     A dense A gets a ``cho_factor`` result, and the B-Gram costs one
-    triangular solve against its upper factor and one symmetric product;
+    triangular solve against its upper factor and one ``?syrk`` (:func:`_gram`);
     a sparse A gets one pivot-free symmetric sparse LU
     (:func:`sparse_spd_factor`), and the B-Gram is formed from it in
     blocks of columns (:func:`_sparse_gram`), so A is never densified.
@@ -448,25 +482,61 @@ def schur_complements(system: DoubleSaddleSystem) -> SchurPair:
         shared = None
     elif shared.pair is not None:
         return shared.pair
-    if sp.issparse(system.A):
-        factor_a = sparse_spd_factor(system.A, "leading")
-        gram_b = _sparse_gram(factor_a, system.B)
-    else:
-        try:
-            factor_a = sla.cho_factor(system.A)
-        except sla.LinAlgError as exc:
-            raise DefinitenessError("leading block is not positive definite") from exc
-        gram_b = _gram(factor_a, system.B)
+    factor_a, gram_b = _leading_gram(system)
     # dense + sparse is dense; with D = 0, S1 is the Gram itself, not a copy
     s1 = gram_b + system.D if np.any(_values(system.D)) else gram_b
-    try:
-        cho_1 = sla.cho_factor(s1)
-    except sla.LinAlgError as exc:
-        raise DefinitenessError("first-schur block is not positive definite") from exc
+    cho_1 = _first_schur_factor(s1)
     pair = SchurPair(system=system, s1=s1, gram_b=gram_b, factor_a=factor_a, cho_1=cho_1)
     if shared is not None:
         shared.pair = pair
     return pair
+
+
+def schur_diagonals(system: DoubleSaddleSystem, tail: bool):
+    """A's factor, diag(S1) and, with ``tail``, diag(S2) (else ``None``):
+    what a reader of no more than the diagonals of the two Schur
+    complements needs, formed as :func:`schur_complements` forms them but
+    with no copy of S1 kept.
+
+    S1 is formed in the fresh B-Gram, D added in place, and its diagonal
+    kept; then S1 is factored in place, through its Fortran-ordered view
+    ``s1.T`` (the same matrix, S1 being exactly symmetric), so the one
+    m x m array becomes S1's factor.  Values and layout are those the pair
+    factors, so both diagonals are bitwise the pair's.  Failures raise as
+    in :func:`schur_complements`.
+    """
+    factor_a, s1 = _leading_gram(system)
+    if sp.issparse(system.D):
+        d = sp.coo_array(system.D)  # canonical: no duplicate entries
+        np.add.at(s1, (d.row, d.col), d.data)
+    else:
+        s1 += system.D
+    diagonal_1 = s1.diagonal().copy()
+    cho_1 = _first_schur_factor(s1.T, overwrite=True)
+    return factor_a, diagonal_1, _s2_diagonal(cho_1, system) if tail else None
+
+
+def _leading_gram(system: DoubleSaddleSystem):
+    """A's factor and the B-Gram B A^-1 B^T in a fresh array: a
+    ``cho_factor`` result and :func:`_gram` for a dense A, the pivot-free
+    symmetric sparse LU (:func:`sparse_spd_factor`) and :func:`_sparse_gram`
+    for a sparse one; either failure is :class:`DefinitenessError` naming
+    the leading block."""
+    if sp.issparse(system.A):
+        factor_a = sparse_spd_factor(system.A, "leading")
+        return factor_a, _sparse_gram(factor_a, system.B)
+    try:
+        factor_a = sla.cho_factor(system.A)
+    except sla.LinAlgError as exc:
+        raise DefinitenessError("leading block is not positive definite") from exc
+    return factor_a, _gram(factor_a, system.B)
+
+
+def _first_schur_factor(s1: np.ndarray, overwrite: bool = False) -> tuple:
+    try:
+        return sla.cho_factor(s1, overwrite_a=overwrite)
+    except sla.LinAlgError as exc:
+        raise DefinitenessError("first-schur block is not positive definite") from exc
 
 
 def _splu(matrix, label: str, **options):
@@ -509,32 +579,46 @@ def _solve_upper_t(factor, rhs: np.ndarray, overwrite: bool = False) -> np.ndarr
 
 
 def _gram(factor, coupling) -> np.ndarray:
-    """coupling P^-1 coupling^T as W^T W, W = U^-T coupling^T (dense); numpy
-    forms the product of an array with its own transpose symmetrically.  A
-    sparse coupling is solved in place in its fresh dense copy."""
+    """coupling P^-1 coupling^T as W^T W, W = U^-T coupling^T (dense), by
+    one ``?syrk`` on the Fortran-ordered W (a copy only if W is not) and a
+    mirror of the triangle it forms (:func:`_mirror_upper`), so the Gram is
+    C-ordered and exactly symmetric.  A sparse coupling is solved in place
+    in its fresh dense copy."""
     if sp.issparse(coupling):
         half = _solve_upper_t(factor, _dense(coupling).T, overwrite=True)
     else:
         half = _solve_upper_t(factor, coupling.T)
-    return half.T @ half
+    # the lower triangle of the Fortran-ordered result is the upper one of
+    # its C-ordered transpose
+    gram = _SYRK(1.0, half, trans=1, lower=1).T
+    _mirror_upper(gram)
+    return gram
+
+
+def _mirror_upper(gram: np.ndarray) -> None:
+    """Copy the upper triangle of a square array onto its lower one, a
+    block of ``_BLOCK`` columns at a time: each block row left of the
+    diagonal from the block column above it, and each diagonal block from
+    its own upper triangle through a slice of one fixed mask, so nothing
+    larger than a block is formed."""
+    for j0, j1 in _column_blocks(gram.shape[0]):
+        gram[j0:j1, :j0] = gram[:j0, j0:j1].T
+        diagonal = gram[j0:j1, j0:j1]
+        np.copyto(diagonal, diagonal.T, where=_STRICT_LOWER[: j1 - j0, : j1 - j0])
 
 
 def _sparse_gram(lu, coupling) -> np.ndarray:
     """coupling A^-1 coupling^T from a sparse LU of A, a block of ``_BLOCK``
     columns at a time: for the columns j0:j1, X = A^-1 coupling[j0:j1]^T
-    (one n x _BLOCK solve) gives the upper block column coupling[:j1] X,
-    whose transpose fills the block row left of the diagonal, and the
-    diagonal block keeps its upper triangle, so the Gram is exactly
-    symmetric.  No dense A, no n x m array and no dense coupling^T is
-    formed."""
+    (one n x _BLOCK solve) gives the upper block column coupling[:j1] X;
+    the upper triangle is then mirrored (:func:`_mirror_upper`), so the
+    Gram is exactly symmetric.  No dense A, no n x m array and no dense
+    coupling^T is formed."""
     rows = coupling.shape[0]
     gram = np.empty((rows, rows))
     for j0, j1 in _column_blocks(rows):
         gram[:j1, j0:j1] = coupling[:j1] @ lu.solve(_dense(coupling[j0:j1]).T)
-        gram[j0:j1, :j0] = gram[:j0, j0:j1].T
-        diagonal = gram[j0:j1, j0:j1]
-        upper = np.triu_indices(j1 - j0, 1)
-        diagonal.T[upper] = diagonal[upper]
+    _mirror_upper(gram)
     return gram
 
 

@@ -280,11 +280,15 @@ class TestSolveOnCsr:
         error = np.linalg.norm(result.solution - direct) / np.linalg.norm(direct)
         assert error <= 1e-6
 
-    def test_jacobi_solve_runs_no_dense_factor_or_solve(self, monkeypatch):
+    @pytest.mark.parametrize("which", ["random", "poisson"])
+    def test_jacobi_solve_runs_no_dense_factor_or_solve(self, which, problem, monkeypatch):
         # the Schur build (for diag(S1), diag(S2)) is the one place a jacobi
-        # solve needs dense Cholesky factors; nothing else may use them
-        rng = np.random.default_rng(79)
-        system, _ = random_valid_system(rng, 9, 6, 4)
+        # solve needs dense Cholesky factors; nothing else may use them.  A
+        # dense system builds the pair, a sparse one only the diagonals
+        if which == "random":
+            system, _ = random_valid_system(np.random.default_rng(79), 9, 6, 4)
+        else:
+            system, _ = problem
         dense_calls = []
         in_schur = [False]
 
@@ -297,16 +301,18 @@ class TestSolveOnCsr:
 
         for name in ("cho_factor", "cho_solve"):
             monkeypatch.setattr(sla, name, counted(name, getattr(sla, name)))
-        schur = precond_mod.schur_complements
 
-        def schur_only(*args):
-            in_schur[0] = True
-            try:
-                return schur(*args)
-            finally:
-                in_schur[0] = False
+        def schur_only(schur):
+            def run(*args, **kwargs):
+                in_schur[0] = True
+                try:
+                    return schur(*args, **kwargs)
+                finally:
+                    in_schur[0] = False
+            return run
 
-        monkeypatch.setattr(precond_mod, "schur_complements", schur_only)
+        for name in ("schur_complements", "schur_diagonals"):
+            monkeypatch.setattr(precond_mod, name, schur_only(getattr(precond_mod, name)))
         runs = self._capture_minres(monkeypatch)
         data = solve(system, precond="jacobi", rtol=1e-10)
         [(operator, _)] = runs
@@ -393,19 +399,19 @@ class TestSolveOnCsr:
         with pytest.raises(DefinitenessError, match="second-schur"):
             solve(system, precond="pearson-wathen", context=bad)
 
-    @pytest.mark.parametrize("precond, schur, grams", [
-        ("pearson-wathen", 0, 0), ("drop-term", 0, 0), ("exact", 0, 0),
-        ("user", 0, 0), ("jacobi", 1, 1),
+    @pytest.mark.parametrize("precond, diagonals", [
+        ("pearson-wathen", 0), ("drop-term", 0), ("exact", 0), ("user", 0), ("jacobi", 1),
     ])
     def test_tail_gram_formed_only_when_the_tail_reads_s2(
-        self, problem, precond, schur, grams, monkeypatch
+        self, problem, precond, diagonals, monkeypatch
     ):
-        # on a sparse system only jacobi builds the Schur pair, for diag(S1)
-        # and diag(S2): one Gram for S1, from the sparse LU of A, and none
-        # for the tail (the dense-factor helper _gram is never called)
+        # on a sparse system no strategy builds the Schur pair; jacobi takes
+        # diag(S1) and diag(S2) from schur_diagonals: one Gram for S1, from
+        # the sparse LU of A, and none for the tail (the dense-factor helper
+        # _gram is never called)
         system, context = problem
         user_blocks = (system.A, -system.B / context.beta, system.E)
-        calls = {"schur": 0, "sparse_gram": 0, "gram": 0}
+        calls = {"schur": 0, "diagonals": 0, "sparse_gram": 0, "gram": 0}
 
         def counted(key, fn):
             def run(*args, **kwargs):
@@ -418,9 +424,44 @@ class TestSolveOnCsr:
                                 counted(name[1:], getattr(spectral_mod, name)))
         monkeypatch.setattr(precond_mod, "schur_complements",
                             counted("schur", precond_mod.schur_complements))
+        monkeypatch.setattr(precond_mod, "schur_diagonals",
+                            counted("diagonals", precond_mod.schur_diagonals))
         data = solve(system, precond=precond, context=context, user_blocks=user_blocks)
         assert data["converged"]
-        assert calls == {"schur": schur, "sparse_gram": grams, "gram": 0}
+        assert calls == {"schur": 0, "diagonals": diagonals,
+                         "sparse_gram": diagonals, "gram": 0}
+
+
+    @pytest.mark.parametrize("strategies, route", [
+        (("jacobi", "jacobi", "jacobi"), "diagonals"),
+        (("exact", "jacobi", "pearson-wathen"), "diagonals"),
+        (("jacobi", "jacobi", "exact"), "pair"),
+        (("jacobi", "scaled:2", "jacobi"), "pair"),
+    ])
+    def test_sparse_jacobi_keeps_the_pair_only_for_a_whole_schur_read(
+        self, problem, strategies, route, monkeypatch
+    ):
+        # diagonals alone come from schur_diagonals, whose factor of A an
+        # exact leading block reuses; a whole S1 or S2 needs the pair
+        system, context = problem
+        built = []
+
+        def recorded(key, fn):
+            def run(*args, **kwargs):
+                built.append((key, fn(*args, **kwargs)))
+                return built[-1][1]
+            return run
+
+        for name, key in (("schur_complements", "pair"), ("schur_diagonals", "diagonals")):
+            monkeypatch.setattr(precond_mod, name, recorded(key, getattr(precond_mod, name)))
+        op = build_approx(system, strategies, context=context)
+        [(key, result)] = built
+        assert key == route
+        if route == "diagonals" and strategies[0] == "exact":
+            assert op._factors[0] is result[0]
+        v = np.random.default_rng(84).standard_normal(system.total)
+        expected = np.linalg.solve(op.as_matrix(), v)
+        np.testing.assert_allclose(op.apply_inverse(v), expected, rtol=1e-8, atol=0)
 
 
 class TestSparseSchurCertificate:

@@ -23,7 +23,12 @@ from saddlebounds import (
     validate,
 )
 from saddlebounds.bounds import bounds_unpreconditioned
-from saddlebounds.problems import distributed_context, haar_orthogonal, poisson_distributed
+from saddlebounds.problems import (
+    distributed_context,
+    haar_orthogonal,
+    poisson_boundary,
+    poisson_distributed,
+)
 from saddlebounds.errors import (
     ConvergenceError,
     DefinitenessError,
@@ -516,22 +521,38 @@ class TestSchurComplements:
         with pytest.raises(DefinitenessError, match="leading block is not positive definite"):
             schur_complements(bad)
 
-    def test_jacobi_build_on_sparse_a_densifies_no_n_by_m_array(self):
+    def test_jacobi_solve_on_sparse_a_keeps_one_m_by_m_array(self):
         # a dense A, its Cholesky copy and an n x m W peak at 4.0 m^2
-        # doubles here; the sparse LU route holds S1, its factor and one
-        # block of columns at a time (2.2 m^2)
+        # doubles here, and the Schur pair's S1 with its Cholesky copy at
+        # 2.4 m^2; the diagonals route holds one array, S1 and then its
+        # factor, and one block of columns at a time (1.6 m^2)
         import scipy.sparse.linalg  # noqa: F401  imported before tracing
-        from saddlebounds import build_approx
+        from saddlebounds.report import solve
 
         system, _ = poisson_distributed(1 / 32, 1e-3)
         m = system.dims[1]
         tracemalloc.start()
         try:
-            build_approx(system, ("jacobi", "jacobi", "jacobi"))
+            data = solve(system, precond="jacobi")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * m * m * 8
+        assert data["converged"]
+        assert peak <= 1.6 * m * m * 8
+
+    @pytest.mark.parametrize("label", ["poisson-1/16", "m=1", "m=129", "m=300"])
+    def test_schur_diagonals_are_bitwise_the_pairs(self, label):
+        # the same S1 values in the same Fortran layout give the same factor
+        if label.startswith("poisson"):
+            system, _ = poisson_distributed(1 / 16, 1e-3)
+        else:
+            system = self._sparse_system(int(label[2:]), seed=int(label[2:]))
+        pair = schur_complements(system)
+        factor_a, diagonal_1, diagonal_2 = spectral_mod.schur_diagonals(system, tail=True)
+        assert np.array_equal(diagonal_1, pair.s1.diagonal())
+        assert np.array_equal(diagonal_2, pair.s2_diagonal)
+        assert not isinstance(factor_a, tuple)
+        assert spectral_mod.schur_diagonals(system, tail=False)[2] is None
 
     def test_sparse_coupling_gram_is_bitwise_the_dense_one(self):
         # the square-completion block of a sparse context, solved in place
@@ -685,3 +706,103 @@ class TestBlockExtremes:
         assert validate(system).extremes is None
         with pytest.raises(ParameterError):
             BlockExtremes.from_system(system)
+
+
+class TestOneBlasPool:
+    """The dense oracle runs every BLAS and LAPACK call through scipy's
+    OpenBLAS: numpy loads a second one, and alternating between the two
+    costs each library's next threaded call a core."""
+
+    _NUMPY_LINALG = ("svd", "eigvalsh", "eigh", "cholesky", "solve", "qr", "inv")
+    _MODULES = ("spectral", "precond", "bounds", "report", "krylov", "system")
+
+    @staticmethod
+    def _inputs():
+        system, _ = random_valid_system(np.random.default_rng(120), 12, 8, 5)
+        yield "random", system, "exact", None
+        system, fem = poisson_distributed(1 / 8, 1e-3)
+        yield "poisson-dist", system, "pearson-wathen", distributed_context(fem, 1e-3)
+        yield "poisson-bnd", poisson_boundary(1 / 8, 1e-3), "jacobi", None
+
+    def test_analyze_calls_no_numpy_linalg_kernel(self, monkeypatch):
+        from saddlebounds.report import analyze
+
+        inputs = list(self._inputs())  # generated before numpy.linalg is closed
+
+        def closed(name):
+            def run(*args, **kwargs):
+                raise AssertionError(f"numpy.linalg.{name} called")
+            return run
+
+        for name in self._NUMPY_LINALG:
+            monkeypatch.setattr(np.linalg, name, closed(name))
+        for label, system, precond, context in inputs:
+            report = analyze(system, ("unprec", "prec-exact", "prec-inexact"),
+                             precond=precond, context=context)
+            assert report.passed, label
+            assert all("error" not in entry for entry in report.scenarios), label
+
+    def test_no_module_names_a_numpy_linalg_kernel(self):
+        # numpy.linalg.norm is a reduction, not a BLAS-3 or LAPACK call
+        import ast
+        import importlib
+
+        found = []
+        for name in self._MODULES:
+            path = importlib.import_module(f"saddlebounds.{name}").__file__
+            with open(path) as handle:
+                tree = ast.parse(handle.read())
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Attribute)
+                        and isinstance(node.value, ast.Attribute)
+                        and node.value.attr == "linalg"
+                        and isinstance(node.value.value, ast.Name)
+                        and node.value.value.id in ("np", "numpy")
+                        and node.attr != "norm"):
+                    found.append(f"{name}:{node.lineno} np.linalg.{node.attr}")
+                if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+                    found.append(f"{name}:{node.lineno} from numpy.linalg import")
+        assert found == []
+
+    @pytest.mark.parametrize("m", [1, 2, 127, 128, 129, 300])
+    def test_gram_is_exactly_symmetric_and_the_product(self, m):
+        # the mirror works in blocks of 128 columns: one column, a partial
+        # block, one full block, a full block plus one column, three blocks
+        rng = np.random.default_rng(m)
+        n = m + 5
+        q = rng.standard_normal((n, n))
+        factor = sla.cho_factor(q @ q.T + n * np.eye(n))
+        coupling = rng.standard_normal((m, n))
+        half = spectral_mod._solve_upper_t(factor, coupling.T)
+        expected = half.T @ half
+        gram = spectral_mod._gram(factor, coupling)
+        assert gram.flags.c_contiguous
+        assert np.array_equal(gram, gram.T)
+        assert np.abs(gram - expected).max() <= 1e-15 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("shape", [(1, 6), (6, 1), (40, 60), (127, 132), (261, 133)])
+    def test_singular_values_match_numpy(self, shape):
+        matrix = np.random.default_rng(sum(shape)).standard_normal(shape)
+        expected = np.linalg.svd(matrix, compute_uv=False)
+        got = spectral_mod._singular_values(matrix)
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-15 * expected[0]
+
+    def test_nonzero_gesdd_info_is_a_typed_error(self, monkeypatch, capsys):
+        from saddlebounds.report import analyze
+        from saddlebounds.cli import main
+
+        original = spectral_mod._GESDD
+
+        def failing(a, **kwargs):
+            *out, _ = original(a, **kwargs)
+            return (*out, 1)
+
+        system, _ = random_valid_system(np.random.default_rng(121), 6, 4, 2)
+        monkeypatch.setattr(spectral_mod, "_GESDD", failing)
+        with pytest.raises(ConvergenceError, match="LAPACK info 1"):
+            analyze(system, ("unprec",))
+        code = main(["analyze", "--problem", "random", "--dims", "6,4,2", "--seed", "3"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: singular value decomposition failed (LAPACK info 1)\n"
