@@ -507,7 +507,7 @@ def schur_diagonals(system: DoubleSaddleSystem, tail: bool):
     """
     factor_a, s1 = _leading_gram(system)
     if sp.issparse(system.D):
-        d = sp.coo_array(system.D)  # canonical: no duplicate entries
+        d = sp.coo_array(system.D)
         np.add.at(s1, (d.row, d.col), d.data)
     else:
         s1 += system.D
