@@ -22,12 +22,15 @@ matrices formed here are symmetric by construction.  Every public kernel
 (and :func:`~saddlebounds.precond.equivalence_constants`) takes its matrix
 arguments through one input rule, :func:`_kernel_input`.
 
-Every dense BLAS and LAPACK call here goes through scipy's OpenBLAS
-(``scipy.linalg.get_blas_funcs``, ``get_lapack_funcs`` and the
-``scipy.linalg`` solvers), never through numpy's: numpy loads an OpenBLAS
-of its own, and when one analysis alternates between the two, each
-library's worker threads keep spinning after a call and take a core from
-the other's next call."""
+Every dense BLAS and LAPACK call of the oracle (up to ``ORACLE_CUTOFF``)
+goes through scipy's OpenBLAS (``scipy.linalg.get_blas_funcs``,
+``get_lapack_funcs`` and the ``scipy.linalg`` solvers), never through
+numpy's: numpy loads an OpenBLAS of its own, and when one analysis
+alternates between the two, each library's worker threads keep spinning
+after a call and take a core from the other's next call.  Above the
+cutoff ARPACK applies its matrix by numpy's product; that path is bound by
+the memory traffic of its matrix-vector products, and routing them
+through scipy's BLAS timed no faster."""
 
 from __future__ import annotations
 
@@ -71,9 +74,8 @@ _STRICT_LOWER = np.tri(_BLOCK, k=-1, dtype=bool)
 _SYEVR, _SYEVR_LWORK = sla.get_lapack_funcs(("syevr", "syevr_lwork"), dtype=np.float64)
 # LAPACK's divide-and-conquer SVD and its workspace query
 _GESDD, _GESDD_LWORK = sla.get_lapack_funcs(("gesdd", "gesdd_lwork"), dtype=np.float64)
-# BLAS: the symmetric rank-k update of the Grams, and the dense products of
-# the ARPACK path
-_SYRK, _GEMV, _GEMM = sla.get_blas_funcs(("syrk", "gemv", "gemm"), dtype=np.float64)
+# BLAS's symmetric rank-k update, which forms the Grams
+_SYRK = sla.get_blas_funcs("syrk", dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -328,12 +330,9 @@ def _arpack_extremes(a: np.ndarray) -> tuple[float, float]:
     shift = 2.0 * float(np.abs(a).sum(axis=1).max())
     a.flat[:: dim + 1] += shift
     start = np.random.default_rng(_ARPACK_SEED).standard_normal(dim)
-    # a.T is the Fortran-ordered view BLAS takes without a copy
-    operator = spla.LinearOperator((dim, dim), dtype=float,
-                                   matvec=lambda x: _GEMV(1.0, a.T, x, trans=1))
     try:
         theta, vecs = spla.eigsh(
-            operator, k=2, which="BE", v0=start, ncv=min(dim, _ARPACK_NCV),
+            a, k=2, which="BE", v0=start, ncv=min(dim, _ARPACK_NCV),
             maxiter=_ARPACK_RESTARTS, tol=1e-3 * EIG_TOL,
         )
     except spla.ArpackNoConvergence as exc:
@@ -342,8 +341,7 @@ def _arpack_extremes(a: np.ndarray) -> tuple[float, float]:
         raise ConvergenceError(
             "ARPACK did not converge to both extremal eigenvalues", best=best
         ) from exc
-    applied = _GEMM(1.0, a.T, vecs, trans_a=1)
-    residual = float(np.linalg.norm(applied - vecs * theta, axis=0).max())
+    residual = float(np.linalg.norm(a @ vecs - vecs * theta, axis=0).max())
     best = (float(theta[0] - shift), float(theta[-1] - shift))
     if residual > EIG_TOL * max(abs(best[0]), abs(best[1]), _TINY):
         raise ConvergenceError(

@@ -725,6 +725,8 @@ class TestOneBlasPool:
         yield "poisson-bnd", poisson_boundary(1 / 8, 1e-3), "jacobi", None
 
     def test_analyze_calls_no_numpy_linalg_kernel(self, monkeypatch):
+        # a numpy product is not caught by closing numpy.linalg, so the
+        # scipy kernels that replace the SVD and the Gram product must run
         from saddlebounds.report import analyze
 
         inputs = list(self._inputs())  # generated before numpy.linalg is closed
@@ -734,13 +736,25 @@ class TestOneBlasPool:
                 raise AssertionError(f"numpy.linalg.{name} called")
             return run
 
+        calls = {}
+
+        def counted(name, kernel):
+            def run(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return kernel(*args, **kwargs)
+            return run
+
         for name in self._NUMPY_LINALG:
             monkeypatch.setattr(np.linalg, name, closed(name))
+        for name in ("_SYRK", "_GESDD"):
+            monkeypatch.setattr(spectral_mod, name, counted(name, getattr(spectral_mod, name)))
         for label, system, precond, context in inputs:
+            calls.clear()
             report = analyze(system, ("unprec", "prec-exact", "prec-inexact"),
                              precond=precond, context=context)
             assert report.passed, label
             assert all("error" not in entry for entry in report.scenarios), label
+            assert calls.keys() == {"_SYRK", "_GESDD"}, label
 
     def test_no_module_names_a_numpy_linalg_kernel(self):
         # numpy.linalg.norm is a reduction, not a BLAS-3 or LAPACK call
