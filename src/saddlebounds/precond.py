@@ -71,6 +71,7 @@ from .spectral import (
 from .system import (
     DoubleSaddleSystem,
     _dense,
+    _mapped_zeros,
     _sym,
     _symmetric_input,
     _values,
@@ -487,7 +488,7 @@ def split_preconditioned_matrix(
     f0, f1, f2 = (_dense_factor(b, f, lbl)
                   for b, f, lbl in zip(op.blocks, op._factors, _BLOCK_LABELS))
     i0, i1, i2 = slice(0, n), slice(n, n + m), slice(n + m, total)
-    out = np.zeros((total, total))
+    out = _mapped_zeros(total)
     out[i0, i0] = _sym(_congruence(f0, system.A, f0))
     out[i1, i0] = _congruence(f1, system.B, f0)
     if system.D.any():

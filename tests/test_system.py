@@ -1,4 +1,5 @@
 import math
+import mmap
 import sys
 
 import numpy as np
@@ -13,13 +14,16 @@ from saddlebounds import (
     assemble,
     PoissonControlContext,
     build_approx,
+    build_exact,
     inertia,
     poisson_distributed,
     random_system,
+    split_preconditioned_matrix,
     validate,
 )
 from saddlebounds.errors import StructuralError
 from saddlebounds.report import analyze
+import saddlebounds.system as system_mod
 from saddlebounds.system import SYM_TOL
 
 from helpers import random_valid_system
@@ -117,6 +121,22 @@ class TestAssemble:
         system, _ = random_valid_system(rng, 7, 5, 3)
         data = assemble(system).data
         assert np.array_equal(data, data.T)
+
+    def test_large_oracle_matrices_lie_in_maps_of_their_own(self, monkeypatch):
+        # from 1 MiB up the N x N matrices of assemble and of the split
+        # congruence each take an anonymous map, not heap space, and hold
+        # bitwise the values the heap path gives
+        system, _ = random_valid_system(np.random.default_rng(5), 200, 120, 60)
+        op = build_exact(system)
+        mapped = (assemble(system).data, split_preconditioned_matrix(system, op))
+        for matrix in mapped:
+            assert isinstance(matrix.base, mmap.mmap)
+            assert matrix.flags.c_contiguous and matrix.flags.writeable
+        monkeypatch.setattr(system_mod, "_MAPPED_BYTES", math.inf)
+        heap = (assemble(system).data, split_preconditioned_matrix(system, op))
+        for matrix, reference in zip(mapped, heap):
+            assert reference.flags.owndata
+            assert np.array_equal(matrix, reference)
 
     def test_inertia_of_valid_systems(self):
         rng = np.random.default_rng(13)
