@@ -27,15 +27,8 @@ class StrategyMismatchError(SaddleBoundsError):
 
 
 class ConvergenceError(SaddleBoundsError):
-    """An eigenvalue or singular-value computation failed to converge or to
-    certify its result.
-
-    ``best`` carries the uncertified estimates for diagnostics.
-    """
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+    """A dense eigensolve or singular value decomposition failed to
+    converge: LAPACK returned a nonzero ``info``."""
 
 
 class OracleSizeError(SaddleBoundsError):

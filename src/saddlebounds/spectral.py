@@ -1,9 +1,9 @@
 """Eigenvalue and singular-value kernels, and the structural checks built on them.
 
-Extremal eigenvalues come from a dense symmetric decomposition up to
-``ORACLE_CUTOFF`` and from ARPACK (``eigsh``) above it; every dense
-symmetric eigensolve is one call of LAPACK's ``?syevr`` (:func:`_eigvalsh`),
-which works in place: in a copy, unless the caller hands the matrix over.
+Extremal eigenvalues, at any size, are the two ends of a dense symmetric
+eigensolve; every dense symmetric eigensolve is one call of LAPACK's
+``?syevr`` (:func:`_eigvalsh`), which works in place: in a copy, unless
+the caller hands the matrix over.
 Singular values, and with them every rank decision, come from one call of
 ``?gesdd`` (:func:`_singular_values`).  Also home to the Schur complements
 of a system (each Gram of a dense leading block from one U^-T solve against
@@ -22,15 +22,12 @@ matrices formed here are symmetric by construction.  Every public kernel
 (and :func:`~saddlebounds.precond.equivalence_constants`) takes its matrix
 arguments through one input rule, :func:`_kernel_input`.
 
-Every dense BLAS and LAPACK call of the oracle (up to ``ORACLE_CUTOFF``)
-goes through scipy's OpenBLAS (``scipy.linalg.get_blas_funcs``,
-``get_lapack_funcs`` and the ``scipy.linalg`` solvers), never through
-numpy's: numpy loads an OpenBLAS of its own, and when one analysis
-alternates between the two, each library's worker threads keep spinning
-after a call and take a core from the other's next call.  Above the
-cutoff ARPACK applies its matrix by numpy's product; that path is bound by
-the memory traffic of its matrix-vector products, and routing them
-through scipy's BLAS timed no faster."""
+Every dense BLAS and LAPACK call of the oracle goes through scipy's
+OpenBLAS (``scipy.linalg.get_blas_funcs``, ``get_lapack_funcs`` and the
+``scipy.linalg`` solvers), never through numpy's: numpy loads an OpenBLAS
+of its own, and when one analysis alternates between the two, each
+library's worker threads keep spinning after a call and take a core from
+the other's next call."""
 
 from __future__ import annotations
 
@@ -53,15 +50,7 @@ from .system import _TINY, SYM_TOL, DoubleSaddleSystem, _checked, _dense, _value
 
 ORACLE_CUTOFF = 4096
 RANK_TOL = 1e-10
-EIG_TOL = 1e-10
 ZERO_TOL = 1e-11
-
-# fixed start vector seed: identical runs give identical estimates
-_ARPACK_SEED = 0x5ADD1E
-# work cap: a 32-vector Lanczos basis restarted at most 20 times is about
-# 630 matrix-vector products
-_ARPACK_NCV = 32
-_ARPACK_RESTARTS = 20
 
 # columns per block of the sparse-A Gram and of diag(S2) for a sparse C:
 # each block costs one n x _BLOCK solve.  On a 2-vCPU machine at h = 1/64,
@@ -302,53 +291,16 @@ def extremal_eigs(matrix) -> tuple[float, float]:
     the kernels' input rule (:func:`_kernel_input`).
 
     A matrix that stores no nonzero gives (0, 0) without an eigensolve.
-    Otherwise a dense decomposition up to ``ORACLE_CUTOFF``, which reads one
-    triangle of a copy of the matrix (the caller's matrix, a system block or
-    a Schur complement, is never written); beyond that ARPACK from a
-    fixed-seed start vector, which applies all of it, certified by the
-    residual test ||A v - t v|| <= EIG_TOL * max|t|.
+    Otherwise, at any size, the two ends of one dense eigensolve
+    (:func:`_eigvalsh`), which reads one triangle of a copy of the matrix:
+    the caller's matrix, a system block or a Schur complement, is never
+    written.
     """
     a = _kernel_input(matrix)
     if not a.any():
         return 0.0, 0.0
-    if a.shape[0] <= ORACLE_CUTOFF:
-        vals = _eigvalsh(a)
-        return float(vals[0]), float(vals[-1])
-    return _arpack_extremes(a.copy())  # the shift stays local to the copy
-
-
-def _arpack_extremes(a: np.ndarray) -> tuple[float, float]:
-    # imported here: loading ARPACK adds about 2 MB of resident memory, and
-    # only blocks above the cutoff need it
-    import scipy.sparse.linalg as spla
-
-    dim = a.shape[0]
-    # ARPACK judges each Ritz value relative to itself.  Shifting by twice
-    # the infinity norm puts every eigenvalue in [|a|, 3 |a|], so its test
-    # becomes one relative to the norm, like the certificate; the factor
-    # 1e-3 covers the gap between the norm and the spectral radius.
-    shift = 2.0 * float(np.abs(a).sum(axis=1).max())
-    a.flat[:: dim + 1] += shift
-    start = np.random.default_rng(_ARPACK_SEED).standard_normal(dim)
-    try:
-        theta, vecs = spla.eigsh(
-            a, k=2, which="BE", v0=start, ncv=min(dim, _ARPACK_NCV),
-            maxiter=_ARPACK_RESTARTS, tol=1e-3 * EIG_TOL,
-        )
-    except spla.ArpackNoConvergence as exc:
-        found = exc.eigenvalues - shift
-        best = (float(found.min()), float(found.max())) if len(found) else None
-        raise ConvergenceError(
-            "ARPACK did not converge to both extremal eigenvalues", best=best
-        ) from exc
-    residual = float(np.linalg.norm(a @ vecs - vecs * theta, axis=0).max())
-    best = (float(theta[0] - shift), float(theta[-1] - shift))
-    if residual > EIG_TOL * max(abs(best[0]), abs(best[1]), _TINY):
-        raise ConvergenceError(
-            f"ARPACK extremes failed the residual certificate ({residual:.3e})",
-            best=best,
-        )
-    return best
+    vals = _eigvalsh(a)
+    return float(vals[0]), float(vals[-1])
 
 
 def _singular_values(matrix) -> np.ndarray:

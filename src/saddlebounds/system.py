@@ -30,6 +30,7 @@ place a sparse system is densified; :func:`assemble_csr` never densifies.
 
 from __future__ import annotations
 
+import math
 import mmap
 from dataclasses import dataclass
 
@@ -105,7 +106,9 @@ def _checked(block, label: str):
         block.eliminate_zeros()
     else:
         block = _dense(block)
-    if not np.isfinite(_values(block)).all():
+    # min and max propagate NaN and +-inf, and form no mask the size of the block
+    values = _values(block)
+    if values.size and not (math.isfinite(values.min()) and math.isfinite(values.max())):
         raise StructuralError(f"{label} has non-finite entries")
     return block
 

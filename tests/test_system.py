@@ -79,7 +79,7 @@ class TestValidate:
             )
 
     @pytest.mark.parametrize("name", "ABCDE")
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_block_rejected(self, name, value):
         rng = np.random.default_rng(8)
         system, _ = random_valid_system(rng, 8, 6, 4)
