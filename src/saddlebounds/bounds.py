@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache, partial
+from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -272,9 +274,10 @@ def _bracketed_root(cubic: CubicPoly, x: float, lo: float, hi: float, rising: bo
     return x
 
 
+@cache
 def exact_preconditioner_roots() -> ClassifiedRoots:
     """Roots of x^3 - x^2 - 2x + 1, the endpoints every exact-preconditioner
-    interval collapses to (about -1.2470, 0.4450, 1.8019)."""
+    interval collapses to (about -1.2470, 0.4450, 1.8019); solved once."""
     return solve_classified(cubic_from_params(1.0, 1.0, 1.0, 0.0, 0.0))
 
 
@@ -469,12 +472,15 @@ def bounds_precond_inexact(
     )
 
 
-@dataclass(frozen=True)
-class EigenvalueVerdict:
+class EigenvalueVerdict(NamedTuple):
     value: float
     ok: bool
     slack: float
     matched: str
+
+
+# a verdict from its four fields in one tuple, with no Python-level call
+_verdict = partial(tuple.__new__, EigenvalueVerdict)
 
 
 @dataclass(frozen=True)
@@ -490,7 +496,7 @@ class ContainmentReport:
     def worst_slack(self) -> float:
         if not self.verdicts:
             return math.inf
-        return min(v.slack for v in self.verdicts)
+        return min(map(attrgetter("slack"), self.verdicts))
 
 
 def verify_containment(
@@ -516,30 +522,38 @@ def verify_containment(
     # each value's label, as an index into names
     names = ("outside", "negative-interval", "positive-interval",
              *(f"discrete:{target:.6g}" for target, _mult in discrete))
-    where = np.zeros(values.size, dtype=np.intp)
+    where = np.empty(values.size, dtype=np.intp)
     slack = np.empty(values.size)
-    free = np.ones(values.size, dtype=bool)  # matched to no discrete target yet
+    free = slice(None)  # the values matched to no discrete target
     discrete_hits = []
-    for idx, (target, _mult) in enumerate(discrete):
-        dist = np.abs(values - target)
-        hit = free & (dist <= CLUSTER_TOL * max(1.0, abs(target)))
-        discrete_hits.append(int(np.count_nonzero(hit)))
-        where[hit] = 3 + idx
-        slack[hit] = -dist[hit]
-        free &= ~hit
+    if discrete:
+        # one row per target; each value goes to the first target it is near
+        targets = np.array([target for target, _mult in discrete])
+        widths = np.array([CLUSTER_TOL * max(1.0, abs(target)) for target, _mult in discrete])
+        dist = np.abs(values - targets[:, None])
+        near = dist <= widths[:, None]
+        first = near.argmax(axis=0)
+        hit = near[first, np.arange(values.size)]
+        discrete_hits = np.bincount(first[hit], minlength=len(discrete)).tolist()
+        where[hit] = 3 + first[hit]
+        slack[hit] = -dist[first[hit], hit.nonzero()[0]]
+        free = ~hit
 
     leftovers = values[free]
     in_neg = _inside(leftovers, neg.inflate(tol))
-    in_pos = _inside(leftovers, pos.inflate(tol))
+    inside = in_neg | _inside(leftovers, pos.inflate(tol))
     ref_lo = np.where(in_neg, neg.lo, pos.lo)
     ref_hi = np.where(in_neg, neg.hi, pos.hi)
     inner = _first_min(leftovers - ref_lo, ref_hi - leftovers)
-    gap = _first_min(*(np.abs(leftovers - end) for end in (neg.lo, neg.hi, pos.lo, pos.hi)))
-    slack[free] = np.where(in_neg | in_pos, inner, -gap)
-    where[free] = np.where(in_neg, 1, np.where(in_pos, 2, 0))
+    where[free] = np.where(in_neg, 1, np.where(inside, 2, 0))
+    if inside.all():
+        slack[free] = inner
+    else:
+        gap = _first_min(*(np.abs(leftovers - end) for end in (neg.lo, neg.hi, pos.lo, pos.hi)))
+        slack[free] = np.where(inside, inner, -gap)
     ok = where != 0
-    verdicts = tuple(map(EigenvalueVerdict, values.tolist(), ok.tolist(), slack.tolist(),
-                         [names[i] for i in where.tolist()]))
+    verdicts = tuple(map(_verdict, zip(values.tolist(), ok.tolist(), slack.tolist(),
+                                       map(names.__getitem__, where.tolist()))))
 
     multiplicity_ok = None
     if discrete:

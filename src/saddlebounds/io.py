@@ -23,7 +23,6 @@ import json
 from pathlib import Path
 
 import numpy as np
-import scipy.io
 
 from .errors import StructuralError
 from .precond import PoissonControlContext
@@ -53,7 +52,7 @@ def save_manifest(
         if inline:
             return _dense(matrix).tolist()
         fname = f"{name}_{key}.mtx"
-        scipy.io.mmwrite(out_dir / fname, matrix)
+        _matrix_market().mmwrite(out_dir / fname, matrix)
         return fname
 
     manifest["blocks"] = {key: stored(key, getattr(system, key)) for key in BLOCK_NAMES}
@@ -97,11 +96,20 @@ def _inline_block(entry, path: Path, label: str) -> np.ndarray:
     return block
 
 
+def _matrix_market():
+    """``scipy.io``, imported on first use: loading it costs every process
+    tens of milliseconds and more than a megabyte of resident memory, and
+    only Matrix Market files need it."""
+    import scipy.io
+
+    return scipy.io
+
+
 def _read_mtx(path: Path):
     """A Matrix Market file as a matrix; :class:`StructuralError` naming
     the file when it is not one."""
     try:
-        return scipy.io.mmread(path)
+        return _matrix_market().mmread(path)
     except ValueError as exc:
         raise StructuralError(f"{path} is not a Matrix Market file: {exc}") from exc
 

@@ -17,6 +17,11 @@ from .precond import PreconditionerOperator
 
 RTOL_DEFAULT = 1e-8
 BREAKDOWN_REL = 1e-14
+# a true relative 2-norm residual above this times rtol is a residual gap.
+# MINRES stops in the P^-1-norm; at rtol = 1e-8 the h = 1/32 and 1/64
+# distributed-control solves at beta = 1e-3 end 270 to 1,000 times rtol
+# in the 2-norm, and the beta = 1e-8 solve at h = 1/32 1.8e7 times
+RESIDUAL_GAP = 1e4
 
 
 @dataclass(frozen=True)
@@ -26,6 +31,14 @@ class SolveResult:
     iterations: int
     converged: bool
     breakdown: str | None = None
+
+    @property
+    def stop(self) -> str:
+        """Why the run stopped: ``rtol`` (converged), ``breakdown:<kind>``
+        or ``maxit``."""
+        if self.converged:
+            return "rtol"
+        return f"breakdown:{self.breakdown}" if self.breakdown else "maxit"
 
     @property
     def relative_history(self) -> tuple[float, ...]:

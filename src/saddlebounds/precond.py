@@ -23,7 +23,8 @@ system blocks.  What MINRES applies is one factor per block, chosen from its
 own type:
 
 * a diagonal block (such as ``jacobi``): the 1-D vector sqrt(diag);
-* any other dense block: a ``cho_factor`` result;
+* any other dense block: a Cholesky factor
+  (:func:`~saddlebounds.spectral._cho`);
 * any other sparse block: a pivot-free symmetric sparse LU
   (:func:`~saddlebounds.spectral.sparse_spd_factor`);
 * the square-completion block X M^-1 X of a sparse system: one sparse LU
@@ -46,7 +47,6 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from . import spectral
@@ -126,10 +126,7 @@ class PoissonControlContext:
         eigenvalues mu of (K, M), which is O(beta) and tiny for practical
         beta, and ``inf`` when some mu is zero.
         """
-        try:
-            mu = sla.eigh(_dense(self.stiffness), _dense(self.mass), eigvals_only=True)
-        except sla.LinAlgError as exc:
-            raise DefinitenessError("mass block is not positive definite") from exc
+        mu = spectral._pencil_eigvalsh(_dense(self.stiffness), _dense(self.mass), "mass")
         mu2 = float(np.abs(mu).min()) ** 2
         return self.beta / mu2 if mu2 > 0 else math.inf
 
@@ -202,8 +199,8 @@ class PreconditionerOperator:
     """Three factorized SPD blocks applied block-diagonally.
 
     ``_factors`` holds one factor per block: a 1-D array sqrt(diag) for a
-    diagonal block, applied by division; a ``cho_factor`` result, applied
-    by triangular solves; or a sparse factor with a ``solve`` method (see
+    diagonal block, applied by division; a Cholesky factor, applied by
+    ``?potrs``; or a sparse factor with a ``solve`` method (see
     the module docstring).  Blocks and factors are checked finite once,
     when they are built, so the solves skip it.
     """
@@ -227,7 +224,7 @@ class PreconditionerOperator:
         )
 
     def as_matrix(self) -> np.ndarray:
-        return sla.block_diag(*(_dense(b) for b in self.blocks))
+        return sp.block_diag([_dense(b) for b in self.blocks]).toarray()
 
 
 def _factor(block, label: str):
@@ -235,8 +232,9 @@ def _factor(block, label: str):
     when every nonzero lies on the diagonal, a sparse LU of X for a
     :class:`SquareCompletion`, a sparse LU of K2 or K for a
     :class:`SchurComplement`, a pivot-free symmetric sparse LU for any
-    other sparse block, else a ``cho_factor`` result.  Blocks arrive
-    exactly symmetric and are factored as given."""
+    other sparse block, else a Cholesky factor
+    (:func:`~saddlebounds.spectral._cho`).  Blocks arrive exactly symmetric
+    and are factored as given."""
     if isinstance(block, SquareCompletion):
         context = block.context
         return _SquareCompletionFactor(
@@ -255,16 +253,13 @@ def _factor(block, label: str):
         raise DefinitenessError(f"{label} block is not positive definite")
     if sparse:
         return sparse_spd_factor(block, label)
-    try:
-        return sla.cho_factor(block)
-    except sla.LinAlgError as exc:
-        raise DefinitenessError(f"{label} block is not positive definite") from exc
+    return spectral._cho(block, label)
 
 
 def _dense_factor(block, factor, label: str):
     """The dense factor the oracle applies for a preconditioner block:
     ``factor`` as an operator holds it when it is dense (a sqrt(diag)
-    vector or a ``cho_factor`` result), else :func:`_factor` of the
+    vector or a Cholesky factor), else :func:`_factor` of the
     densified block, whose failure names it ``label``."""
     if isinstance(factor, (np.ndarray, tuple)):
         return factor
@@ -276,7 +271,7 @@ def _factored_solve(factor, rhs: np.ndarray) -> np.ndarray:
     if isinstance(factor, np.ndarray):
         return rhs / factor / factor
     if isinstance(factor, tuple):
-        return sla.cho_solve(factor, rhs, check_finite=False)
+        return spectral._cho_solve(factor, rhs)
     return factor.solve(rhs)
 
 
@@ -516,12 +511,16 @@ def equivalence_constants(
     are the eigenvalues of the congruence U^-T exact U^-1 for P = U^T U, the
     reduction ``scipy.linalg.eigh(exact, approx)`` makes after factoring P
     itself.  Bitwise-identical blocks give the exact interval [1, 1] with no
-    eigensolve (the factor alone shows they are definite).  The interval is
+    eigensolve (the factor alone shows they are definite); one block passed
+    as both, with its held factor, gives it at once, before the input rule,
+    as an exact strategy's block does.  The interval is
     the one of the approximation as built: scaling it by s divides the
     interval by s, and nothing is rescaled here.  Neither block is written:
     the congruence is formed here and is the only array the eigensolve
     overwrites.
     """
+    if exact is approx and factor is not None:
+        return Interval(1.0, 1.0)
     exact = _kernel_input(exact, "exact block")
     approx = _kernel_input(approx, "approximation")
     if exact.shape != approx.shape:

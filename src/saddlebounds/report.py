@@ -9,9 +9,10 @@ digits so re-parsing reproduces them bit for bit.
 from __future__ import annotations
 
 import json
+import operator
 import time
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +30,7 @@ from .bounds import (
     verify_containment,
 )
 from .errors import DefinitenessError, ParameterError, SaddleBoundsError
-from .krylov import RTOL_DEFAULT, check_stopping, minres
+from .krylov import RESIDUAL_GAP, RTOL_DEFAULT, check_stopping, minres
 from .precond import (
     PoissonControlContext,
     build_approx,
@@ -58,6 +59,50 @@ SCENARIOS = ("unprec", "prec-exact", "prec-inexact")
 
 def fmt(value: float) -> str:
     return format(float(value), FLOAT_FMT)
+
+
+# the C string escaper json.dumps uses with ensure_ascii
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _plain_json(value, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)`` for
+    a document of plain values: dicts with string keys, lists, tuples,
+    strings, None, bools, ints and floats.  Each container is written by
+    one join; the standard library's indenting encoder is pure Python and
+    yields every token from a generator, and on the desk-random reports it
+    took about 1.5 times as long (550 against 360 us a report, most of both
+    in the floats' repr).  A non-finite float raises the same
+    ``ValueError``; any other value, or a key that is not a string, raises
+    ``TypeError``.
+    """
+    if isinstance(value, float):  # first: spectra are most of a report
+        if value - value == 0.0:
+            return float.__repr__(value)
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_plain_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_json_str(k) + ": " + _plain_json(v, inner)
+                 for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"{type(value).__name__} is not a plain JSON value")
 
 
 def _json_float(value: float):
@@ -128,20 +173,24 @@ def _containment_dict(spectrum, bounds: BoundIntervals, tol: float) -> dict:
 
 
 def _spectrum_summary(values: np.ndarray) -> dict:
-    scale = float(np.abs(values).max(initial=0.0))
-    cut = ZERO_TOL * max(scale, 1.0)
-    neg = values[values < -cut]
-    pos = values[values > cut]
+    """Count, inertia, extremes and sign ranges of a nonempty spectrum in
+    ascending order, as :func:`full_spectrum` gives it; values within
+    ``ZERO_TOL * max(1, max|v|)`` of zero count as zero."""
+    size = values.size
+    lo, hi = values[0].item(), values[-1].item()
+    cut = ZERO_TOL * max(abs(lo), abs(hi), 1.0)
+    n_neg = int(np.searchsorted(values, -cut, side="left"))
+    n_pos = size - int(np.searchsorted(values, cut, side="right"))
     summary = {
-        "count": int(values.size),
-        "inertia": [int(pos.size), int(neg.size), int(values.size - pos.size - neg.size)],
-        "min": float(values.min()),
-        "max": float(values.max()),
+        "count": size,
+        "inertia": [n_pos, n_neg, size - n_pos - n_neg],
+        "min": lo,
+        "max": hi,
     }
-    if neg.size:
-        summary["negative_range"] = [float(neg.min()), float(neg.max())]
-    if pos.size:
-        summary["positive_range"] = [float(pos.min()), float(pos.max())]
+    if n_neg:
+        summary["negative_range"] = [lo, values[n_neg - 1].item()]
+    if n_pos:
+        summary["positive_range"] = [values[size - n_pos].item(), hi]
     return summary
 
 
@@ -195,8 +244,13 @@ class AnalysisReport:
         }
 
     def to_json(self) -> str:
-        # allow_nan=False enforces strict JSON; non-finite ratios are strings
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
+        # allow_nan=False enforces strict JSON; non-finite ratios are strings.
+        # _plain_json writes the same text faster; json.dumps takes the rest
+        data = self.to_dict()
+        try:
+            return _plain_json(data) + "\n"
+        except TypeError:
+            return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     @classmethod
     def from_dict(cls, data: dict) -> "AnalysisReport":
@@ -244,7 +298,9 @@ def analyze(
     preconditioner's factors.  The inexact bounds use the raw equivalence
     constants of the approximation as built, so each preconditioned scenario
     takes one spectrum, of its own split matrix, and checks both its bounds
-    and any reference intervals against it.  K and each split matrix are
+    and any reference intervals against it; an inexact operator built from
+    the exact one's very factors (the ``exact`` strategy) has the same split
+    matrix and takes that spectrum as formed.  K and each split matrix are
     formed only to be eigensolved, so they are handed over
     (``full_spectrum(..., overwrite=True)``) and each spectrum holds one
     N x N array, not two.
@@ -272,7 +328,7 @@ def analyze(
             dims=list(system.dims),
             validation=_validation_dict(validation),
             scenarios=[],
-            extremes=None if extremes is None else asdict(extremes),
+            extremes=None if extremes is None else dict(vars(extremes)),
             timings=timings,
         )
         timings["validate"] = time.perf_counter() - t_start
@@ -281,11 +337,12 @@ def analyze(
         if system.total <= spectral.ORACLE_CUTOFF:
             t0 = time.perf_counter()
             spectrum = full_spectrum(assemble(system).data, overwrite=True)
-            report.spectrum = [float(v) for v in spectrum]
+            report.spectrum = spectrum.tolist()
             timings["spectrum"] = time.perf_counter() - t0
 
         d_zero = not system.D.any()
         e_zero = not system.E.any()
+        split_spectra: list = []  # (operator, spectrum of its split matrix)
 
         for name in scenarios:
             t0 = time.perf_counter()
@@ -294,11 +351,11 @@ def analyze(
                     entry = _scenario_unprec(extremes, spectrum, tol)
                 elif name == "prec-exact":
                     entry = _scenario_prec_exact(
-                        system, validation.c_nullity_k, d_zero, e_zero, tol)
+                        system, validation.c_nullity_k, d_zero, e_zero, tol, split_spectra)
                 else:
                     entry = _scenario_prec_inexact(
                         system, validation, strategies, context, user_blocks,
-                        d_zero, e_zero, tol)
+                        d_zero, e_zero, tol, split_spectra)
             except SaddleBoundsError as exc:
                 entry = {"name": name, "error": f"{type(exc).__name__}: {exc}"}
             entry["name"] = name
@@ -322,7 +379,7 @@ def _scenario_unprec(extremes, spectrum, tol) -> dict:
     return entry
 
 
-def _scenario_prec_exact(system, nullity_k, d_zero, e_zero, tol) -> dict:
+def _scenario_prec_exact(system, nullity_k, d_zero, e_zero, tol, split_spectra) -> dict:
     op = build_exact(system)
     k = nullity_k if (d_zero and not e_zero) else 0
     bounds = bounds_precond_exact(system.dims, d_zero=d_zero, e_zero=e_zero, nullity_k=k)
@@ -330,11 +387,12 @@ def _scenario_prec_exact(system, nullity_k, d_zero, e_zero, tol) -> dict:
         "intervals": intervals_to_dict(bounds),
         "precond": {"strategy": list(op.strategy)},
     }
-    return _split_verdicts(entry, system, op, bounds, tol)
+    return _split_verdicts(entry, system, op, bounds, tol, split_spectra)
 
 
 def _scenario_prec_inexact(
-    system, validation, strategies, context, user_blocks, d_zero, e_zero, tol
+    system, validation, strategies, context, user_blocks, d_zero, e_zero, tol,
+    split_spectra,
 ) -> dict:
     exact_op = build_exact(system)
     approx_op = build_approx(system, strategies, context=context, user_blocks=user_blocks)
@@ -371,21 +429,31 @@ def _scenario_prec_inexact(
     reference = _reference_intervals(strategies, context, d_zero, e_zero)
     if reference is not None:
         entry["reference_intervals"] = intervals_to_dict(reference)
-    return _split_verdicts(entry, system, approx_op, bounds, tol, reference)
+    return _split_verdicts(entry, system, approx_op, bounds, tol, split_spectra, reference)
 
 
-def _split_verdicts(entry, system, op, bounds, tol, reference=None) -> dict:
+def _split_verdicts(entry, system, op, bounds, tol, split_spectra, reference=None) -> dict:
     """The tail both preconditioned scenarios share: above ``ORACLE_CUTOFF``
     ``entry`` is marked ``unverified`` and no split matrix is formed;
     otherwise it gets the split spectrum of ``op``, its summary, and the
     containment verdicts on that spectrum of ``bounds`` (``unverified`` when
     None) and of ``reference`` when given.  Returns ``entry``.
+
+    ``split_spectra`` holds the (operator, spectrum) pairs formed so far in
+    the analysis.  The split matrix of a dense system is a function of the
+    operator's factors alone (:func:`split_preconditioned_matrix`), so an
+    operator whose factors are the very objects of one there takes its
+    spectrum, bit for bit the one it would form.
     """
     if system.total > spectral.ORACLE_CUTOFF:
         entry["containment"] = {"status": "unverified"}
         return entry
-    values = full_spectrum(split_preconditioned_matrix(system, op), overwrite=True)
-    entry["spectrum"] = [float(v) for v in values]
+    values = next((known for other, known in split_spectra
+                   if all(map(operator.is_, other._factors, op._factors))), None)
+    if values is None:
+        values = full_spectrum(split_preconditioned_matrix(system, op), overwrite=True)
+        split_spectra.append((op, values))
+    entry["spectrum"] = values.tolist()
     entry["spectrum_summary"] = _spectrum_summary(values)
     if bounds is not None:
         entry["containment"] = _containment_dict(values, bounds, tol)
@@ -428,6 +496,12 @@ def solve(
     sparse blocks stay sparse, and the preconditioner picks each block's
     factor from its type (see :mod:`saddlebounds.precond`).  The strategy
     name and the stopping rule are checked before any matrix is built.
+
+    MINRES stops on the P^-1-norm residual (``residual_norm``; P = I for
+    ``none``), and ``stop`` says why it stopped (``rtol``, ``maxit`` or
+    ``breakdown:<kind>``); ``converged`` is ``stop == "rtol"``.  The true
+    relative 2-norm residual can be far larger: when it exceeds
+    ``RESIDUAL_GAP * rtol``, ``warnings`` holds a ``residual-gap`` entry.
     """
     check_stopping(rtol, maxit)
     strategies = None if precond == "none" else strategy_tuple(precond)
@@ -440,6 +514,10 @@ def solve(
     residual = float(
         np.linalg.norm(matrix @ result.solution - rhs) / np.linalg.norm(rhs)
     )
+    warnings = []
+    if residual > RESIDUAL_GAP * rtol:
+        warnings.append({"kind": "residual-gap", "true_relative_residual": residual,
+                         "limit": RESIDUAL_GAP * rtol})
     return {
         "schema": SCHEMA_VERSION,
         "problem": problem or {},
@@ -447,9 +525,12 @@ def solve(
         "rtol": rtol,
         "iterations": result.iterations,
         "converged": result.converged,
+        "stop": result.stop,
         "breakdown": result.breakdown,
+        "residual_norm": "P^-1",
         "final_relative_residual": result.relative_history[-1],
         "true_relative_residual": residual,
+        "warnings": warnings,
         "residual_history": list(result.residual_history),
     }
 

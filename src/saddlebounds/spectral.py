@@ -22,18 +22,29 @@ matrices formed here are symmetric by construction.  Every public kernel
 (and :func:`~saddlebounds.precond.equivalence_constants`) takes its matrix
 arguments through one input rule, :func:`_kernel_input`.
 
-Every dense BLAS and LAPACK call of the oracle goes through scipy's
-OpenBLAS (``scipy.linalg.get_blas_funcs``, ``get_lapack_funcs`` and the
-``scipy.linalg`` solvers), never through numpy's: numpy loads an OpenBLAS
-of its own, and when one analysis alternates between the two, each
-library's worker threads keep spinning after a call and take a core from
-the other's next call."""
+One LAPACK layer.  Every dense BLAS and LAPACK call of the oracle and of
+the preconditioners goes through the module-level handles below
+(``_SYEVR``, ``_GESDD``, ``_SYRK``, ``_POTRF``, ``_POTRS``, ``_TRTRS``,
+``_SYGVD``), taken from scipy's OpenBLAS (``scipy.linalg.get_blas_funcs``
+and ``get_lapack_funcs``).  They never go through numpy's OpenBLAS: numpy
+loads one of its own, and when one analysis alternates between the two,
+each library's worker threads keep spinning after a call and take a core
+from the other's next call.  Nor do they go through the ``scipy.linalg``
+solvers (``cho_factor``, ``cho_solve``, ``solve_triangular``, ``eigh``):
+at desk scale their wrapper layers cost several times the LAPACK call
+inside (at n = 10 on a shared 2-vCPU VM, 20 us for a ``solve_triangular``
+against 4 us for its ``?trtrs``, 17 us for a ``cho_factor`` against 3 us
+for its ``?potrf``).  Each helper (:func:`_cho`, :func:`_cho_solve`,
+:func:`_solve_upper_t`, :func:`_pencil_eigvalsh`) makes the LAPACK call
+that solver makes, with the same arguments, so its results are bitwise
+the solver's.  Only :func:`inertia`, which no analysis calls, still takes
+``scipy.linalg.ldl`` and ``eigvalsh_tridiagonal``."""
 
 from __future__ import annotations
 
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -65,6 +76,10 @@ _SYEVR, _SYEVR_LWORK = sla.get_lapack_funcs(("syevr", "syevr_lwork"), dtype=np.f
 _GESDD, _GESDD_LWORK = sla.get_lapack_funcs(("gesdd", "gesdd_lwork"), dtype=np.float64)
 # BLAS's symmetric rank-k update, which forms the Grams
 _SYRK = sla.get_blas_funcs("syrk", dtype=np.float64)
+# LAPACK's Cholesky factorization, the solve against its factor, the
+# triangular solve, and the divide-and-conquer symmetric-definite pencil driver
+_POTRF, _POTRS, _TRTRS, _SYGVD = sla.get_lapack_funcs(
+    ("potrf", "potrs", "trtrs", "sygvd"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -176,9 +191,9 @@ class SchurPair:
     """The Schur complements of a system, dense, with the factors of A, S1
     and S2.
 
-    ``factor_a`` is A's factor by A's type: a ``cho_factor`` result for a
-    dense A, the pivot-free symmetric sparse LU (:func:`sparse_spd_factor`)
-    for a sparse one.  ``cho_1`` and ``cho_2`` are ``cho_factor`` results.
+    ``factor_a`` is A's factor by A's type: a Cholesky factor (:func:`_cho`)
+    for a dense A, the pivot-free symmetric sparse LU (:func:`sparse_spd_factor`)
+    for a sparse one.  ``cho_1`` and ``cho_2`` are Cholesky factors.
     The pair serves the dense oracle and every dense system; on a sparse
     system a preconditioner builds it only when D or E fails the
     semidefiniteness certificate of the sparse LU route, or when a
@@ -218,10 +233,7 @@ class SchurPair:
 
     @cached_property
     def cho_2(self) -> tuple:
-        try:
-            return sla.cho_factor(self.s2)
-        except sla.LinAlgError as exc:
-            raise DefinitenessError("second-schur block is not positive definite") from exc
+        return _cho(self.s2, "second-schur")
 
     @cached_property
     def s2_diagonal(self) -> np.ndarray:
@@ -278,12 +290,28 @@ def _eigvalsh(a: np.ndarray, overwrite: bool = False) -> np.ndarray:
         return np.empty(0)
     if not (overwrite and a.flags.c_contiguous and a.flags.writeable):
         a = np.array(a, order="C")
-    work, iwork, _ = _SYEVR_LWORK(dim)
-    vals, _, _, _, info = _SYEVR(a.T, compute_v=0, lower=0, lwork=int(work),
-                                 liwork=iwork, overwrite_a=1)
+    lwork, liwork = _syevr_lwork(dim)
+    vals, _, _, _, info = _SYEVR(a.T, compute_v=0, lower=0, lwork=lwork,
+                                 liwork=liwork, overwrite_a=1)
     if info:
         raise ConvergenceError(f"dense symmetric eigensolve failed (LAPACK info {info})")
     return vals
+
+
+@lru_cache(maxsize=256)
+def _syevr_lwork(dim: int) -> tuple[int, int]:
+    """``?syevr``'s workspace sizes for a dim x dim matrix, which depend on
+    nothing else."""
+    work, iwork, _ = _SYEVR_LWORK(dim)
+    return int(work), int(iwork)
+
+
+@lru_cache(maxsize=256)
+def _gesdd_lwork(rows: int, cols: int) -> int:
+    """``?gesdd``'s workspace size, without singular vectors, for a rows x
+    cols matrix."""
+    work, _ = _GESDD_LWORK(rows, cols, compute_uv=0)
+    return int(work)
 
 
 def extremal_eigs(matrix) -> tuple[float, float]:
@@ -309,8 +337,7 @@ def _singular_values(matrix) -> np.ndarray:
     Fortran-ordered copy of the matrix; a nonzero LAPACK ``info`` raises
     :class:`ConvergenceError`."""
     a = _dense(matrix)
-    work, _ = _GESDD_LWORK(*a.shape, compute_uv=0)
-    _, svals, _, info = _GESDD(a, compute_uv=0, lwork=int(work))
+    _, svals, _, info = _GESDD(a, compute_uv=0, lwork=_gesdd_lwork(*a.shape))
     if info:
         raise ConvergenceError(f"singular value decomposition failed (LAPACK info {info})")
     return svals
@@ -417,7 +444,7 @@ def schur_complements(system: DoubleSaddleSystem) -> SchurPair:
     """Factor A, form S1 = D + B A^-1 B^T and factor it; S2 = E + C S1^-1 C^T
     follows on first read of the returned pair.
 
-    A dense A gets a ``cho_factor`` result, and the B-Gram costs one
+    A dense A gets a Cholesky factor (:func:`_cho`), and the B-Gram costs one
     triangular solve against its upper factor and one ``?syrk`` (:func:`_gram`);
     a sparse A gets one pivot-free symmetric sparse LU
     (:func:`sparse_spd_factor`), and the B-Gram is formed from it in
@@ -435,7 +462,7 @@ def schur_complements(system: DoubleSaddleSystem) -> SchurPair:
     factor_a, gram_b = _leading_gram(system)
     # dense + sparse is dense; with D = 0, S1 is the Gram itself, not a copy
     s1 = gram_b + system.D if np.any(_values(system.D)) else gram_b
-    cho_1 = _first_schur_factor(s1)
+    cho_1 = _cho(s1, "first-schur")
     pair = SchurPair(system=system, s1=s1, gram_b=gram_b, factor_a=factor_a, cho_1=cho_1)
     if shared is not None:
         shared.pair = pair
@@ -462,31 +489,41 @@ def schur_diagonals(system: DoubleSaddleSystem, tail: bool):
     else:
         s1 += system.D
     diagonal_1 = s1.diagonal().copy()
-    cho_1 = _first_schur_factor(s1.T, overwrite=True)
+    cho_1 = _cho(s1.T, "first-schur", overwrite=True)
     return factor_a, diagonal_1, _s2_diagonal(cho_1, system) if tail else None
 
 
 def _leading_gram(system: DoubleSaddleSystem):
-    """A's factor and the B-Gram B A^-1 B^T in a fresh array: a
-    ``cho_factor`` result and :func:`_gram` for a dense A, the pivot-free
+    """A's factor and the B-Gram B A^-1 B^T in a fresh array: a Cholesky
+    factor (:func:`_cho`) and :func:`_gram` for a dense A, the pivot-free
     symmetric sparse LU (:func:`sparse_spd_factor`) and :func:`_sparse_gram`
     for a sparse one; either failure is :class:`DefinitenessError` naming
     the leading block."""
     if sp.issparse(system.A):
         factor_a = sparse_spd_factor(system.A, "leading")
         return factor_a, _sparse_gram(factor_a, system.B)
-    try:
-        factor_a = sla.cho_factor(system.A)
-    except sla.LinAlgError as exc:
-        raise DefinitenessError("leading block is not positive definite") from exc
+    factor_a = _cho(system.A, "leading")
     return factor_a, _gram(factor_a, system.B)
 
 
-def _first_schur_factor(s1: np.ndarray, overwrite: bool = False) -> tuple:
-    try:
-        return sla.cho_factor(s1, overwrite_a=overwrite)
-    except sla.LinAlgError as exc:
-        raise DefinitenessError("first-schur block is not positive definite") from exc
+def _cho(a: np.ndarray, label: str, overwrite: bool = False) -> tuple:
+    """The Cholesky factor of an SPD array as ``scipy.linalg.cho_factor``
+    gives it: ``(U, False)`` for the upper factor U of one ``?potrf`` call,
+    which reads the upper triangle and leaves the lower one as it was.  The
+    call works in a Fortran-ordered copy, or, with ``overwrite``, in ``a``
+    itself when it is Fortran-ordered.  A block that is not positive
+    definite raises :class:`DefinitenessError` naming ``label``."""
+    factor, info = _POTRF(a, lower=0, overwrite_a=overwrite, clean=0)
+    if info:
+        raise DefinitenessError(f"{label} block is not positive definite")
+    return factor, False
+
+
+def _cho_solve(factor: tuple, rhs: np.ndarray) -> np.ndarray:
+    """P^-1 rhs for a Cholesky factor of P (:func:`_cho`), by one ``?potrs``
+    call, as ``scipy.linalg.cho_solve`` makes it; ``rhs`` is left as it was."""
+    x, _ = _POTRS(factor[0], rhs, lower=factor[1])
+    return x
 
 
 def _splu(matrix, label: str, **options):
@@ -521,11 +558,21 @@ def sparse_spd_factor(block, label: str):
 
 def _solve_upper_t(factor, rhs: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """U^-T rhs for the upper factor U of P = U^T U: a 1-D vector sqrt(diag)
-    or a ``cho_factor`` result, both checked finite when formed."""
+    or a Cholesky factor (:func:`_cho`), both checked finite when formed.
+
+    A Cholesky factor costs one ``?trtrs`` call, oriented as
+    ``scipy.linalg.solve_triangular(U, rhs, trans=1)`` orients it: a
+    Fortran-ordered U is solved as stored, transposed; any other U through
+    its Fortran-ordered transpose, a lower factor, untransposed.  With
+    ``overwrite`` a Fortran-ordered ``rhs`` is solved in place."""
     if isinstance(factor, np.ndarray):
         return rhs / factor[:, None]
-    return sla.solve_triangular(factor[0], rhs, trans=1, overwrite_b=overwrite,
-                                check_finite=False)
+    upper = factor[0]
+    if upper.flags.f_contiguous:
+        x, _ = _TRTRS(upper, rhs, lower=0, trans=1, overwrite_b=overwrite)
+    else:
+        x, _ = _TRTRS(upper.T, rhs, lower=1, trans=0, overwrite_b=overwrite)
+    return x
 
 
 def _gram(factor, coupling) -> np.ndarray:
@@ -579,7 +626,7 @@ def regularization_ratio(reg, gram: np.ndarray, full_row_rank: bool) -> float:
     A ``reg`` that stores no nonzero gives 0.0 with no eigensolve.  The
     ratio exists only for a coupling of full row rank, so a ``False``
     ``full_row_rank`` (:func:`validate`'s SVD verdict on the coupling) gives
-    ``inf``, as does a Gram that is singular in floating point.
+    ``inf``, as does a Gram that is not positive definite in floating point.
     """
     reg = _dense(reg)
     if not np.any(reg):
@@ -587,10 +634,24 @@ def regularization_ratio(reg, gram: np.ndarray, full_row_rank: bool) -> float:
     if not full_row_rank:
         return float("inf")
     try:
-        vals = sla.eigh(reg, gram, eigvals_only=True)
-    except sla.LinAlgError:  # the Gram is singular
+        vals = _pencil_eigvalsh(reg, gram, "gram")
+    except DefinitenessError:  # the Gram is singular
         return float("inf")
     return max(float(vals[-1]), 0.0)
+
+
+def _pencil_eigvalsh(a: np.ndarray, b: np.ndarray, label: str) -> np.ndarray:
+    """All eigenvalues, ascending, of the symmetric-definite pencil (a, b)
+    as ``scipy.linalg.eigh(a, b, eigvals_only=True)`` gives them: one
+    ``?sygvd`` call on copies of both, reading their lower triangles.  A
+    ``b`` that is not positive definite raises :class:`DefinitenessError`
+    naming ``label``; a failed eigensolve, :class:`ConvergenceError`."""
+    vals, _, info = _SYGVD(a, b, itype=1, jobz="N", uplo="L")
+    if info > a.shape[0]:
+        raise DefinitenessError(f"{label} block is not positive definite")
+    if info:
+        raise ConvergenceError(f"pencil eigensolve failed (LAPACK info {info})")
+    return vals
 
 
 def _definite(eig_range: tuple[float, float]) -> bool:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import mmap
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -140,13 +140,15 @@ def _symmetric_input(block, label: str, size: int | None = None):
 class DoubleSaddleSystem:
     """Immutable container for the five blocks of a double saddle-point
     system; each block is a dense array or a CSR array, and A, D and E are
-    exactly symmetric."""
+    exactly symmetric.  ``is_sparse`` (some block is sparse) is found once,
+    when the system is built."""
 
     A: np.ndarray | sp.csr_array
     B: np.ndarray | sp.csr_array
     C: np.ndarray | sp.csr_array
     D: np.ndarray | sp.csr_array
     E: np.ndarray | sp.csr_array
+    is_sparse: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in "ABCDE":
@@ -178,6 +180,8 @@ class DoubleSaddleSystem:
             )
         for name in "ADE":
             object.__setattr__(self, name, _symmetric(getattr(self, name), "block " + name))
+        object.__setattr__(self, "is_sparse",
+                           any(sp.issparse(getattr(self, name)) for name in "ABCDE"))
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -186,10 +190,6 @@ class DoubleSaddleSystem:
     @property
     def total(self) -> int:
         return sum(self.dims)
-
-    @property
-    def is_sparse(self) -> bool:
-        return any(sp.issparse(getattr(self, name)) for name in "ABCDE")
 
     def dense(self) -> "DoubleSaddleSystem":
         """The system with every block dense; the system itself when it

@@ -399,6 +399,8 @@ def test_criterion_12_mesh_independence_at_h_2_6():
         for precond in ("exact", "pearson-wathen"):
             data = solve(system, precond=precond, context=context)
             assert data["converged"]
+            # their 2-norm residuals stay within RESIDUAL_GAP * rtol
+            assert data["warnings"] == []
             counts[precond, h] = data["iterations"]
     _report(
         "criterion 12: mesh-independent iteration counts at h = 2^-6",

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -153,3 +155,15 @@ def test_user_block_manifest(tmp_path):
     loaded = load_spd_blocks(path)
     assert np.allclose(loaded[0], [[1.0, 0.0], [0.0, 2.0]])
     assert np.allclose(loaded[2], [[3.0]])
+
+
+def test_import_leaves_scipy_io_unloaded():
+    # scipy.io is imported where Matrix Market files are read or written
+    code = (
+        "import sys\n"
+        "import saddlebounds, saddlebounds.cli\n"
+        "print('scipy.io' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -3,7 +3,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 import saddlebounds.precond as precond_mod
@@ -19,6 +18,7 @@ from saddlebounds import (
     poisson_distributed,
 )
 from saddlebounds.errors import DefinitenessError, ParameterError, StructuralError
+from saddlebounds.krylov import RESIDUAL_GAP
 from saddlebounds.precond import PreconditionerOperator, strategy_tuple
 from saddlebounds.report import analyze, solve
 
@@ -197,6 +197,48 @@ def test_zero_rhs_short_circuits():
     assert np.allclose(result.solution, 0.0)
 
 
+class TestStopAndResidualGap:
+    @pytest.mark.parametrize("case, stop", [
+        ("identity", "rtol"), ("zero-rhs", "rtol"), ("maxit", "maxit"),
+        ("overflow", "breakdown:non-finite"), ("eigenvector", "breakdown:lanczos-breakdown"),
+    ])
+    def test_stop_says_why_minres_stopped(self, case, stop):
+        system, _ = random_valid_system(np.random.default_rng(81), 8, 6, 4)
+        matrix = assemble(system).data
+        if case == "identity":
+            result = minres(np.eye(4), None, np.ones(4))
+        elif case == "zero-rhs":
+            result = minres(np.eye(4), None, np.zeros(4))
+        elif case == "maxit":
+            result = minres(matrix, None, np.ones(system.total), rtol=1e-14, maxit=2)
+        elif case == "overflow":
+            result = minres(np.diag([1.0, 2.0, -3.0]), None, np.full(3, 1e200))
+        else:
+            result = minres(matrix, None, np.linalg.eigh(matrix)[1][:, 3], rtol=1e-300)
+        assert result.stop == stop
+        assert result.converged is (stop == "rtol")
+
+    def test_solve_report_names_its_norm_and_stop(self):
+        system, _ = random_valid_system(np.random.default_rng(82), 9, 6, 4)
+        data = solve(system, precond="exact")
+        assert (data["residual_norm"], data["stop"], data["converged"]) == ("P^-1", "rtol", True)
+        assert data["warnings"] == []
+        short = solve(system, precond="none", maxit=1)
+        assert (short["stop"], short["converged"]) == ("maxit", False)
+
+    def test_residual_gap_at_tiny_beta(self):
+        # converged in the P^-1-norm, with a 2-norm residual about 0.18
+        system, fem = poisson_distributed(2**-5, 1e-8)
+        data = solve(system, precond="pearson-wathen",
+                     context=distributed_context(fem, 1e-8))
+        assert data["converged"] and data["stop"] == "rtol"
+        [warning] = data["warnings"]
+        assert warning == {"kind": "residual-gap",
+                           "true_relative_residual": data["true_relative_residual"],
+                           "limit": RESIDUAL_GAP * data["rtol"]}
+        assert data["true_relative_residual"] > 1e-2
+
+
 class TestResidualReport:
     def test_single_iteration_two_rows(self):
         result = minres(np.eye(5), None, np.ones(5), rtol=1e-12)
@@ -299,8 +341,9 @@ class TestSolveOnCsr:
                 return fn(*args, **kwargs)
             return run
 
-        for name in ("cho_factor", "cho_solve"):
-            monkeypatch.setattr(sla, name, counted(name, getattr(sla, name)))
+        # every dense Cholesky factor and solve goes through these two
+        for name in ("_cho", "_cho_solve"):
+            monkeypatch.setattr(spectral_mod, name, counted(name, getattr(spectral_mod, name)))
 
         def schur_only(schur):
             def run(*args, **kwargs):

@@ -412,18 +412,22 @@ class TestEquivalenceConstants:
         assert hi <= 1.0 + 1e-6
 
     def test_identical_blocks_measure_exactly_one(self, monkeypatch):
-        # eigh would put the generalized eigenvalues of (S, S) a few ulps off
-        # 1; identical blocks never reach it
+        # an eigensolve would put the generalized eigenvalues of (S, S) a few
+        # ulps off 1; identical blocks never reach it, nor does one block
+        # passed as both with its held factor
         rng = np.random.default_rng(66)
         system, _ = random_valid_system(rng, 14, 9, 2)
-        blocks = build_exact(system).blocks
+        op = build_exact(system)
 
-        def no_eigh(*args, **kwargs):
-            raise AssertionError("eigh called")
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("eigensolve called")
 
-        monkeypatch.setattr(sla, "eigh", no_eigh)
-        for block in blocks:
+        # the one eigensolve equivalence_constants makes
+        monkeypatch.setattr(precond_mod, "_eigvalsh", no_eigensolve)
+        for block, factor in zip(op.blocks, op._factors):
             assert equivalence_constants(block, block.copy()) == Interval(1.0, 1.0)
+            assert equivalence_constants(block, block, factor) == Interval(1.0, 1.0)
+        blocks = op.blocks
         with pytest.raises(DefinitenessError):
             equivalence_constants(-blocks[0], -blocks[0])
 

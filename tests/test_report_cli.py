@@ -46,6 +46,53 @@ def small_report():
     )
 
 
+class TestReportJson:
+    """to_json writes json.dumps(indent=2, sort_keys=True, allow_nan=False)
+    byte for byte, and leaves every other document to it."""
+
+    @staticmethod
+    def _dumps(data):
+        return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+    @pytest.mark.parametrize("precond", ["jacobi", "exact", "scaled:0.5"])
+    def test_reports_are_the_standard_encoding(self, precond):
+        system, _ = random_valid_system(np.random.default_rng(93), 9, 6, 4)
+        report = analyze(system, SCENARIOS, precond=precond,
+                         problem={"kind": "random", "name": "é\n\"x\""})
+        assert report.to_json() == self._dumps(report.to_dict())
+
+    @pytest.mark.parametrize("problem", [
+        {}, {"b": [], "a": {}, "c": [[], [{}]]},
+        {"values": [-0.0, 5e-324, 1e300, 1 / 3], "flags": [True, False, None],
+         "ints": [0, -7, 10**30], "tuple": (1.5, "s")},
+        {"numpy": np.float64(0.1), "nested": {"z": [np.float64(-2.5)], "y": "\u2603\x00"}},
+    ])
+    def test_plain_documents_are_the_standard_encoding(self, problem):
+        report = AnalysisReport(problem=problem, dims=[1, 2, 3], validation={}, scenarios=[])
+        assert report.to_json() == self._dumps(report.to_dict())
+
+    @pytest.mark.parametrize("problem", [{1: "int key"}, {"x": {2.5: 1}}])
+    def test_other_keys_go_to_json_dumps(self, problem):
+        report = AnalysisReport(problem=problem, dims=[1, 2, 3], validation={}, scenarios=[])
+        assert report.to_json() == self._dumps(report.to_dict())
+
+    def test_other_values_raise_as_json_dumps(self):
+        report = AnalysisReport(problem={"x": np.int64(3)}, dims=[1], validation={},
+                                scenarios=[])
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            report.to_json()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_float_raises_as_json_dumps(self, bad):
+        report = AnalysisReport(problem={"x": [1.0, bad]}, dims=[1], validation={},
+                                scenarios=[])
+        with pytest.raises(ValueError) as want:
+            self._dumps(report.to_dict())
+        with pytest.raises(ValueError) as got:
+            report.to_json()
+        assert str(got.value) == str(want.value)
+
+
 class TestAnalysisReport:
     def test_json_round_trip_is_fixed_point(self, small_report):
         text = small_report.to_json()
@@ -283,21 +330,23 @@ class TestOneSchurBuildPerAnalysis:
 
 
 class TestOneFactorPerBlock:
+    # every dense Cholesky factor is one spectral._cho call and every pencil
+    # eigensolve one spectral._pencil_eigvalsh call, so counting those two
+    # entry points counts them all
     @pytest.mark.parametrize("label, counts", [
-        # cho_factor: A and S1 (validate), S2 (the first build_exact; the
+        # factors: A and S1 (validate), S2 (the first build_exact; the
         # second reuses it), the mass matrix and the square-completion block;
-        # eigh: the reference (stiffness, mass) pencil and eta_e; split
+        # pencils: the reference (stiffness, mass) pencil and eta_e; split
         # matrices: prec-exact and prec-inexact, one spectrum each
         ("poisson-dist", (5, 2, 2)),
-        # cho_factor: A, S1 and S2; eigh: eta_e (the parent counted 4, 4, 2)
+        # factors: A, S1 and S2; pencils: eta_e (the parent counted 4, 4, 2)
         ("poisson-bnd", (3, 1, 2)),
     ])
     def test_analyze_counts_factors_eigh_and_split_matrices(
         self, label, counts, monkeypatch
     ):
-        import scipy.linalg as sla
-
         import saddlebounds.report as report_mod
+        import saddlebounds.spectral as spectral_mod
 
         calls = Counter()
 
@@ -310,24 +359,47 @@ class TestOneFactorPerBlock:
 
             monkeypatch.setattr(owner, name, run)
 
-        count(sla, "cho_factor")
-        count(sla, "eigh")
+        count(spectral_mod, "_cho")
+        count(spectral_mod, "_pencil_eigvalsh")
         count(report_mod, "split_preconditioned_matrix")
         system, precond, context = _fem_input(label)
         report = analyze(system, SCENARIOS, precond=precond, context=context)
         assert report.passed
-        assert (calls["cho_factor"], calls["eigh"],
+        assert (calls["_cho"], calls["_pencil_eigvalsh"],
                 calls["split_preconditioned_matrix"]) == counts
 
+    @pytest.mark.parametrize("precond, splits", [("exact", 1), ("jacobi", 2)])
+    def test_an_exact_inexact_operator_shares_the_split_spectrum(
+        self, precond, splits, monkeypatch
+    ):
+        # built from the prec-exact operator's very factors, the exact
+        # prec-inexact operator has the same split matrix, formed once
+        import saddlebounds.report as report_mod
+        from saddlebounds import build_approx, full_spectrum, split_preconditioned_matrix
+        from saddlebounds.precond import strategy_tuple
+
+        system, _ = random_valid_system(np.random.default_rng(94), 10, 7, 4)
+        calls = []
+        original = report_mod.split_preconditioned_matrix
+        monkeypatch.setattr(report_mod, "split_preconditioned_matrix",
+                            lambda *args: calls.append(1) or original(*args))
+        report = analyze(system, SCENARIOS, precond=precond)
+        assert report.passed and len(calls) == splits
+        _, exact, inexact = report.scenarios
+        own = full_spectrum(split_preconditioned_matrix(
+            system, build_approx(system, strategy_tuple(precond))))
+        assert inexact["spectrum"] == own.tolist()
+        assert (exact["spectrum"] == inexact["spectrum"]) is (precond == "exact")
+
     def test_sparse_user_blocks_factored_once_densely(self, monkeypatch):
-        # cho_factor: A, S1 and S2 (validate and the exact build), then the
-        # three dense user blocks, each measured through its own factor; the
-        # parent factored each sparse user block again for the oracle (9
-        # cho_factor and 3 sparse_spd_factor calls)
-        import scipy.linalg as sla
+        # dense factors: A, S1 and S2 (validate and the exact build), then
+        # the three dense user blocks, each measured through its own factor;
+        # the parent factored each sparse user block again for the oracle (9
+        # dense factors and 3 sparse_spd_factor calls)
         import scipy.sparse as sp
 
         import saddlebounds.precond as precond_mod
+        import saddlebounds.spectral as spectral_mod
 
         system = poisson_boundary(1 / 8, 1e-3)
         user = [sp.diags_array([-1.0, 4.0, -1.0], offsets=[-1, 0, 1], shape=(k, k),
@@ -341,14 +413,14 @@ class TestOneFactorPerBlock:
 
         dense_report = report_of([b.toarray() for b in user])
         calls = Counter()
-        for owner, name in ((sla, "cho_factor"), (precond_mod, "sparse_spd_factor")):
+        for owner, name in ((spectral_mod, "_cho"), (precond_mod, "sparse_spd_factor")):
             def run(*args, _name=name, _original=getattr(owner, name), **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, run)
         sparse_report = report_of(user)
-        assert (calls["cho_factor"], calls["sparse_spd_factor"]) == (6, 0)
+        assert (calls["_cho"], calls["sparse_spd_factor"]) == (6, 0)
         assert sparse_report == dense_report
         assert sparse_report["scenarios"][0]["containment"]["status"] == "pass"
 

@@ -627,9 +627,11 @@ class TestSharedSchurPair:
 
         rng = np.random.default_rng(46)
         system, _ = random_valid_system(rng, 8, 5, 3)
+        import saddlebounds.spectral as spectral_mod
+
         factored = []
-        original = sla.cho_factor
-        monkeypatch.setattr(sla, "cho_factor",
+        original = spectral_mod._cho
+        monkeypatch.setattr(spectral_mod, "_cho",
                             lambda a, *args, **kw: factored.append(a) or original(a, *args, **kw))
         with SharedSchurPair(system) as shared:
             first, second = build_exact(system), build_exact(system)
@@ -823,3 +825,100 @@ class TestOneBlasPool:
         err = capsys.readouterr().err
         assert code == 1
         assert err == "error: singular value decomposition failed (LAPACK info 1)\n"
+
+
+class TestLapackLayer:
+    """Each helper of the one LAPACK layer against the scipy.linalg solver
+    it replaces, which makes the same LAPACK call: results bitwise equal."""
+
+    @staticmethod
+    def _spd(n, seed):
+        q = np.random.default_rng(seed).standard_normal((n, n))
+        return q @ q.T + n * np.eye(n)
+
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_cho_is_cho_factor(self, n):
+        a = self._spd(n, n)
+        want, want_lower = sla.cho_factor(a)
+        got, lower = spectral_mod._cho(a, "leading")
+        assert lower is False and want_lower is False
+        assert np.array_equal(got, want)  # the untouched lower triangle too
+        assert np.array_equal(a, self._spd(n, n))  # the input is left as it was
+        fortran = np.array(a, order="F")
+        in_place, _ = spectral_mod._cho(fortran, "leading", overwrite=True)
+        assert np.shares_memory(in_place, fortran)
+        assert np.array_equal(in_place, want)
+
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    @pytest.mark.parametrize("order", ["F", "C"])
+    @pytest.mark.parametrize("overwrite", [False, True])
+    def test_solve_upper_t_is_solve_triangular(self, n, order, overwrite):
+        upper = np.array(sla.cho_factor(self._spd(n, n + 1))[0], order=order)
+        rhs = np.asfortranarray(np.random.default_rng(n).standard_normal((n, 5)))
+        want = sla.solve_triangular(upper, rhs.copy(order="F"), trans=1,
+                                    overwrite_b=overwrite, check_finite=False)
+        given = rhs.copy(order="F")
+        got = spectral_mod._solve_upper_t((upper, False), given, overwrite=overwrite)
+        assert np.array_equal(got, want)
+        assert np.shares_memory(got, given) is overwrite
+        if not overwrite:
+            assert np.array_equal(given, rhs)
+
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    @pytest.mark.parametrize("columns", [None, 3])
+    def test_cho_solve_is_cho_solve(self, n, columns):
+        factor = sla.cho_factor(self._spd(n, n + 2))
+        shape = (n,) if columns is None else (n, columns)
+        rhs = np.random.default_rng(n).standard_normal(shape)
+        got = spectral_mod._cho_solve(factor, rhs)
+        assert got.shape == shape
+        assert np.array_equal(got, sla.cho_solve(factor, rhs))
+        assert np.array_equal(rhs, np.random.default_rng(n).standard_normal(shape))
+
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_pencil_eigvalsh_is_generalized_eigh(self, n):
+        r = np.random.default_rng(n + 3).standard_normal((n, n))
+        a, b = r + r.T, self._spd(n, n + 4)
+        got = spectral_mod._pencil_eigvalsh(a, b, "gram")
+        assert np.array_equal(got, sla.eigh(a, b, eigvals_only=True))
+
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_not_positive_definite_names_the_block(self, n):
+        indefinite = -self._spd(n, n + 5)
+        for label in ("leading", "first-schur", "second-schur"):
+            with pytest.raises(DefinitenessError, match=f"^{label} block is not positive"):
+                spectral_mod._cho(indefinite, label)
+        with pytest.raises(DefinitenessError, match="^mass block is not positive"):
+            spectral_mod._pencil_eigvalsh(np.eye(n), indefinite, "mass")
+
+    def test_mass_not_positive_definite_is_typed(self):
+        from saddlebounds import PoissonControlContext
+
+        context = PoissonControlContext(mass=-np.eye(3), stiffness=np.eye(3), beta=1e-2)
+        with pytest.raises(DefinitenessError, match="^mass block is not positive"):
+            context.reference_regularization_ratio()
+
+    def test_singular_gram_gives_infinite_ratio(self):
+        gram = np.diag([1.0, 0.0, 2.0])
+        assert regularization_ratio(np.eye(3), gram, True) == float("inf")
+
+    def test_no_module_calls_a_scipy_linalg_solver(self):
+        # the solvers' wrapper layers cost several times the LAPACK call at
+        # desk scale; the helpers above make the same calls
+        import ast
+        import importlib
+
+        found = []
+        for name in TestOneBlasPool._MODULES:
+            module = importlib.import_module(f"saddlebounds.{name}")
+            with open(module.__file__) as handle:
+                tree = ast.parse(handle.read())
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Attribute)
+                        and node.attr in ("cho_factor", "cho_solve", "solve_triangular", "eigh")
+                        and isinstance(node.value, ast.Name) and node.value.id == "sla"):
+                    found.append(f"{name}:{node.lineno} sla.{node.attr}")
+        assert found == []
+        precond = importlib.import_module("saddlebounds.precond")
+        assert "sla" not in vars(precond) and "scipy.linalg" not in {
+            getattr(v, "__name__", None) for v in vars(precond).values()}
