@@ -57,13 +57,6 @@ def check_stopping(rtol: float, maxit: int | None) -> None:
         raise ParameterError(f"maxit must be non-negative, got {maxit}")
 
 
-def _inner(u: np.ndarray, v: np.ndarray) -> float:
-    """u^T v; an overflow gives inf or nan without a warning, and MINRES
-    stops on it with ``breakdown="non-finite"``."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(u @ v)
-
-
 def minres(
     operator,
     preconditioner: PreconditionerOperator | None,
@@ -82,6 +75,15 @@ def minres(
     below ``rtol`` times that of the right-hand side.  The zero start vector
     makes runs deterministic for fixed inputs.  A non-finite Lanczos
     coefficient stops the run with ``breakdown="non-finite"``.
+
+    The iteration allocates only what the operator and the preconditioner
+    return: every other vector lives in one of eight arrays allocated up
+    front and updated in place, in the order of the textbook recurrence,
+    so the history and the solution are bitwise those of a run that forms
+    each vector anew.  The operator's and the preconditioner's results are
+    only read.  The run is one ``np.errstate`` scope: an overflow anywhere
+    in it gives inf or nan without a warning, and the next inner product
+    ends the run with ``breakdown="non-finite"``.
     """
     b = np.asarray(rhs, dtype=float)
     if b.ndim != 1:
@@ -108,86 +110,100 @@ def minres(
         maxit = 4 * dim
 
     x = np.zeros(dim)
-    r1 = b.copy()
-    y = psolve(r1)
-    beta1_sq = _inner(r1, y)
-    if beta1_sq < 0.0:
-        raise DefinitenessError("preconditioner is not positive definite")
-    beta1 = math.sqrt(beta1_sq)
-    history = [beta1]
-    if not math.isfinite(beta1):
-        return SolveResult(x, tuple(history), 0, False, "non-finite")
-    if beta1 == 0.0:
-        return SolveResult(x, tuple(history), 0, True)
-
-    breakdown_tol = BREAKDOWN_REL * beta1
-    target = rtol * beta1
-
-    oldb = 0.0
-    beta = beta1
-    dbar = 0.0
-    epsln = 0.0
-    phibar = beta1
-    cs = -1.0
-    sn = 0.0
-    w = np.zeros(dim)
+    # r2 is the latest residual and r1 the one before; each step writes the
+    # next residual over r1, which is dead by then, and swaps the two
+    r1 = np.empty(dim)
+    r2 = b.copy()
+    v = np.empty(dim)
+    # the three newest search directions rotate through w1, w2 and w
+    w1 = np.empty(dim)
     w2 = np.zeros(dim)
-    r2 = r1
-    eps = np.finfo(float).eps
+    w = np.zeros(dim)
+    scratch = np.empty(dim)
 
     iterations = 0
     converged = False
     breakdown = None
 
-    for itn in range(1, maxit + 1):
-        s = 1.0 / beta
-        v = s * y
-        y = matvec(v)
-        if itn >= 2:
-            y = y - (beta / oldb) * r1
-        alfa = _inner(v, y)
-        if not math.isfinite(alfa):
-            breakdown = "non-finite"
-            break
-        y = y - (alfa / beta) * r2
-        r1 = r2
-        r2 = y
+    with np.errstate(over="ignore", invalid="ignore"):
         y = psolve(r2)
-        oldb = beta
-        beta_sq = _inner(r2, y)
-        if not math.isfinite(beta_sq):
-            breakdown = "non-finite"
-            break
-        if beta_sq < 0.0:
+        beta1_sq = float(r2 @ y)
+        if beta1_sq < 0.0:
             raise DefinitenessError("preconditioner is not positive definite")
-        beta = math.sqrt(beta_sq)
+        beta1 = math.sqrt(beta1_sq)
+        history = [beta1]
+        if not math.isfinite(beta1):
+            return SolveResult(x, tuple(history), 0, False, "non-finite")
+        if beta1 == 0.0:
+            return SolveResult(x, tuple(history), 0, True)
 
-        oldeps = epsln
-        delta = cs * dbar + sn * alfa
-        gbar = sn * dbar - cs * alfa
-        epsln = sn * beta
-        dbar = -cs * beta
-        gamma = max(math.hypot(gbar, beta), eps)
-        cs = gbar / gamma
-        sn = beta / gamma
-        phi = cs * phibar
-        phibar = sn * phibar
+        breakdown_tol = BREAKDOWN_REL * beta1
+        target = rtol * beta1
 
-        w1 = w2
-        w2 = w
-        w = (v - oldeps * w1 - delta * w2) / gamma
-        x = x + phi * w
+        oldb = 0.0
+        beta = beta1
+        dbar = 0.0
+        epsln = 0.0
+        phibar = beta1
+        cs = -1.0
+        sn = 0.0
+        eps = np.finfo(float).eps
 
-        iterations = itn
-        history.append(phibar)
-        if phibar <= target:
-            converged = True
-            break
-        if beta <= breakdown_tol:
-            # invariant subspace reached: the iterate is exact in it
-            breakdown = "lanczos-breakdown"
-            converged = phibar <= target
-            break
+        for itn in range(1, maxit + 1):
+            np.multiply(y, 1.0 / beta, out=v)
+            y = matvec(v)
+            if itn >= 2:
+                np.multiply(r1, beta / oldb, out=scratch)
+                y = np.subtract(y, scratch, out=r1)
+            alfa = float(v @ y)
+            if not math.isfinite(alfa):
+                breakdown = "non-finite"
+                break
+            np.multiply(r2, alfa / beta, out=scratch)
+            np.subtract(y, scratch, out=r1)
+            r1, r2 = r2, r1
+            y = psolve(r2)
+            oldb = beta
+            beta_sq = float(r2 @ y)
+            if not math.isfinite(beta_sq):
+                breakdown = "non-finite"
+                break
+            if beta_sq < 0.0:
+                raise DefinitenessError("preconditioner is not positive definite")
+            beta = math.sqrt(beta_sq)
+
+            oldeps = epsln
+            delta = cs * dbar + sn * alfa
+            gbar = sn * dbar - cs * alfa
+            epsln = sn * beta
+            dbar = -cs * beta
+            gamma = max(math.hypot(gbar, beta), eps)
+            cs = gbar / gamma
+            sn = beta / gamma
+            phi = cs * phibar
+            phibar = sn * phibar
+
+            # w = (v - oldeps * w1 - delta * w2) / gamma, into the oldest
+            # direction's array
+            w1, w2, w = w2, w, w1
+            np.multiply(w1, oldeps, out=scratch)
+            np.subtract(v, scratch, out=w)
+            np.multiply(w2, delta, out=scratch)
+            np.subtract(w, scratch, out=w)
+            np.divide(w, gamma, out=w)
+            np.multiply(w, phi, out=scratch)
+            np.add(x, scratch, out=x)
+
+            iterations = itn
+            history.append(phibar)
+            if phibar <= target:
+                converged = True
+                break
+            if beta <= breakdown_tol:
+                # invariant subspace reached: the iterate is exact in it
+                breakdown = "lanczos-breakdown"
+                converged = phibar <= target
+                break
 
     return SolveResult(
         solution=x,
@@ -196,4 +212,3 @@ def minres(
         converged=converged,
         breakdown=breakdown,
     )
-

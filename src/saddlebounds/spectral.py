@@ -527,14 +527,19 @@ def _cho_solve(factor: tuple, rhs: np.ndarray) -> np.ndarray:
 
 
 def _splu(matrix, label: str, **options):
-    """SuperLU factor of a sparse matrix; SuperLU's "exactly singular" error
-    becomes :class:`DefinitenessError` naming ``label``."""
+    """SuperLU factor of an exactly symmetric sparse matrix; SuperLU's
+    "exactly singular" error becomes :class:`DefinitenessError` naming
+    ``label``.  Every matrix factored here is one (a system or user block
+    or a multiple of one, X = M + sqrt(beta) K, or a leading principal
+    submatrix of K), so a CSR matrix is handed over as its own CSC form:
+    its transpose, which shares its arrays and needs no conversion."""
     # imported here: loading it adds about 2 MB of resident memory to every
     # process, and only sparse blocks need it
     import scipy.sparse.linalg as spla
 
+    csc = matrix.T if getattr(matrix, "format", None) == "csr" else sp.csc_array(matrix)
     try:
-        return spla.splu(sp.csc_array(matrix), **options)
+        return spla.splu(csc, **options)
     except RuntimeError as exc:
         raise DefinitenessError(f"{label} block is not positive definite") from exc
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import mmap
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -141,7 +142,8 @@ class DoubleSaddleSystem:
     """Immutable container for the five blocks of a double saddle-point
     system; each block is a dense array or a CSR array, and A, D and E are
     exactly symmetric.  ``is_sparse`` (some block is sparse) is found once,
-    when the system is built."""
+    when the system is built; the CSR form of K (:func:`assemble_csr`)
+    once, when it is first asked for."""
 
     A: np.ndarray | sp.csr_array
     B: np.ndarray | sp.csr_array
@@ -204,6 +206,14 @@ class DoubleSaddleSystem:
         zeros = sp.csr_array if self.is_sparse else np.zeros
         return DoubleSaddleSystem(self.A, self.B, self.C, zeros((m, m)), zeros((p, p)))
 
+    @cached_property
+    def _csr(self) -> sp.csr_array:
+        A, B, C, D, E = self.A, self.B, self.C, self.D, self.E
+        csr = sp.block_array([[A, B.T, None], [B, -D, C.T], [None, C, E]], format="csr")
+        for part in (csr.data, csr.indices, csr.indptr):
+            part.flags.writeable = False
+        return csr
+
 
 @dataclass(frozen=True)
 class AssembledMatrix:
@@ -235,7 +245,9 @@ def assemble_csr(system: DoubleSaddleSystem) -> sp.csr_array:
 
     Equal entry for entry (``indptr``, ``indices`` and ``data``) to
     ``csr_array(assemble(system).data)``, so its products with a vector are
-    bitwise equal too.
+    bitwise equal too.  It is built once per system, on the first call, and
+    kept as long as the system lives: every later call (the factors of K2
+    and K a ``solve`` makes among them) returns the same matrix.  Its
+    arrays are read-only, so no caller can change what the next one gets.
     """
-    A, B, C, D, E = system.A, system.B, system.C, system.D, system.E
-    return sp.block_array([[A, B.T, None], [B, -D, C.T], [None, C, E]], format="csr")
+    return system._csr

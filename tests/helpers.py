@@ -5,6 +5,8 @@ companion-matrix eigenvalues (``np.roots``), singular values from a full
 SVD, preconditioned spectra from a dense generalized eigensolver.
 """
 
+import math
+
 import numpy as np
 import scipy.linalg as sla
 
@@ -16,6 +18,8 @@ from saddlebounds import (
     schur_complements,
     validate,
 )
+from saddlebounds.errors import DefinitenessError
+from saddlebounds.krylov import BREAKDOWN_REL, RTOL_DEFAULT, SolveResult
 
 
 def companion_roots(cubic) -> np.ndarray:
@@ -94,3 +98,93 @@ def random_dims(rng, n_max=14):
     m = int(rng.integers(2, n + 1))
     p = int(rng.integers(1, m + 1))
     return n, m, p
+
+
+def _inner(u, v) -> float:
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(u @ v)
+
+
+def reference_minres(operator, preconditioner, rhs, rtol=RTOL_DEFAULT, maxit=None):
+    """Preconditioned MINRES as a plain two-term recurrence that allocates
+    every vector it forms: the loop ``krylov.minres`` runs on preallocated
+    vectors, with the same operations in the same order, so the two agree
+    bit for bit.  Inputs are taken as valid (``minres`` checks them)."""
+    b = np.asarray(rhs, dtype=float)
+    dim = b.shape[0]
+    matvec = operator if callable(operator) else (lambda v: operator @ v)
+    psolve = (lambda v: v) if preconditioner is None else preconditioner.apply_inverse
+    maxit = 4 * dim if maxit is None else maxit
+
+    x = np.zeros(dim)
+    r1 = b.copy()
+    y = psolve(r1)
+    beta1_sq = _inner(r1, y)
+    if beta1_sq < 0.0:
+        raise DefinitenessError("preconditioner is not positive definite")
+    beta1 = math.sqrt(beta1_sq)
+    history = [beta1]
+    if not math.isfinite(beta1):
+        return SolveResult(x, tuple(history), 0, False, "non-finite")
+    if beta1 == 0.0:
+        return SolveResult(x, tuple(history), 0, True)
+
+    breakdown_tol = BREAKDOWN_REL * beta1
+    target = rtol * beta1
+    oldb, beta, dbar, epsln, phibar, cs, sn = 0.0, beta1, 0.0, 0.0, beta1, -1.0, 0.0
+    w = np.zeros(dim)
+    w2 = np.zeros(dim)
+    r2 = r1
+    eps = np.finfo(float).eps
+    iterations, converged, breakdown = 0, False, None
+
+    for itn in range(1, maxit + 1):
+        s = 1.0 / beta
+        v = s * y
+        y = matvec(v)
+        if itn >= 2:
+            y = y - (beta / oldb) * r1
+        alfa = _inner(v, y)
+        if not math.isfinite(alfa):
+            breakdown = "non-finite"
+            break
+        y = y - (alfa / beta) * r2
+        r1 = r2
+        r2 = y
+        y = psolve(r2)
+        oldb = beta
+        beta_sq = _inner(r2, y)
+        if not math.isfinite(beta_sq):
+            breakdown = "non-finite"
+            break
+        if beta_sq < 0.0:
+            raise DefinitenessError("preconditioner is not positive definite")
+        beta = math.sqrt(beta_sq)
+
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        gamma = max(math.hypot(gbar, beta), eps)
+        cs = gbar / gamma
+        sn = beta / gamma
+        phi = cs * phibar
+        phibar = sn * phibar
+
+        w1 = w2
+        w2 = w
+        w = (v - oldeps * w1 - delta * w2) / gamma
+        x = x + phi * w
+
+        iterations = itn
+        history.append(phibar)
+        if phibar <= target:
+            converged = True
+            break
+        if beta <= breakdown_tol:
+            breakdown = "lanczos-breakdown"
+            converged = phibar <= target
+            break
+
+    return SolveResult(x, tuple(history), iterations, converged, breakdown)

@@ -19,10 +19,11 @@ from saddlebounds import (
 )
 from saddlebounds.errors import DefinitenessError, ParameterError, StructuralError
 from saddlebounds.krylov import RESIDUAL_GAP
-from saddlebounds.precond import PreconditionerOperator, strategy_tuple
+from saddlebounds.precond import PoissonControlContext, PreconditionerOperator, strategy_tuple
 from saddlebounds.report import analyze, solve
+from saddlebounds.system import assemble_csr
 
-from helpers import random_valid_system
+from helpers import random_valid_system, reference_minres
 
 
 def test_identity_converges_in_one_iteration():
@@ -159,6 +160,16 @@ def test_overflowing_rhs_stops_at_once_without_a_warning():
     assert result.residual_history == (np.inf,)
 
 
+def test_overflowing_matvec_stops_without_a_warning():
+    # the first product overflows inside the operator itself: the whole run
+    # is one errstate scope, so the next inner product ends it
+    operator = np.array([[1.5e308, 1.5e308, 0.0], [1.5e308, 1.0, 0.0], [0.0, 0.0, -1.0]])
+    result = minres(operator, None, np.array([1.0, 1.0, 0.0]))
+    assert result.stop == "breakdown:non-finite"
+    assert result.iterations == 0
+    assert np.all(np.isfinite(result.solution))
+
+
 def test_eigenvector_rhs_is_a_lanczos_breakdown():
     # b spans an invariant subspace, so the next Lanczos vector is round-off;
     # rtol=1e-300 keeps the residual test from stopping first
@@ -239,6 +250,47 @@ class TestStopAndResidualGap:
         assert data["true_relative_residual"] > 1e-2
 
 
+class TestPreallocatedLoop:
+    """``minres`` updates preallocated vectors in place; with each operator
+    and preconditioner built once, its runs equal bit for bit those of the
+    allocating reference loop (``helpers.reference_minres``)."""
+
+    PRECONDS = ("none", "jacobi", "exact", "scaled:0.5", "pearson-wathen")
+
+    @pytest.fixture(scope="class", params=["dense-random", "poisson-dist"])
+    def problem(self, request):
+        if request.param == "poisson-dist":
+            system, fem = poisson_distributed(2**-4, 1e-3)
+            return system, distributed_context(fem, 1e-3), assemble_csr(system)
+        system, _ = random_valid_system(np.random.default_rng(85), 14, 10, 6)
+        p = system.dims[2]
+        context = PoissonControlContext(np.eye(p), system.E + np.eye(p), 0.25)
+        return system, context, assemble(system).data
+
+    @pytest.mark.parametrize("precond", PRECONDS)
+    def test_bitwise_equal_to_the_reference_loop(self, problem, precond):
+        system, context, operator = problem
+        op = None if precond == "none" else build_approx(
+            system, strategy_tuple(precond), context=context)
+        rhs = np.random.default_rng(86).standard_normal(system.total)
+        for rtol, maxit in ((1e-10, None), (1e-14, 5)):
+            result = minres(operator, op, rhs, rtol=rtol, maxit=maxit)
+            reference = reference_minres(operator, op, rhs, rtol=rtol, maxit=maxit)
+            assert result.residual_history == reference.residual_history
+            assert np.array_equal(result.solution, reference.solution)
+            assert (result.iterations, result.stop) == (reference.iterations, reference.stop)
+        assert result.stop == "maxit"
+
+    def test_callable_operator_returning_its_input(self):
+        # the operator's result is only read: an identity that hands back
+        # the vector it was given must not see it overwritten
+        rhs = np.random.default_rng(87).standard_normal(6)
+        result = minres(lambda v: v, None, rhs, rtol=1e-12)
+        assert result.converged and result.iterations == 1
+        assert np.array_equal(result.solution, reference_minres(lambda v: v, None, rhs,
+                                                                rtol=1e-12).solution)
+
+
 class TestResidualReport:
     def test_single_iteration_two_rows(self):
         result = minres(np.eye(5), None, np.ones(5), rtol=1e-12)
@@ -293,6 +345,36 @@ class TestSolveOnCsr:
     def _dense_run(system, context, precond):
         op = build_approx(system, strategy_tuple(precond), context=context)
         return minres(assemble(system).data, op, np.ones(system.total))
+
+    @pytest.mark.parametrize("precond, schur_sizes", [
+        ("exact", ("n+m", "N")), ("pearson-wathen", ("n+m",)),
+    ])
+    def test_one_k_serves_the_solve_and_both_schur_lus(self, precond, schur_sizes, monkeypatch):
+        # solve applies K, and S1 and S2 are applied through LUs of K2 and
+        # K: one assembly serves all three, and both LUs order their
+        # columns by minimum degree on K_k^T K_k
+        system, fem = poisson_distributed(2**-3, 1e-3)
+        context = distributed_context(fem, 1e-3)
+        n, m, _ = system.dims
+        sizes = {"n+m": n + m, "N": system.total}
+        built, factored = [], []
+        block_array = sp.block_array
+        monkeypatch.setattr(sp, "block_array",
+                            lambda *args, **kwargs: built.append(1)
+                            or block_array(*args, **kwargs))
+        splu = spectral_mod._splu
+
+        def spy(matrix, label, **options):
+            factored.append((matrix.shape, options.get("permc_spec")))
+            return splu(matrix, label, **options)
+
+        monkeypatch.setattr(spectral_mod, "_splu", spy)
+        data = solve(system, precond=precond, context=context)
+        assert data["converged"]
+        assert len(built) == 1
+        schur = [(shape, spec) for shape, spec in factored
+                 if shape[0] in sizes.values()]
+        assert schur == [((sizes[s], sizes[s]), "MMD_ATA") for s in schur_sizes]
 
     @pytest.mark.parametrize("precond, iterations", [("exact", 16), ("pearson-wathen", 23)])
     def test_same_iterations_and_history_as_dense(

@@ -24,7 +24,7 @@ from saddlebounds import (
 from saddlebounds.errors import StructuralError
 from saddlebounds.report import analyze
 import saddlebounds.system as system_mod
-from saddlebounds.system import SYM_TOL
+from saddlebounds.system import SYM_TOL, assemble_csr
 
 from helpers import random_valid_system
 
@@ -197,6 +197,19 @@ class TestSparseBlocks:
         assert np.array_equal(assemble(sparse).data, assemble(system).data)
         zeroed = sparse.unregularized()
         assert zeroed.D.nnz == 0 and zeroed.E.nnz == 0
+
+    def test_csr_k_is_built_once_per_system_and_read_only(self):
+        # the solve's K and the LUs of K2 and K share this one matrix, so
+        # nobody may write it; a derived system builds its own
+        system, _ = poisson_distributed(2**-3, 1e-3)
+        k = assemble_csr(system)
+        assert assemble_csr(system) is k
+        for part in ("data", "indices", "indptr"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(k, part)[0] = 0
+        assert np.array_equal(k.toarray(), assemble(system).data)
+        bare = assemble_csr(system.unregularized())
+        assert bare is not k and bare.shape == k.shape
 
 
 class TestSymmetry:
