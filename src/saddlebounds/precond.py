@@ -23,7 +23,7 @@ system blocks.  What MINRES applies is one factor per block, chosen from its
 own type:
 
 * a diagonal block (such as ``jacobi``): the 1-D vector sqrt(diag);
-* any other dense block: a Cholesky factor
+* any other dense block: its upper Cholesky factor U, a 2-D array
   (:func:`~saddlebounds.spectral._cho`);
 * any other sparse block: a pivot-free symmetric sparse LU
   (:func:`~saddlebounds.spectral.sparse_spd_factor`);
@@ -73,11 +73,13 @@ from .system import (
     _mapped_zeros,
     _sym,
     _symmetric_input,
-    _values,
     assemble_csr,
 )
 
 _BLOCK_LABELS = ("leading", "first-schur", "second-schur")
+
+# the equivalence interval guaranteed for the square-completion block
+SQUARE_COMPLETION_CONSTANTS = (0.5, 1.0)
 
 
 @dataclass(frozen=True)
@@ -128,10 +130,6 @@ class PoissonControlContext:
         mu = spectral._pencil_eigvalsh(_dense(self.stiffness), _dense(self.mass), "mass")
         mu2 = float(np.abs(mu).min()) ** 2
         return self.beta / mu2 if mu2 > 0 else math.inf
-
-    def assumed_constants(self) -> tuple[float, float]:
-        """Equivalence interval guaranteed for the square-completion block."""
-        return 0.5, 1.0
 
 
 @dataclass(frozen=True)
@@ -204,7 +202,8 @@ class PreconditionerOperator:
     """Three factorized SPD blocks applied block-diagonally.
 
     ``_factors`` holds one factor per block: a 1-D array sqrt(diag) for a
-    diagonal block, applied by division; a Cholesky factor, applied by
+    diagonal block, applied by division; the 2-D upper Cholesky factor U of
+    a dense block (:func:`~saddlebounds.spectral._cho`), applied by
     ``?potrs``; or a sparse factor with a ``solve`` method (see
     the module docstring).  Blocks and factors are checked finite once,
     when they are built, so the solves skip it.
@@ -213,7 +212,7 @@ class PreconditionerOperator:
     blocks: tuple
     strategy: tuple[str, str, str]
     dims: tuple[int, int, int]
-    _factors: tuple = field(repr=False, default=None)
+    _factors: tuple = field(repr=False)
 
     def apply_inverse(self, vector: np.ndarray) -> np.ndarray:
         """Blockwise solves: the action of the inverse on a vector."""
@@ -237,7 +236,7 @@ def _factor(block, label: str):
     when every nonzero lies on the diagonal, a sparse LU of X for a
     :class:`SquareCompletion`, a sparse LU of K2 or K for a
     :class:`SchurComplement`, a pivot-free symmetric sparse LU for any
-    other sparse block, else a Cholesky factor
+    other sparse block, else the upper Cholesky factor U, a 2-D array
     (:func:`~saddlebounds.spectral._cho`).  Blocks arrive exactly symmetric
     and are factored as given.  K is the system's one CSR matrix
     (:func:`~saddlebounds.system.assemble_csr`), so the solve that applies
@@ -270,20 +269,20 @@ def _factor(block, label: str):
 def _dense_factor(block, factor, label: str):
     """The dense factor the oracle applies for a preconditioner block:
     ``factor`` as an operator holds it when it is dense (a sqrt(diag)
-    vector or a Cholesky factor), else :func:`_factor` of the
+    vector or a Cholesky factor, both arrays), else :func:`_factor` of the
     densified block, whose failure names it ``label``."""
-    if isinstance(factor, (np.ndarray, tuple)):
+    if isinstance(factor, np.ndarray):
         return factor
     return _factor(_dense(block), label)
 
 
 def _factored_solve(factor, rhs: np.ndarray) -> np.ndarray:
     """P^-1 rhs for the factor of P."""
-    if isinstance(factor, np.ndarray):
+    if not isinstance(factor, np.ndarray):
+        return factor.solve(rhs)
+    if factor.ndim == 1:
         return rhs / factor / factor
-    if isinstance(factor, tuple):
-        return spectral._cho_solve(factor, rhs)
-    return factor.solve(rhs)
+    return spectral._cho_solve(factor, rhs)
 
 
 def build_exact(system: DoubleSaddleSystem) -> PreconditionerOperator:
@@ -377,8 +376,9 @@ def _schur_lu_certified(system: DoubleSaddleSystem, reads: Sequence[bool]) -> bo
     stores no nonzero or passes :func:`sparse_spd_factor`: S1 = D + B A^-1 B^T
     needs D, S2 = E + C S1^-1 C^T also E (S1 is then SPD, since an LU of K
     is nonsingular only with S1)."""
-    for reg in (system.D, system.E)[: 2 if reads[2] else int(reads[1])]:
-        if np.any(_values(reg)):
+    regularization = ((system.D, system.d_zero), (system.E, system.e_zero))
+    for reg, zero in regularization[: 2 if reads[2] else int(reads[1])]:
+        if not zero:
             try:
                 sparse_spd_factor(reg, "regularization")
             except DefinitenessError:
@@ -497,7 +497,7 @@ def split_preconditioned_matrix(
     out = _mapped_zeros(total)
     out[i0, i0] = _sym(_congruence(f0, system.A, f0))
     out[i1, i0] = _congruence(f1, system.B, f0)
-    if system.D.any():
+    if not system.d_zero:
         out[i1, i1] = -_sym(_congruence(f1, system.D, f1))
     out[i2, i1] = _congruence(f2, system.C, f1)
     out[i2, i2] = _sym(_congruence(f2, system.E, f2))

@@ -32,6 +32,7 @@ from .bounds import (
 from .errors import DefinitenessError, ParameterError, SaddleBoundsError
 from .krylov import RESIDUAL_GAP, RTOL_DEFAULT, check_stopping, minres
 from .precond import (
+    SQUARE_COMPLETION_CONSTANTS,
     PoissonControlContext,
     build_approx,
     build_exact,
@@ -340,22 +341,20 @@ def analyze(
             report.spectrum = spectrum.tolist()
             timings["spectrum"] = time.perf_counter() - t0
 
-        d_zero = not system.D.any()
-        e_zero = not system.E.any()
         split_spectra: list = []  # (operator, spectrum of its split matrix)
 
         for name in scenarios:
             t0 = time.perf_counter()
             try:
                 if name == "unprec":
-                    entry = _scenario_unprec(extremes, spectrum, tol)
+                    entry = _scenario_unprec(validation, spectrum, tol)
                 elif name == "prec-exact":
                     entry = _scenario_prec_exact(
-                        system, validation.c_nullity_k, d_zero, e_zero, tol, split_spectra)
+                        system, validation.c_nullity_k, tol, split_spectra)
                 else:
                     entry = _scenario_prec_inexact(
-                        system, validation, strategies, context, user_blocks,
-                        d_zero, e_zero, tol, split_spectra)
+                        system, validation, strategies, context, user_blocks, tol,
+                        split_spectra)
             except SaddleBoundsError as exc:
                 entry = {"name": name, "error": f"{type(exc).__name__}: {exc}"}
             entry["name"] = name
@@ -366,10 +365,11 @@ def analyze(
     return report
 
 
-def _scenario_unprec(extremes, spectrum, tol) -> dict:
-    if extremes is None:
-        raise DefinitenessError("block extremes unavailable (leading block not SPD)")
-    bounds = bounds_unpreconditioned(extremes)
+def _scenario_unprec(validation, spectrum, tol) -> dict:
+    if validation.extremes is None:
+        failed = ", ".join(name for name, ok in validation.definiteness_ok.items() if not ok)
+        raise DefinitenessError(f"block extremes unavailable (definiteness fails: {failed})")
+    bounds = bounds_unpreconditioned(validation.extremes)
     entry = {"intervals": intervals_to_dict(bounds)}
     if spectrum is None:
         entry["containment"] = {"status": "unverified"}
@@ -379,10 +379,11 @@ def _scenario_unprec(extremes, spectrum, tol) -> dict:
     return entry
 
 
-def _scenario_prec_exact(system, nullity_k, d_zero, e_zero, tol, split_spectra) -> dict:
+def _scenario_prec_exact(system, nullity_k, tol, split_spectra) -> dict:
     op = build_exact(system)
-    k = nullity_k if (d_zero and not e_zero) else 0
-    bounds = bounds_precond_exact(system.dims, d_zero=d_zero, e_zero=e_zero, nullity_k=k)
+    k = nullity_k if (system.d_zero and not system.e_zero) else 0
+    bounds = bounds_precond_exact(system.dims, d_zero=system.d_zero, e_zero=system.e_zero,
+                                  nullity_k=k)
     entry = {
         "intervals": intervals_to_dict(bounds),
         "precond": {"strategy": list(op.strategy)},
@@ -391,8 +392,7 @@ def _scenario_prec_exact(system, nullity_k, d_zero, e_zero, tol, split_spectra) 
 
 
 def _scenario_prec_inexact(
-    system, validation, strategies, context, user_blocks, d_zero, e_zero, tol,
-    split_spectra,
+    system, validation, strategies, context, user_blocks, tol, split_spectra,
 ) -> dict:
     exact_op = build_exact(system)
     approx_op = build_approx(system, strategies, context=context, user_blocks=user_blocks)
@@ -419,14 +419,14 @@ def _scenario_prec_inexact(
     bounds = None
     if np.isfinite(eta_d) and np.isfinite(eta_e):
         bounds = bounds_precond_inexact(
-            consts, eta_d=eta_d, eta_e=eta_e, d_zero=d_zero, e_zero=e_zero
+            consts, eta_d=eta_d, eta_e=eta_e, d_zero=system.d_zero, e_zero=system.e_zero
         )
         entry["intervals"] = intervals_to_dict(bounds)
     else:
         entry["intervals"] = None
         entry["warnings"] = ["eta-not-finite: inexact bounds suppressed"]
 
-    reference = _reference_intervals(strategies, context, d_zero, e_zero)
+    reference = _reference_intervals(system, strategies, context)
     if reference is not None:
         entry["reference_intervals"] = intervals_to_dict(reference)
     return _split_verdicts(entry, system, approx_op, bounds, tol, split_spectra, reference)
@@ -464,14 +464,14 @@ def _split_verdicts(entry, system, op, bounds, tol, split_spectra, reference=Non
     return entry
 
 
-def _reference_intervals(strategies, context, d_zero, e_zero):
+def _reference_intervals(system, strategies, context):
     """Published-recipe intervals for the distributed-control square-completion
     preconditioner: guaranteed equivalence constants plus the reference
     regularization-ratio scale of the problem family."""
-    if context is None or strategies[2] != "pearson-wathen" or not d_zero or e_zero:
+    if (context is None or strategies[2] != "pearson-wathen" or not system.d_zero
+            or system.e_zero):
         return None
-    lo, hi = context.assumed_constants()
-    assumed = EquivalenceConstants(1.0, 1.0, 1.0, 1.0, lo, hi)
+    assumed = EquivalenceConstants(1.0, 1.0, 1.0, 1.0, *SQUARE_COMPLETION_CONSTANTS)
     return bounds_precond_inexact(
         assumed,
         eta_d=0.0,

@@ -37,8 +37,12 @@ against 4 us for its ``?trtrs``, 17 us for a ``cho_factor`` against 3 us
 for its ``?potrf``).  Each helper (:func:`_cho`, :func:`_cho_solve`,
 :func:`_solve_upper_t`, :func:`_pencil_eigvalsh`) makes the LAPACK call
 that solver makes, with the same arguments, so its results are bitwise
-the solver's.  Only :func:`inertia`, which no analysis calls, still takes
-``scipy.linalg.ldl`` and ``eigvalsh_tridiagonal``."""
+the solver's.  A dense Cholesky factor is the Fortran-ordered upper
+factor U that ``?potrf`` gives (:func:`_cho`), the array alone: what
+``cho_factor`` pairs with a ``lower`` flag is always upper here, so
+``?potrs`` and ``?trtrs`` take U as stored.  Only :func:`inertia`, which
+no analysis calls, still takes ``scipy.linalg.ldl`` and
+``eigvalsh_tridiagonal``."""
 
 from __future__ import annotations
 
@@ -57,7 +61,7 @@ from .errors import (
     OracleSizeError,
     ParameterError,
 )
-from .system import _TINY, SYM_TOL, DoubleSaddleSystem, _checked, _dense, _values
+from .system import _TINY, SYM_TOL, DoubleSaddleSystem, _checked, _dense
 
 ORACLE_CUTOFF = 4096
 RANK_TOL = 1e-10
@@ -127,13 +131,14 @@ class BlockExtremes:
     def _measured(cls, mu_a, svals_b, svals_c, mu_d, mu_e) -> "BlockExtremes":
         """Extremes from the eigen-ranges of A, D, E and the descending singular
         values of B, C.  Semidefinite blocks may report tiny negative minima
-        from round-off; those are clamped to zero.
+        from round-off; a minimum that :func:`validate`'s semidefiniteness
+        rule accepts is clamped to zero, and any other negative one is kept,
+        so it raises.
         """
 
         def clamp(pair):
             lo, hi = pair
-            scale = max(abs(lo), abs(hi), 1.0)
-            if lo < 0 and lo >= -SYM_TOL * scale:
+            if lo < 0 and _semidefinite(pair):
                 lo = 0.0
             return lo, max(hi, lo)
 
@@ -193,7 +198,8 @@ class SchurPair:
 
     ``factor_a`` is A's factor by A's type: a Cholesky factor (:func:`_cho`)
     for a dense A, the pivot-free symmetric sparse LU (:func:`sparse_spd_factor`)
-    for a sparse one.  ``cho_1`` and ``cho_2`` are Cholesky factors.
+    for a sparse one.  ``cho_1`` and ``cho_2`` are Cholesky factors, each
+    the Fortran-ordered upper factor U of its block.
     The pair serves the dense oracle and every dense system; on a sparse
     system a preconditioner builds it only when D or E fails the
     semidefiniteness certificate of the sparse LU route, or when a
@@ -221,7 +227,7 @@ class SchurPair:
     s1: np.ndarray
     gram_b: np.ndarray = field(repr=False)
     factor_a: object = field(repr=False)
-    cho_1: tuple = field(repr=False)
+    cho_1: np.ndarray = field(repr=False)
 
     @cached_property
     def gram_c(self) -> np.ndarray:
@@ -232,7 +238,7 @@ class SchurPair:
         return self.gram_c + self.system.E
 
     @cached_property
-    def cho_2(self) -> tuple:
+    def cho_2(self) -> np.ndarray:
         return _cho(self.s2, "second-schur")
 
     @cached_property
@@ -240,7 +246,7 @@ class SchurPair:
         return _s2_diagonal(self.cho_1, self.system)
 
 
-def _s2_diagonal(cho_1: tuple, system: DoubleSaddleSystem) -> np.ndarray:
+def _s2_diagonal(cho_1: np.ndarray, system: DoubleSaddleSystem) -> np.ndarray:
     """diag(S2) as diag(E) plus the column sums of W * W, W = U^-T C^T for
     S1's upper factor U, which forms neither the tail Gram nor S2; for a
     sparse C, W is solved in place in fresh dense blocks of ``_BLOCK``
@@ -461,7 +467,7 @@ def schur_complements(system: DoubleSaddleSystem) -> SchurPair:
         return shared.pair
     factor_a, gram_b = _leading_gram(system)
     # dense + sparse is dense; with D = 0, S1 is the Gram itself, not a copy
-    s1 = gram_b + system.D if np.any(_values(system.D)) else gram_b
+    s1 = gram_b if system.d_zero else gram_b + system.D
     cho_1 = _cho(s1, "first-schur")
     pair = SchurPair(system=system, s1=s1, gram_b=gram_b, factor_a=factor_a, cho_1=cho_1)
     if shared is not None:
@@ -506,23 +512,25 @@ def _leading_gram(system: DoubleSaddleSystem):
     return factor_a, _gram(factor_a, system.B)
 
 
-def _cho(a: np.ndarray, label: str, overwrite: bool = False) -> tuple:
-    """The Cholesky factor of an SPD array as ``scipy.linalg.cho_factor``
-    gives it: ``(U, False)`` for the upper factor U of one ``?potrf`` call,
-    which reads the upper triangle and leaves the lower one as it was.  The
-    call works in a Fortran-ordered copy, or, with ``overwrite``, in ``a``
-    itself when it is Fortran-ordered.  A block that is not positive
-    definite raises :class:`DefinitenessError` naming ``label``."""
-    factor, info = _POTRF(a, lower=0, overwrite_a=overwrite, clean=0)
+def _cho(a: np.ndarray, label: str, overwrite: bool = False) -> np.ndarray:
+    """The upper Cholesky factor U of an SPD array, P = U^T U, from one
+    ``?potrf`` call, which reads the upper triangle and leaves the lower one
+    as it was: the array ``scipy.linalg.cho_factor`` gives first.  U is
+    Fortran-ordered: the call works in a Fortran-ordered copy, or, with
+    ``overwrite``, in ``a`` itself when it is Fortran-ordered.  A block that
+    is not positive definite raises :class:`DefinitenessError` naming
+    ``label``."""
+    upper, info = _POTRF(a, lower=0, overwrite_a=overwrite, clean=0)
     if info:
         raise DefinitenessError(f"{label} block is not positive definite")
-    return factor, False
+    return upper
 
 
-def _cho_solve(factor: tuple, rhs: np.ndarray) -> np.ndarray:
-    """P^-1 rhs for a Cholesky factor of P (:func:`_cho`), by one ``?potrs``
-    call, as ``scipy.linalg.cho_solve`` makes it; ``rhs`` is left as it was."""
-    x, _ = _POTRS(factor[0], rhs, lower=factor[1])
+def _cho_solve(upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """P^-1 rhs for the upper Cholesky factor U of P (:func:`_cho`), by one
+    ``?potrs`` call, as ``scipy.linalg.cho_solve`` makes it; ``rhs`` is
+    left as it was."""
+    x, _ = _POTRS(upper, rhs, lower=0)
     return x
 
 
@@ -565,18 +573,13 @@ def _solve_upper_t(factor, rhs: np.ndarray, overwrite: bool = False) -> np.ndarr
     """U^-T rhs for the upper factor U of P = U^T U: a 1-D vector sqrt(diag)
     or a Cholesky factor (:func:`_cho`), both checked finite when formed.
 
-    A Cholesky factor costs one ``?trtrs`` call, oriented as
-    ``scipy.linalg.solve_triangular(U, rhs, trans=1)`` orients it: a
-    Fortran-ordered U is solved as stored, transposed; any other U through
-    its Fortran-ordered transpose, a lower factor, untransposed.  With
-    ``overwrite`` a Fortran-ordered ``rhs`` is solved in place."""
-    if isinstance(factor, np.ndarray):
+    A Cholesky factor, Fortran-ordered as :func:`_cho` gives it, costs one
+    ``?trtrs`` call, as ``scipy.linalg.solve_triangular(U, rhs, trans=1)``
+    makes it.  With ``overwrite`` a Fortran-ordered ``rhs`` is solved in
+    place."""
+    if factor.ndim == 1:
         return rhs / factor[:, None]
-    upper = factor[0]
-    if upper.flags.f_contiguous:
-        x, _ = _TRTRS(upper, rhs, lower=0, trans=1, overwrite_b=overwrite)
-    else:
-        x, _ = _TRTRS(upper.T, rhs, lower=1, trans=0, overwrite_b=overwrite)
+    x, _ = _TRTRS(factor, rhs, lower=0, trans=1, overwrite_b=overwrite)
     return x
 
 

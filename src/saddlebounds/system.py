@@ -141,9 +141,10 @@ def _symmetric_input(block, label: str, size: int | None = None):
 class DoubleSaddleSystem:
     """Immutable container for the five blocks of a double saddle-point
     system; each block is a dense array or a CSR array, and A, D and E are
-    exactly symmetric.  ``is_sparse`` (some block is sparse) is found once,
-    when the system is built; the CSR form of K (:func:`assemble_csr`)
-    once, when it is first asked for."""
+    exactly symmetric.  ``is_sparse`` (some block is sparse), ``d_zero``
+    and ``e_zero`` (the block stores no nonzero) are found once, when the
+    system is built; the CSR form of K (:func:`assemble_csr`) once, when it
+    is first asked for."""
 
     A: np.ndarray | sp.csr_array
     B: np.ndarray | sp.csr_array
@@ -151,6 +152,8 @@ class DoubleSaddleSystem:
     D: np.ndarray | sp.csr_array
     E: np.ndarray | sp.csr_array
     is_sparse: bool = field(init=False, repr=False, compare=False)
+    d_zero: bool = field(init=False, repr=False, compare=False)
+    e_zero: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in "ABCDE":
@@ -184,6 +187,8 @@ class DoubleSaddleSystem:
             object.__setattr__(self, name, _symmetric(getattr(self, name), "block " + name))
         object.__setattr__(self, "is_sparse",
                            any(sp.issparse(getattr(self, name)) for name in "ABCDE"))
+        object.__setattr__(self, "d_zero", not _values(self.D).any())
+        object.__setattr__(self, "e_zero", not _values(self.E).any())
 
     @property
     def dims(self) -> tuple[int, int, int]:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from saddlebounds import (
+    DoubleSaddleSystem,
     distributed_context,
     nullity_system,
     poisson_boundary,
@@ -224,6 +225,34 @@ def _count_b_grams(monkeypatch, system) -> list:
 
     monkeypatch.setattr(spectral_mod, "_gram", counted)
     return builds
+
+
+class TestOneSemidefiniteRule:
+    """validate's semidefiniteness verdict on D and the block extremes agree:
+    a D it rejects gives no extremes, so no unpreconditioned bounds, and
+    the error names D."""
+
+    @staticmethod
+    def _system(d_diagonal):
+        return DoubleSaddleSystem(A=np.eye(3), B=np.eye(2, 3), C=np.eye(1, 2),
+                                  D=np.diag(d_diagonal), E=np.ones((1, 1)))
+
+    @pytest.mark.parametrize("d_diagonal", [(1e-20, -1e-30), (1.0, -0.5)])
+    def test_rejected_d_gives_no_extremes_and_is_named(self, d_diagonal):
+        system = self._system(d_diagonal)
+        validation = validate(system)
+        assert validation.definiteness_ok == {"A": True, "D": False, "E": True}
+        assert validation.extremes is None
+        (entry,) = analyze(system, ("unprec",)).scenarios
+        assert "intervals" not in entry
+        assert entry["error"] == ("DefinitenessError: block extremes unavailable "
+                                  "(definiteness fails: D)")
+
+    def test_round_off_below_the_rule_is_clamped(self):
+        # -1e-33 >= -SYM_TOL * 1e-20: semidefinite, and the minimum reads 0
+        validation = validate(self._system((1e-20, -1e-33)))
+        assert validation.definiteness_ok["D"]
+        assert (validation.extremes.mu_min_d, validation.extremes.mu_max_d) == (0.0, 1e-20)
 
 
 def _fem_input(label):

@@ -512,7 +512,7 @@ class TestSchurComplements:
             system = self._sparse_system(int(label[2:]), seed=int(label[2:]))
         pair = schur_complements(system)
         dense = schur_complements(system.dense())
-        assert not isinstance(pair.factor_a, tuple)
+        assert not isinstance(pair.factor_a, np.ndarray)  # a sparse LU
         for name in ("s1", "gram_c", "s2_diagonal"):
             new, old = getattr(pair, name), getattr(dense, name)
             assert np.linalg.norm(new - old) <= 1e-13 * np.linalg.norm(old), name
@@ -554,8 +554,23 @@ class TestSchurComplements:
         factor_a, diagonal_1, diagonal_2 = spectral_mod.schur_diagonals(system, tail=True)
         assert np.array_equal(diagonal_1, pair.s1.diagonal())
         assert np.array_equal(diagonal_2, pair.s2_diagonal)
-        assert not isinstance(factor_a, tuple)
+        assert not isinstance(factor_a, np.ndarray)  # a sparse LU
         assert spectral_mod.schur_diagonals(system, tail=False)[2] is None
+
+    def test_schur_diagonals_with_a_dense_d_are_bitwise_the_pairs(self):
+        # a sparse system whose D is dense: S1 is the Gram plus D in place
+        from saddlebounds.report import solve
+
+        system, _ = poisson_distributed(1 / 8, 1e-3)
+        m = system.dims[1]
+        q = np.random.default_rng(8).standard_normal((m, m))
+        system = dataclasses.replace(system, D=1e-3 * (q @ q.T / m + np.eye(m)))
+        assert system.is_sparse and isinstance(system.D, np.ndarray)
+        pair = schur_complements(system)
+        _, diagonal_1, diagonal_2 = spectral_mod.schur_diagonals(system, tail=True)
+        assert np.array_equal(diagonal_1, pair.s1.diagonal())
+        assert np.array_equal(diagonal_2, pair.s2_diagonal)
+        assert solve(system, precond="jacobi")["converged"]
 
     def test_sparse_coupling_gram_is_bitwise_the_dense_one(self):
         # the square-completion block of a sparse context, solved in place
@@ -790,11 +805,11 @@ class TestOneBlasPool:
         rng = np.random.default_rng(m)
         n = m + 5
         q = rng.standard_normal((n, n))
-        factor = sla.cho_factor(q @ q.T + n * np.eye(n))
+        upper, _ = sla.cho_factor(q @ q.T + n * np.eye(n))
         coupling = rng.standard_normal((m, n))
-        half = spectral_mod._solve_upper_t(factor, coupling.T)
+        half = spectral_mod._solve_upper_t(upper, coupling.T)
         expected = half.T @ half
-        gram = spectral_mod._gram(factor, coupling)
+        gram = spectral_mod._gram(upper, coupling)
         assert gram.flags.c_contiguous
         assert np.array_equal(gram, gram.T)
         assert np.abs(gram - expected).max() <= 1e-15 * np.abs(expected).max()
@@ -840,25 +855,37 @@ class TestLapackLayer:
     def test_cho_is_cho_factor(self, n):
         a = self._spd(n, n)
         want, want_lower = sla.cho_factor(a)
-        got, lower = spectral_mod._cho(a, "leading")
-        assert lower is False and want_lower is False
+        got = spectral_mod._cho(a, "leading")
+        assert want_lower is False  # cho_factor's flag: the factor is upper
         assert np.array_equal(got, want)  # the untouched lower triangle too
         assert np.array_equal(a, self._spd(n, n))  # the input is left as it was
         fortran = np.array(a, order="F")
-        in_place, _ = spectral_mod._cho(fortran, "leading", overwrite=True)
+        in_place = spectral_mod._cho(fortran, "leading", overwrite=True)
         assert np.shares_memory(in_place, fortran)
         assert np.array_equal(in_place, want)
 
     @pytest.mark.parametrize("n", [1, 7, 64])
     @pytest.mark.parametrize("order", ["F", "C"])
     @pytest.mark.parametrize("overwrite", [False, True])
-    def test_solve_upper_t_is_solve_triangular(self, n, order, overwrite):
-        upper = np.array(sla.cho_factor(self._spd(n, n + 1))[0], order=order)
+    def test_cho_is_a_fortran_ordered_upper_factor(self, n, order, overwrite):
+        # _solve_upper_t and _cho_solve take the factor as stored, upper and
+        # Fortran-ordered, whatever the order of the factored array
+        a = np.array(self._spd(n, n + 6), order=order)
+        want = sla.cho_factor(a)[0]
+        got = spectral_mod._cho(a, "leading", overwrite=overwrite)
+        assert got.ndim == 2 and got.flags.f_contiguous
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    @pytest.mark.parametrize("overwrite", [False, True])
+    def test_solve_upper_t_is_solve_triangular(self, n, overwrite):
+        upper = sla.cho_factor(self._spd(n, n + 1))[0]
+        assert upper.flags.f_contiguous
         rhs = np.asfortranarray(np.random.default_rng(n).standard_normal((n, 5)))
         want = sla.solve_triangular(upper, rhs.copy(order="F"), trans=1,
                                     overwrite_b=overwrite, check_finite=False)
         given = rhs.copy(order="F")
-        got = spectral_mod._solve_upper_t((upper, False), given, overwrite=overwrite)
+        got = spectral_mod._solve_upper_t(upper, given, overwrite=overwrite)
         assert np.array_equal(got, want)
         assert np.shares_memory(got, given) is overwrite
         if not overwrite:
@@ -867,12 +894,12 @@ class TestLapackLayer:
     @pytest.mark.parametrize("n", [1, 7, 64])
     @pytest.mark.parametrize("columns", [None, 3])
     def test_cho_solve_is_cho_solve(self, n, columns):
-        factor = sla.cho_factor(self._spd(n, n + 2))
+        upper, lower = sla.cho_factor(self._spd(n, n + 2))
         shape = (n,) if columns is None else (n, columns)
         rhs = np.random.default_rng(n).standard_normal(shape)
-        got = spectral_mod._cho_solve(factor, rhs)
+        got = spectral_mod._cho_solve(upper, rhs)
         assert got.shape == shape
-        assert np.array_equal(got, sla.cho_solve(factor, rhs))
+        assert np.array_equal(got, sla.cho_solve((upper, lower), rhs))
         assert np.array_equal(rhs, np.random.default_rng(n).standard_normal(shape))
 
     @pytest.mark.parametrize("n", [1, 7, 64])
