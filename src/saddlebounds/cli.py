@@ -117,9 +117,7 @@ def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
 def cmd_generate(args) -> int:
     system, context, info = _build_problem(args)
     out_dir = args.out or f"problem-{info['kind']}"
-    manifest = sbio.save_manifest(
-        system, out_dir, name=args.name, inline=args.inline, context=context
-    )
+    manifest = sbio.save_manifest(system, out_dir, inline=args.inline, context=context)
     print(manifest)
     return 0
 
@@ -196,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="write a problem to disk as a manifest")
     _add_problem_flags(gen)
     gen.add_argument("--out", help="output directory")
-    gen.add_argument("--name", default="system", help="manifest base name")
     gen.add_argument("--inline", action="store_true",
                      help="embed dense blocks in the manifest JSON")
     gen.set_defaults(func=cmd_generate)

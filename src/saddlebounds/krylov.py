@@ -202,7 +202,6 @@ def minres(
             if beta <= breakdown_tol:
                 # invariant subspace reached: the iterate is exact in it
                 breakdown = "lanczos-breakdown"
-                converged = phibar <= target
                 break
 
     return SolveResult(

@@ -206,11 +206,10 @@ class FemDiscretization:
     ``mass`` and ``stiffness`` are the full matrices before any boundary
     treatment.  ``interior`` indexes the nodes kept when every edge carries
     Dirichlet data (distributed control); ``free`` indexes the nodes kept
-    when only the bottom edge does (boundary control), with ``control``
-    listing the boundary nodes of the remaining three edges.
-    ``boundary_mass`` is the 1-d mass matrix along those control edges and
-    ``coupling`` the rectangular mass coupling between domain and control
-    unknowns.
+    when only the bottom edge does (boundary control, which acts on the
+    remaining three edges).  ``boundary_mass`` is the 1-d mass matrix along
+    those control edges and ``coupling`` the rectangular mass coupling
+    between domain and control unknowns.
     """
 
     h: float
@@ -219,7 +218,6 @@ class FemDiscretization:
     stiffness: sp.csr_array
     interior: np.ndarray
     free: np.ndarray
-    control: np.ndarray
     boundary_mass: sp.csr_array
     coupling: sp.csr_array
 
@@ -307,7 +305,6 @@ def q1_discretize(h: float) -> FemDiscretization:
         stiffness=stiffness,
         interior=interior,
         free=free,
-        control=control,
         boundary_mass=boundary_mass,
         coupling=coupling,
     )

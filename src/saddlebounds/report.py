@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import operator
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -43,7 +42,6 @@ from .precond import (
 )
 from .spectral import (
     ZERO_TOL,
-    SharedSchurPair,
     ValidationReport,
     full_spectrum,
     regularization_ratio,
@@ -287,13 +285,14 @@ def analyze(
     ``ORACLE_CUTOFF`` the spectra are skipped and verdicts are reported as
     ``unverified``; bounds are emitted either way.  A sparse system, and
     each sparse user block, is densified once, here: everything below is
-    the dense oracle, which factors each user block once, densely.  When a
-    preconditioned scenario is requested, the dense Schur pair is built
-    once, in :func:`validate`, and shared for the length of the call
-    (:class:`~saddlebounds.spectral.SharedSchurPair`) with the
+    the dense oracle, which factors each user block once, densely.  The
+    dense Schur pair is built once, in :func:`validate`, and kept by the
+    system (:func:`~saddlebounds.spectral.schur_complements`), so the
     preconditioner builds and the eta read, which takes its Grams and
-    :func:`validate`'s rank verdicts; ``unprec`` alone opens no
-    scope, so the pair is dropped when :func:`validate` returns.  Each
+    :func:`validate`'s rank verdicts, get that pair; the dense copy of a
+    sparse system, and its pair, die when the call returns.  K's spectrum
+    is taken before :func:`validate`, so no pair is alive during that
+    N x N eigensolve.  Each
     dense block is factored once: both exact preconditioners take S2's
     factor from the pair, and the equivalence constants reuse the approximate
     preconditioner's factors.  The inexact bounds use the raw equivalence
@@ -320,46 +319,47 @@ def analyze(
     system = system.dense()
     if user_blocks is not None:
         user_blocks = [b.toarray() if sp.issparse(b) else b for b in user_blocks]
-    preconditioned = any(name != "unprec" for name in scenarios)
-    with SharedSchurPair(system) if preconditioned else nullcontext():
-        validation = validate(system)
-        extremes = validation.extremes
-        report = AnalysisReport(
-            problem=problem or {},
-            dims=list(system.dims),
-            validation=_validation_dict(validation),
-            scenarios=[],
-            extremes=None if extremes is None else dict(vars(extremes)),
-            timings=timings,
-        )
-        timings["validate"] = time.perf_counter() - t_start
+    # K's spectrum first, so that no Schur pair is alive during its N x N
+    # eigensolve: on a dense system the pair validate builds stays with it
+    spectrum = None
+    if system.total <= spectral.ORACLE_CUTOFF:
+        t0 = time.perf_counter()
+        spectrum = full_spectrum(assemble(system).data, overwrite=True)
+        timings["spectrum"] = time.perf_counter() - t0
 
-        spectrum = None
-        if system.total <= spectral.ORACLE_CUTOFF:
-            t0 = time.perf_counter()
-            spectrum = full_spectrum(assemble(system).data, overwrite=True)
-            report.spectrum = spectrum.tolist()
-            timings["spectrum"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    validation = validate(system)
+    extremes = validation.extremes
+    report = AnalysisReport(
+        problem=problem or {},
+        dims=list(system.dims),
+        validation=_validation_dict(validation),
+        scenarios=[],
+        extremes=None if extremes is None else dict(vars(extremes)),
+        spectrum=None if spectrum is None else spectrum.tolist(),
+        timings=timings,
+    )
+    timings["validate"] = time.perf_counter() - t0
 
-        split_spectra: list = []  # (operator, spectrum of its split matrix)
+    split_spectra: list = []  # (operator, spectrum of its split matrix)
 
-        for name in scenarios:
-            t0 = time.perf_counter()
-            try:
-                if name == "unprec":
-                    entry = _scenario_unprec(validation, spectrum, tol)
-                elif name == "prec-exact":
-                    entry = _scenario_prec_exact(
-                        system, validation.c_nullity_k, tol, split_spectra)
-                else:
-                    entry = _scenario_prec_inexact(
-                        system, validation, strategies, context, user_blocks, tol,
-                        split_spectra)
-            except SaddleBoundsError as exc:
-                entry = {"name": name, "error": f"{type(exc).__name__}: {exc}"}
-            entry["name"] = name
-            report.scenarios.append(entry)
-            timings[name] = time.perf_counter() - t0
+    for name in scenarios:
+        t0 = time.perf_counter()
+        try:
+            if name == "unprec":
+                entry = _scenario_unprec(validation, spectrum, tol)
+            elif name == "prec-exact":
+                entry = _scenario_prec_exact(
+                    system, validation.c_nullity_k, tol, split_spectra)
+            else:
+                entry = _scenario_prec_inexact(
+                    system, validation, strategies, context, user_blocks, tol,
+                    split_spectra)
+        except SaddleBoundsError as exc:
+            entry = {"name": name, "error": f"{type(exc).__name__}: {exc}"}
+        entry["name"] = name
+        report.scenarios.append(entry)
+        timings[name] = time.perf_counter() - t0
 
     timings["total"] = time.perf_counter() - t_start
     return report
@@ -417,6 +417,7 @@ def _scenario_prec_inexact(
     }
 
     bounds = None
+    warnings = []
     if np.isfinite(eta_d) and np.isfinite(eta_e):
         bounds = bounds_precond_inexact(
             consts, eta_d=eta_d, eta_e=eta_e, d_zero=system.d_zero, e_zero=system.e_zero
@@ -424,11 +425,13 @@ def _scenario_prec_inexact(
         entry["intervals"] = intervals_to_dict(bounds)
     else:
         entry["intervals"] = None
-        entry["warnings"] = ["eta-not-finite: inexact bounds suppressed"]
+        warnings.append("eta-not-finite: inexact bounds suppressed")
 
-    reference = _reference_intervals(system, strategies, context)
+    reference = _reference_intervals(system, strategies, context, warnings)
     if reference is not None:
         entry["reference_intervals"] = intervals_to_dict(reference)
+    if warnings:
+        entry["warnings"] = warnings
     return _split_verdicts(entry, system, approx_op, bounds, tol, split_spectra, reference)
 
 
@@ -464,21 +467,21 @@ def _split_verdicts(entry, system, op, bounds, tol, split_spectra, reference=Non
     return entry
 
 
-def _reference_intervals(system, strategies, context):
+def _reference_intervals(system, strategies, context, warnings: list):
     """Published-recipe intervals for the distributed-control square-completion
     preconditioner: guaranteed equivalence constants plus the reference
-    regularization-ratio scale of the problem family."""
+    regularization-ratio scale of the problem family.  A reference ratio
+    that is not finite (the context's stiffness has a zero generalized
+    eigenvalue) gives no intervals and appends a warning to ``warnings``."""
     if (context is None or strategies[2] != "pearson-wathen" or not system.d_zero
             or system.e_zero):
         return None
+    eta_e = context.reference_regularization_ratio()
+    if not np.isfinite(eta_e):
+        warnings.append("reference-eta-not-finite: reference intervals suppressed")
+        return None
     assumed = EquivalenceConstants(1.0, 1.0, 1.0, 1.0, *SQUARE_COMPLETION_CONSTANTS)
-    return bounds_precond_inexact(
-        assumed,
-        eta_d=0.0,
-        eta_e=context.reference_regularization_ratio(),
-        d_zero=True,
-        e_zero=False,
-    )
+    return bounds_precond_inexact(assumed, eta_d=0.0, eta_e=eta_e, d_zero=True, e_zero=False)
 
 
 def solve(

@@ -9,12 +9,13 @@ Singular values, and with them every rank decision, come from one call of
 of a system (each Gram of a dense leading block from one U^-T solve against
 an upper Cholesky factor and one ``?syrk``, the helper the preconditioners'
 congruence shares, and of a sparse one from sparse LU solves in column
-blocks; one analysis builds them once, see :class:`SharedSchurPair`; a
-reader of their diagonals alone keeps no copy of S1, see
-:func:`schur_diagonals`), the pivot-free symmetric sparse LU that factors
-every sparse SPD block, the regularization ratio (largest generalized
-eigenvalue of a regularization block against its coupling Gram) that drives
-the inexact-preconditioner bounds, and :func:`validate`, which checks
+blocks; each system builds its pair once, on first use, and keeps it, see
+:func:`schur_complements`; a reader of their diagonals alone keeps no
+copy of S1, see :func:`schur_diagonals`), the pivot-free symmetric sparse
+LU that factors every sparse SPD block, the regularization ratio (largest
+generalized eigenvalue of a regularization block against its coupling
+Gram) that drives the inexact-preconditioner bounds, and
+:func:`validate`, which checks
 the hypotheses of the bounds with these same kernels on the densified
 system.  The symmetric kernels take a symmetric matrix as given: system
 blocks are made exactly symmetric when the system is built, and the
@@ -46,7 +47,6 @@ no analysis calls, still takes ``scipy.linalg.ldl`` and
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import Mapping
@@ -206,8 +206,8 @@ class SchurPair:
     ``jacobi`` Schur position comes with one that reads the whole other
     block (see :func:`~saddlebounds.precond.build_approx`; ``jacobi``
     alone takes :func:`schur_diagonals`), and an implicit
-    ``SchurComplement`` builds it when its dense form is asked for.  One
-    analysis builds it once and shares it (:class:`SharedSchurPair`).
+    ``SchurComplement`` builds it when its dense form is asked for.  Each
+    system builds its pair once and keeps it (:func:`schur_complements`).
     S1 = D + B A^-1 B^T is formed with the pair; when D stores no nonzero,
     ``s1`` is the array ``gram_b`` itself.  The tail Gram
     C S1^-1 C^T, S2 = E + C S1^-1 C^T, its factor ``cho_2`` and diag(S2)
@@ -220,22 +220,26 @@ class SchurPair:
     A and no n x m array is formed.  Either way each Gram and both
     complements are exactly symmetric.  The pair holds no rank: the
     regularization ratios take the Grams and :func:`validate`'s rank
-    verdicts (:func:`regularization_ratio`).
+    verdicts (:func:`regularization_ratio`).  The pair holds the blocks it
+    reads, C and E, not its system: the system keeps the pair, and a pair
+    that kept the system would make a reference cycle, which lives until
+    the cyclic garbage collector runs.
     """
 
-    system: DoubleSaddleSystem = field(repr=False)
     s1: np.ndarray
     gram_b: np.ndarray = field(repr=False)
     factor_a: object = field(repr=False)
     cho_1: np.ndarray = field(repr=False)
+    C: np.ndarray | sp.csr_array = field(repr=False)
+    E: np.ndarray | sp.csr_array = field(repr=False)
 
     @cached_property
     def gram_c(self) -> np.ndarray:
-        return _gram(self.cho_1, self.system.C)
+        return _gram(self.cho_1, self.C)
 
     @cached_property
     def s2(self) -> np.ndarray:
-        return self.gram_c + self.system.E
+        return self.gram_c + self.E
 
     @cached_property
     def cho_2(self) -> np.ndarray:
@@ -243,21 +247,20 @@ class SchurPair:
 
     @cached_property
     def s2_diagonal(self) -> np.ndarray:
-        return _s2_diagonal(self.cho_1, self.system)
+        return _s2_diagonal(self.cho_1, self.C, self.E)
 
 
-def _s2_diagonal(cho_1: np.ndarray, system: DoubleSaddleSystem) -> np.ndarray:
+def _s2_diagonal(cho_1: np.ndarray, coupling, E) -> np.ndarray:
     """diag(S2) as diag(E) plus the column sums of W * W, W = U^-T C^T for
-    S1's upper factor U, which forms neither the tail Gram nor S2; for a
-    sparse C, W is solved in place in fresh dense blocks of ``_BLOCK``
-    columns of C^T."""
-    coupling = system.C
+    S1's upper factor U and the coupling C, which forms neither the tail
+    Gram nor S2; for a sparse C, W is solved in place in fresh dense blocks
+    of ``_BLOCK`` columns of C^T."""
     if sp.issparse(coupling):  # fresh dense blocks the solve may overwrite
         halves = (_solve_upper_t(cho_1, coupling[j0:j1].toarray().T, overwrite=True)
                   for j0, j1 in _column_blocks(coupling.shape[0]))
     else:
         halves = (_solve_upper_t(cho_1, coupling.T),)
-    return system.E.diagonal() + np.concatenate(
+    return E.diagonal() + np.concatenate(
         [np.einsum("ij,ij->j", half, half) for half in halves])
 
 
@@ -418,37 +421,23 @@ def inertia(matrix) -> Inertia:
     return Inertia(n_plus, n_minus, vals.size - n_plus - n_minus)
 
 
-class SharedSchurPair:
-    """A scope, entered with ``with``, in which :func:`schur_complements`
-    builds the pair of ``system`` once and returns that pair to every later
-    call on the same system object; the end of the scope drops it.  A
-    failed build is not kept: each call raises again.
-
-    The pair lives as long as the scope and no longer; the system is left
-    untouched.  Calls on any other system, and calls outside a scope, build
-    a fresh pair.
-    """
-
-    def __init__(self, system: DoubleSaddleSystem):
-        self.system = system
-        self.pair: SchurPair | None = None
-
-    def __enter__(self) -> "SharedSchurPair":
-        self._token = _SHARED.set(self)
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        _SHARED.reset(self._token)
-        self.system = self.pair = None
-
-
-# the innermost open scope; each scope resets it when it ends
-_SHARED: ContextVar[SharedSchurPair | None] = ContextVar("shared_schur", default=None)
-
-
 def schur_complements(system: DoubleSaddleSystem) -> SchurPair:
-    """Factor A, form S1 = D + B A^-1 B^T and factor it; S2 = E + C S1^-1 C^T
-    follows on first read of the returned pair.
+    """The Schur pair of ``system``: A's factor, S1 = D + B A^-1 B^T and its
+    factor; S2 = E + C S1^-1 C^T follows on first read of the pair.
+
+    The system builds its pair on the first call and keeps it as long as it
+    lives (``DoubleSaddleSystem._schur``), so every later call on the same
+    system object returns that pair as built; another system, a
+    :meth:`~saddlebounds.system.DoubleSaddleSystem.dense` copy of a sparse
+    one included, has its own.  A failed build is not kept: each call
+    raises again.
+    """
+    return system._schur
+
+
+def _schur_pair(system: DoubleSaddleSystem) -> SchurPair:
+    """The build behind :func:`schur_complements`: factor A, form S1 and
+    factor it.
 
     A dense A gets a Cholesky factor (:func:`_cho`), and the B-Gram costs one
     triangular solve against its upper factor and one ``?syrk`` (:func:`_gram`);
@@ -456,23 +445,13 @@ def schur_complements(system: DoubleSaddleSystem) -> SchurPair:
     (:func:`sparse_spd_factor`), and the B-Gram is formed from it in
     blocks of columns (:func:`_sparse_gram`), so A is never densified.
     Either failure is :class:`DefinitenessError` naming the leading block.
-    When D stores no nonzero, S1 is the B-Gram itself.  Inside a
-    :class:`SharedSchurPair` scope for ``system`` the first call builds the
-    pair and later calls return it as built until the scope ends.
+    When D stores no nonzero, S1 is the B-Gram itself.
     """
-    shared = _SHARED.get()
-    if shared is None or shared.system is not system:
-        shared = None
-    elif shared.pair is not None:
-        return shared.pair
     factor_a, gram_b = _leading_gram(system)
     # dense + sparse is dense; with D = 0, S1 is the Gram itself, not a copy
     s1 = gram_b if system.d_zero else gram_b + system.D
-    cho_1 = _cho(s1, "first-schur")
-    pair = SchurPair(system=system, s1=s1, gram_b=gram_b, factor_a=factor_a, cho_1=cho_1)
-    if shared is not None:
-        shared.pair = pair
-    return pair
+    return SchurPair(s1=s1, gram_b=gram_b, factor_a=factor_a,
+                     cho_1=_cho(s1, "first-schur"), C=system.C, E=system.E)
 
 
 def schur_diagonals(system: DoubleSaddleSystem, tail: bool):
@@ -496,7 +475,7 @@ def schur_diagonals(system: DoubleSaddleSystem, tail: bool):
         s1 += system.D
     diagonal_1 = s1.diagonal().copy()
     cho_1 = _cho(s1.T, "first-schur", overwrite=True)
-    return factor_a, diagonal_1, _s2_diagonal(cho_1, system) if tail else None
+    return factor_a, diagonal_1, _s2_diagonal(cho_1, system.C, system.E) if tail else None
 
 
 def _leading_gram(system: DoubleSaddleSystem):
@@ -689,14 +668,13 @@ def validate(system: DoubleSaddleSystem) -> ValidationReport:
     holds without a rank test of the stack.  The (B, C) row-rank verdicts
     are the only ranks of the couplings an analysis measures; the
     regularization ratios take them (:func:`regularization_ratio`).  S1 and
-    S2 come from :func:`schur_complements`, so inside a
-    :class:`SharedSchurPair` scope this builds the pair every later reader
-    gets (S2's factor included, formed by the first preconditioner that
-    reads it).  The eigen-ranges and singular values measured here also
-    give ``extremes``.
-    A sparse system is checked densified; a scope shares its pair only
-    with a system that is already dense, since densifying makes a new
-    system.
+    S2 come from :func:`schur_complements`, so on a dense system this
+    builds the pair that the system keeps and every later reader gets (S2's
+    factor included, formed by the first preconditioner that reads it).
+    The eigen-ranges and singular values measured here also give
+    ``extremes``.  A sparse system is checked on a fresh
+    :meth:`~saddlebounds.system.DoubleSaddleSystem.dense` copy, whose pair
+    dies with it.
     """
     system = system.dense()
     A, B, C, D, E = system.A, system.B, system.C, system.D, system.E

@@ -143,8 +143,11 @@ class DoubleSaddleSystem:
     system; each block is a dense array or a CSR array, and A, D and E are
     exactly symmetric.  ``is_sparse`` (some block is sparse), ``d_zero``
     and ``e_zero`` (the block stores no nonzero) are found once, when the
-    system is built; the CSR form of K (:func:`assemble_csr`) once, when it
-    is first asked for."""
+    system is built; the CSR form of K (:func:`assemble_csr`) and the Schur
+    pair (:func:`~saddlebounds.spectral.schur_complements`) once each, when
+    first asked for, and each is kept as long as the system lives.  Both
+    are formed from the blocks as they are then: a block changed in place
+    afterwards is not seen by either."""
 
     A: np.ndarray | sp.csr_array
     B: np.ndarray | sp.csr_array
@@ -218,6 +221,13 @@ class DoubleSaddleSystem:
         for part in (csr.data, csr.indices, csr.indptr):
             part.flags.writeable = False
         return csr
+
+    @cached_property
+    def _schur(self):
+        # imported here: spectral imports this module
+        from .spectral import _schur_pair
+
+        return _schur_pair(self)
 
 
 @dataclass(frozen=True)

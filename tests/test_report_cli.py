@@ -184,6 +184,31 @@ class TestAnalysisReport:
         assert regularization_ratio(system.E, schur_complements(system).gram_c,
                                     validate(system).c_full_row_rank) == np.inf
 
+    @pytest.mark.parametrize("zero_c", [False, True])
+    def test_infinite_reference_ratio_suppresses_only_the_reference(self, zero_c):
+        # a zero stiffness has a zero generalized eigenvalue against the mass,
+        # so the reference ratio is infinite; the scenario's own bounds stand
+        system, fem = poisson_distributed(1 / 8, 1e-3)
+        if zero_c:  # the scenario's own eta_e is infinite as well
+            system = dataclasses.replace(system, C=np.zeros(system.C.shape))
+        context = distributed_context(fem, 1e-3)
+        context = dataclasses.replace(context, stiffness=np.zeros(context.mass.shape))
+        assert context.reference_regularization_ratio() == np.inf
+        report = analyze(system, scenarios=("prec-inexact",), precond="pearson-wathen",
+                         context=context)
+        entry = report.scenarios[0]
+        assert "error" not in entry and report.passed
+        assert "reference_intervals" not in entry
+        assert "reference_containment" not in entry
+        reference = "reference-eta-not-finite: reference intervals suppressed"
+        if zero_c:
+            assert entry["warnings"] == ["eta-not-finite: inexact bounds suppressed",
+                                         reference]
+            assert entry["containment"]["status"] == "unverified"
+        else:
+            assert entry["warnings"] == [reference]
+            assert entry["containment"]["status"] == "pass"
+
     @pytest.mark.parametrize("scenarios", [
         ("unprec",), ("prec-exact",), ("prec-inexact",), SCENARIOS,
     ], ids=["unprec", "prec-exact", "prec-inexact", "all"])
@@ -280,56 +305,66 @@ class TestOneSchurBuildPerAnalysis:
         assert report.passed
         assert len(builds) == 1
 
-    @pytest.mark.parametrize("scenarios, at_spectrum, at_splits", [
-        # a preconditioned scenario opens the scope, which keeps the pair
-        # through every split spectrum; unprec alone opens none, and
-        # validate, the only reader, drops the pair
-        (SCENARIOS, True, [True, True]),
-        (("unprec",), False, []),
-        (("prec-inexact", "prec-exact"), True, [True, True]),
-        (("prec-exact",), True, [True]),
+    @pytest.mark.parametrize("scenarios, splits", [
+        (SCENARIOS, 2),
+        (("unprec",), 0),
+        (("prec-inexact", "prec-exact"), 2),
+        (("prec-exact",), 1),
     ])
-    def test_pair_lives_as_long_as_the_scope_and_the_system_is_untouched(
-        self, scenarios, at_spectrum, at_splits, monkeypatch
+    def test_no_pair_while_k_is_eigensolved_and_one_at_each_split(
+        self, scenarios, splits, monkeypatch
     ):
-        import saddlebounds.precond as precond_mod
+        # K's N x N spectrum is taken before validate builds the pair, and
+        # every split matrix is formed while the system holds that pair
         import saddlebounds.report as report_mod
-        import saddlebounds.spectral as spectral_mod
 
         rng = np.random.default_rng(96)
         system, _ = random_valid_system(rng, 9, 6, 4)
-        before = dict(vars(system))
-        refs = []
-        alive = []
-        original = spectral_mod.schur_complements
-
-        def traced(*args, **kwargs):
-            pair = original(*args, **kwargs)
-            refs.append(weakref.ref(pair))
-            return pair
+        held = []
 
         def noting(fn):
             def run(*args):
-                alive.append(refs[0]() is not None)
+                held.append(vars(system).get("_schur"))
                 return fn(*args)
             return run
 
-        for module in (spectral_mod, precond_mod, report_mod):
-            monkeypatch.setattr(module, "schur_complements", traced)
         monkeypatch.setattr(report_mod, "assemble", noting(report_mod.assemble))
         monkeypatch.setattr(report_mod, "split_preconditioned_matrix",
                             noting(report_mod.split_preconditioned_matrix))
+        report = analyze(system, scenarios, precond="jacobi")
+        assert report.passed
+        pair = schur_complements(system)
+        assert held == [None] + [pair] * splits
+
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_the_pair_dies_with_its_system(self, raises, monkeypatch):
+        # with the cyclic collector off, only a pair that holds no
+        # reference back to its system is freed with the system
+        import saddlebounds.report as report_mod
+
+        def broken(*args):
+            raise RuntimeError("split failed")
+
+        if raises:
+            monkeypatch.setattr(report_mod, "split_preconditioned_matrix", broken)
+        rng = np.random.default_rng(98)
+        system, _ = random_valid_system(rng, 6, 4, 2)
+        builds = _count_b_grams(monkeypatch, system)
         gc.disable()
         try:
-            report = analyze(system, scenarios, precond="jacobi")
-            dead = [ref() is None for ref in refs]
+            try:
+                analyze(system, SCENARIOS)
+            except RuntimeError:
+                assert raises
+            else:
+                assert not raises
+            ref = weakref.ref(schur_complements(system))
+            del system
+            dead = ref() is None
         finally:
             gc.enable()
-        assert report.passed
-        assert refs and all(dead)
-        assert alive == [at_spectrum, *at_splits]
-        assert vars(system).keys() == before.keys()
-        assert all(vars(system)[key] is value for key, value in before.items())
+        assert len(builds) == 1
+        assert dead
 
     def test_singular_s1_fails_at_each_reader(self, monkeypatch):
         system = singular_s1_system()
@@ -342,20 +377,6 @@ class TestOneSchurBuildPerAnalysis:
             "unprec": None, "prec-exact": message, "prec-inexact": message}
         # a failed build is not kept: validate and both scenarios try again
         assert len(builds) == 3
-
-    def test_scope_closes_when_analyze_raises(self, monkeypatch):
-        import saddlebounds.report as report_mod
-        import saddlebounds.spectral as spectral_mod
-
-        def broken(*args, **kwargs):
-            raise RuntimeError("spectrum failed")
-
-        monkeypatch.setattr(report_mod, "full_spectrum", broken)
-        rng = np.random.default_rng(98)
-        system, _ = random_valid_system(rng, 6, 4, 2)
-        with pytest.raises(RuntimeError, match="spectrum failed"):
-            analyze(system, SCENARIOS)
-        assert spectral_mod._SHARED.get() is None
 
 
 class TestOneFactorPerBlock:

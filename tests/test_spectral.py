@@ -36,7 +36,7 @@ from saddlebounds.errors import (
     ParameterError,
     StructuralError,
 )
-from saddlebounds.spectral import _SHARED, Inertia, SharedSchurPair
+from saddlebounds.spectral import Inertia
 from saddlebounds.system import _sym
 
 from helpers import measured_etas, random_valid_system, singular_s1_system, svd_extremes
@@ -599,32 +599,36 @@ class TestSchurComplements:
         assert validate(system).schur_definite == (False, False)
 
 
-class TestSharedSchurPair:
-    def test_one_pair_per_system_inside_the_scope(self):
+class TestSchurPairOwnership:
+    def test_one_pair_per_system(self):
         rng = np.random.default_rng(44)
         system, _ = random_valid_system(rng, 6, 4, 2)
         other, _ = random_valid_system(rng, 6, 4, 2)
-        with SharedSchurPair(system) as shared:
-            pair = schur_complements(system)
-            assert schur_complements(system) is pair
-            assert shared.pair is pair
-            assert schur_complements(other) is not schur_complements(other)
-            assert shared.pair is pair
-        assert _SHARED.get() is None and shared.pair is None
-        assert schur_complements(system) is not schur_complements(system)
+        pair = schur_complements(system)
+        assert schur_complements(system) is pair
+        assert schur_complements(other) is schur_complements(other) is not pair
+        # the pair reads C and E, and holds no reference back to its system
+        assert "system" not in {f.name for f in dataclasses.fields(pair)}
+        assert pair.C is system.C and pair.E is system.E
+        # each dense() copy of a sparse system is a system with a pair of its own
+        sparse = DoubleSaddleSystem(*(sp.csr_array(getattr(system, k)) for k in "ABCDE"))
+        copy = sparse.dense()
+        assert schur_complements(copy) is schur_complements(copy)
+        assert schur_complements(sparse.dense()) is not schur_complements(copy)
+        assert schur_complements(sparse) is not schur_complements(copy)
+        assert np.array_equal(schur_complements(copy).s1, pair.s1)
 
-    def test_a_failed_build_is_not_kept(self, monkeypatch):
+    def test_a_failed_build_is_retried(self, monkeypatch):
         system = singular_s1_system()
         grams = []
         original = spectral_mod._gram
         monkeypatch.setattr(spectral_mod, "_gram",
                             lambda f, c: grams.append(c) or original(f, c))
-        with SharedSchurPair(system) as shared:
-            for _ in range(2):
-                with pytest.raises(DefinitenessError,
-                                   match="first-schur block is not positive definite"):
-                    schur_complements(system)
-            assert shared.pair is None
+        for _ in range(2):
+            with pytest.raises(DefinitenessError,
+                               match="first-schur block is not positive definite"):
+                schur_complements(system)
+        assert "_schur" not in vars(system)
         assert len(grams) == 2
 
     def test_s1_is_the_gram_when_d_stores_no_nonzero(self):
@@ -648,10 +652,9 @@ class TestSharedSchurPair:
         original = spectral_mod._cho
         monkeypatch.setattr(spectral_mod, "_cho",
                             lambda a, *args, **kw: factored.append(a) or original(a, *args, **kw))
-        with SharedSchurPair(system) as shared:
-            first, second = build_exact(system), build_exact(system)
-            scaled = build_approx(system, ("exact", "exact", "scaled:2"))
-            pair = shared.pair
+        first, second = build_exact(system), build_exact(system)
+        scaled = build_approx(system, ("exact", "exact", "scaled:2"))
+        pair = schur_complements(system)
         # A, S1 and S2 once each, then the scaled tail block of its own
         assert len(factored) == 4
         assert factored[2] is pair.s2 and factored[3] is scaled.blocks[2]
