@@ -36,12 +36,12 @@ CONTEXT_MATRICES = ("mass", "stiffness")
 def save_manifest(
     system: DoubleSaddleSystem,
     out_dir: str | Path,
-    name: str = "system",
     inline: bool = False,
     context: PoissonControlContext | None = None,
 ) -> Path:
     """Write a system, and its distributed-control ``context`` when given,
-    to ``out_dir`` and return the manifest path."""
+    to ``out_dir`` as ``system.json`` (with ``system_<key>.mtx`` files
+    unless ``inline``) and return the manifest path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     n, m, p = system.dims
@@ -51,7 +51,7 @@ def save_manifest(
     def stored(key, matrix):
         if inline:
             return _dense(matrix).tolist()
-        fname = f"{name}_{key}.mtx"
+        fname = f"system_{key}.mtx"
         _matrix_market().mmwrite(out_dir / fname, matrix)
         return fname
 
@@ -60,7 +60,7 @@ def save_manifest(
         manifest["context"] = {"beta": float(context.beta), **{
             key: stored(key, getattr(context, key)) for key in CONTEXT_MATRICES}}
 
-    manifest_path = out_dir / f"{name}.json"
+    manifest_path = out_dir / "system.json"
     with open(manifest_path, "w") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from . import spectral
+from . import modal, spectral
 from .bounds import (
     CONTAINMENT_TOL,
     BoundIntervals,
@@ -156,11 +156,14 @@ def intervals_from_dict(data: dict) -> BoundIntervals:
     )
 
 
-def _containment_dict(spectrum, bounds: BoundIntervals, tol: float) -> dict:
+def _containment_dict(spectrum, bounds: BoundIntervals, tol: float, method: str) -> dict:
+    """The verdict of ``bounds`` on ``spectrum``, which the ``method``
+    oracle (``modal`` or ``dense``) took."""
     report = verify_containment(spectrum, bounds, tol=tol)
     failed = [v.value for v in report.verdicts if not v.ok]
     return {
         "status": "pass" if report.passed else "fail",
+        "method": method,
         "checked": len(report.verdicts),
         "failed": len(failed),
         "failed_values": failed[:16],
@@ -281,27 +284,39 @@ def analyze(
     """Compute bounds, spectra, and containment verdicts for a system.
 
     ``scenarios`` picks any of ``unprec``, ``prec-exact``, ``prec-inexact``;
-    the last uses ``precond`` to choose the approximation strategy.  Above
-    ``ORACLE_CUTOFF`` the spectra are skipped and verdicts are reported as
-    ``unverified``; bounds are emitted either way.  A sparse system, and
-    each sparse user block, is densified once, here: everything below is
-    the dense oracle, which factors each user block once, densely.  The
-    dense Schur pair is built once, in :func:`validate`, and kept by the
-    system (:func:`~saddlebounds.spectral.schur_complements`), so the
+    the last uses ``precond`` to choose the approximation strategy.  Bounds
+    are emitted either way.  Each spectrum they are checked against comes
+    from one of two oracles, which each verified ``containment`` and
+    ``reference_containment`` names as its ``method``:
+
+    * ``modal``: a system on the uniform Q1 grid, recognized from its
+      stored entries before it is densified
+      (:func:`~saddlebounds.modal.recognize`), takes K's spectrum, and the
+      split spectrum of each operator whose strategies the modal oracle
+      covers, from one tridiagonal eigensolve each, at any size;
+    * ``dense``: any other spectrum, up to ``ORACLE_CUTOFF``; above it the
+      verdict is ``unverified`` and no N x N matrix is formed.
+
+    Everything that feeds the bounds is measured densely whatever the
+    oracle: validation and the block extremes, the Schur pair, the
+    operators, the equivalence constants and the eta values.  A sparse
+    system, and each sparse user block, is densified once, here, after the
+    modal oracle has looked at it: everything below is the dense oracle,
+    which factors each user block once, densely.  The dense Schur pair is
+    built once, in :func:`validate`, and kept by the system
+    (:func:`~saddlebounds.spectral.schur_complements`), so the
     preconditioner builds and the eta read, which takes its Grams and
     :func:`validate`'s rank verdicts, get that pair; the dense copy of a
     sparse system, and its pair, die when the call returns.  K's spectrum
-    is taken before :func:`validate`, so no pair is alive during that
-    N x N eigensolve.  Each
-    dense block is factored once: both exact preconditioners take S2's
-    factor from the pair, and the equivalence constants reuse the approximate
-    preconditioner's factors.  The inexact bounds use the raw equivalence
-    constants of the approximation as built, so each preconditioned scenario
-    takes one spectrum, of its own split matrix, and checks both its bounds
-    and any reference intervals against it; an inexact operator built from
-    the exact one's very factors (the ``exact`` strategy) has the same split
-    matrix and takes that spectrum as formed.  K and each split matrix are
-    formed only to be eigensolved, so they are handed over
+    is taken before :func:`validate`, so no pair is alive during a dense
+    N x N eigensolve.  Each dense block is factored once: both exact
+    preconditioners take S2's factor from the pair, and the equivalence
+    constants reuse the approximate preconditioner's factors.  The inexact
+    bounds use the raw equivalence constants of the approximation as
+    built, so each preconditioned scenario takes one spectrum, of its own
+    split matrix, and checks both its bounds and any reference intervals
+    against it (:func:`_split_verdicts`).  A dense K and each dense split
+    matrix are formed only to be eigensolved, so they are handed over
     (``full_spectrum(..., overwrite=True)``) and each spectrum holds one
     N x N array, not two.
     """
@@ -316,16 +331,21 @@ def analyze(
     if not (np.isfinite(tol) and tol >= 0):
         raise ParameterError(f"tol must be finite and non-negative, got {tol}")
     strategies = strategy_tuple(precond) if "prec-inexact" in scenarios else None
+    oracle = modal.recognize(system, context)
     system = system.dense()
     if user_blocks is not None:
         user_blocks = [b.toarray() if sp.issparse(b) else b for b in user_blocks]
     # K's spectrum first, so that no Schur pair is alive during its N x N
     # eigensolve: on a dense system the pair validate builds stays with it
     spectrum = None
-    if system.total <= spectral.ORACLE_CUTOFF:
-        t0 = time.perf_counter()
+    t0 = time.perf_counter()
+    if oracle is not None:
+        spectrum = oracle.spectrum()
+    elif system.total <= spectral.ORACLE_CUTOFF:
         spectrum = full_spectrum(assemble(system).data, overwrite=True)
+    if spectrum is not None:
         timings["spectrum"] = time.perf_counter() - t0
+    method = "dense" if oracle is None else "modal"
 
     t0 = time.perf_counter()
     validation = validate(system)
@@ -341,13 +361,13 @@ def analyze(
     )
     timings["validate"] = time.perf_counter() - t0
 
-    split_spectra: list = []  # (operator, spectrum of its split matrix)
+    split_spectra = _SplitSpectra(system, oracle)
 
     for name in scenarios:
         t0 = time.perf_counter()
         try:
             if name == "unprec":
-                entry = _scenario_unprec(validation, spectrum, tol)
+                entry = _scenario_unprec(validation, spectrum, method, tol)
             elif name == "prec-exact":
                 entry = _scenario_prec_exact(
                     system, validation.c_nullity_k, tol, split_spectra)
@@ -365,7 +385,7 @@ def analyze(
     return report
 
 
-def _scenario_unprec(validation, spectrum, tol) -> dict:
+def _scenario_unprec(validation, spectrum, method, tol) -> dict:
     if validation.extremes is None:
         failed = ", ".join(name for name, ok in validation.definiteness_ok.items() if not ok)
         raise DefinitenessError(f"block extremes unavailable (definiteness fails: {failed})")
@@ -374,7 +394,7 @@ def _scenario_unprec(validation, spectrum, tol) -> dict:
     if spectrum is None:
         entry["containment"] = {"status": "unverified"}
     else:
-        entry["containment"] = _containment_dict(spectrum, bounds, tol)
+        entry["containment"] = _containment_dict(spectrum, bounds, tol, method)
         entry["spectrum_summary"] = _spectrum_summary(spectrum)
     return entry
 
@@ -388,7 +408,7 @@ def _scenario_prec_exact(system, nullity_k, tol, split_spectra) -> dict:
         "intervals": intervals_to_dict(bounds),
         "precond": {"strategy": list(op.strategy)},
     }
-    return _split_verdicts(entry, system, op, bounds, tol, split_spectra)
+    return _split_verdicts(entry, op, bounds, tol, split_spectra)
 
 
 def _scenario_prec_inexact(
@@ -432,38 +452,66 @@ def _scenario_prec_inexact(
         entry["reference_intervals"] = intervals_to_dict(reference)
     if warnings:
         entry["warnings"] = warnings
-    return _split_verdicts(entry, system, approx_op, bounds, tol, split_spectra, reference)
+    return _split_verdicts(entry, approx_op, bounds, tol, split_spectra, reference)
 
 
-def _split_verdicts(entry, system, op, bounds, tol, split_spectra, reference=None) -> dict:
-    """The tail both preconditioned scenarios share: above ``ORACLE_CUTOFF``
-    ``entry`` is marked ``unverified`` and no split matrix is formed;
-    otherwise it gets the split spectrum of ``op``, its summary, and the
-    containment verdicts on that spectrum of ``bounds`` (``unverified`` when
-    None) and of ``reference`` when given.  Returns ``entry``.
+class _SplitSpectra:
+    """The split spectra of one analysis, each taken once: from the modal
+    oracle when the system was recognized and it covers the operator's
+    strategies, else from the dense split matrix up to ``ORACLE_CUTOFF``.
 
-    ``split_spectra`` holds the (operator, spectrum) pairs formed so far in
-    the analysis.  The split matrix of a dense system is a function of the
-    operator's factors alone (:func:`split_preconditioned_matrix`), so an
-    operator whose factors are the very objects of one there takes its
-    spectrum, bit for bit the one it would form.
+    The split matrix of a dense system is a function of the operator's
+    factors alone (:func:`split_preconditioned_matrix`), so an operator
+    whose factors are the very objects of one seen before (an ``exact``
+    ``prec-inexact`` after ``prec-exact``) takes its spectrum, bit for bit
+    the one it would form.
     """
-    if system.total > spectral.ORACLE_CUTOFF:
+
+    def __init__(self, system: DoubleSaddleSystem, oracle: modal.ModalOracle | None):
+        self.system = system
+        self.oracle = oracle
+        self.known: list = []  # (operator, spectrum, method)
+
+    def of(self, op):
+        """(spectrum, method) for ``op``, or None when neither oracle
+        takes it."""
+        for other, values, method in self.known:
+            if all(map(operator.is_, other._factors, op._factors)):
+                return values, method
+        values, method = None, "modal"
+        if self.oracle is not None:
+            values = self.oracle.split_spectrum(op.strategy)
+        if values is None:
+            if self.system.total > spectral.ORACLE_CUTOFF:
+                return None
+            values, method = full_spectrum(
+                split_preconditioned_matrix(self.system, op), overwrite=True), "dense"
+        self.known.append((op, values, method))
+        return values, method
+
+
+def _split_verdicts(entry, op, bounds, tol, split_spectra, reference=None) -> dict:
+    """The tail both preconditioned scenarios share: ``entry`` gets the
+    split spectrum of ``op`` (:class:`_SplitSpectra`), its summary, and the
+    containment verdicts on it of ``bounds`` (``unverified`` when None) and
+    of ``reference`` when given, each naming the oracle that took the
+    spectrum.  When neither oracle takes it (a spectrum the modal oracle
+    does not cover, above ``ORACLE_CUTOFF``) ``entry`` is marked
+    ``unverified`` and no split matrix is formed.  Returns ``entry``.
+    """
+    found = split_spectra.of(op)
+    if found is None:
         entry["containment"] = {"status": "unverified"}
         return entry
-    values = next((known for other, known in split_spectra
-                   if all(map(operator.is_, other._factors, op._factors))), None)
-    if values is None:
-        values = full_spectrum(split_preconditioned_matrix(system, op), overwrite=True)
-        split_spectra.append((op, values))
+    values, method = found
     entry["spectrum"] = values.tolist()
     entry["spectrum_summary"] = _spectrum_summary(values)
     if bounds is not None:
-        entry["containment"] = _containment_dict(values, bounds, tol)
+        entry["containment"] = _containment_dict(values, bounds, tol, method)
     else:
         entry["containment"] = {"status": "unverified"}
     if reference is not None:
-        entry["reference_containment"] = _containment_dict(values, reference, tol)
+        entry["reference_containment"] = _containment_dict(values, reference, tol, method)
     return entry
 
 

@@ -26,8 +26,9 @@ arguments through one input rule, :func:`_kernel_input`.
 One LAPACK layer.  Every dense BLAS and LAPACK call of the oracle and of
 the preconditioners goes through the module-level handles below
 (``_SYEVR``, ``_GESDD``, ``_SYRK``, ``_POTRF``, ``_POTRS``, ``_TRTRS``,
-``_SYGVD``), taken from scipy's OpenBLAS (``scipy.linalg.get_blas_funcs``
-and ``get_lapack_funcs``).  They never go through numpy's OpenBLAS: numpy
+``_SYGVD``, and ``_STERF`` for the modal oracle's tridiagonal spectra),
+taken from scipy's OpenBLAS (``scipy.linalg.get_blas_funcs`` and
+``get_lapack_funcs``).  They never go through numpy's OpenBLAS: numpy
 loads one of its own, and when one analysis alternates between the two,
 each library's worker threads keep spinning after a call and take a core
 from the other's next call.  Nor do they go through the ``scipy.linalg``
@@ -84,6 +85,8 @@ _SYRK = sla.get_blas_funcs("syrk", dtype=np.float64)
 # triangular solve, and the divide-and-conquer symmetric-definite pencil driver
 _POTRF, _POTRS, _TRTRS, _SYGVD = sla.get_lapack_funcs(
     ("potrf", "potrs", "trtrs", "sygvd"), dtype=np.float64)
+# LAPACK's root-free QL/QR eigenvalue routine for a symmetric tridiagonal matrix
+_STERF = sla.get_lapack_funcs("sterf", dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -304,6 +307,17 @@ def _eigvalsh(a: np.ndarray, overwrite: bool = False) -> np.ndarray:
                                  liwork=liwork, overwrite_a=1)
     if info:
         raise ConvergenceError(f"dense symmetric eigensolve failed (LAPACK info {info})")
+    return vals
+
+
+def _tridiagonal_eigvalsh(diagonal: np.ndarray, off_diagonal: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a symmetric tridiagonal matrix, ascending, by one
+    call of ``?sterf``, which overwrites both arrays; it splits the matrix
+    at each zero of ``off_diagonal`` and solves the pieces apart.  A nonzero
+    LAPACK ``info`` raises :class:`ConvergenceError`."""
+    vals, info = _STERF(diagonal, off_diagonal, overwrite_d=1, overwrite_e=1)
+    if info:
+        raise ConvergenceError(f"tridiagonal eigensolve failed (LAPACK info {info})")
     return vals
 
 

@@ -5,10 +5,12 @@ companion-matrix eigenvalues (``np.roots``), singular values from a full
 SVD, preconditioned spectra from a dense generalized eigensolver.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from saddlebounds import (
     BlockExtremes,
@@ -82,6 +84,18 @@ def singular_s1_system() -> DoubleSaddleSystem:
         D=np.zeros((3, 3)),
         E=np.eye(2),
     )
+
+
+def perturbed_entry(system, name, row, col, rel=1e-10) -> DoubleSaddleSystem:
+    """``system`` with entry (row, col) of block ``name`` scaled by 1 + rel;
+    in A, D or E entry (col, row) too, so the block stays symmetric.  A
+    sparse block stays sparse."""
+    block = getattr(system, name)
+    values = block.toarray() if sp.issparse(block) else block.copy()
+    for i, j in {(row, col), (col, row)} if name in "ADE" else {(row, col)}:
+        values[i, j] *= 1 + rel
+    values = sp.csr_array(values) if sp.issparse(block) else values
+    return dataclasses.replace(system, **{name: values})
 
 
 def measured_etas(system) -> tuple[float, float]:

@@ -32,7 +32,7 @@ from saddlebounds.report import (
     solve_rows,
 )
 
-from helpers import random_valid_system, singular_s1_system
+from helpers import perturbed_entry, random_valid_system, singular_s1_system
 
 
 @pytest.fixture()
@@ -281,8 +281,10 @@ class TestOneSemidefiniteRule:
 
 
 def _fem_input(label):
-    if label == "poisson-dist":
+    if label.startswith("poisson-dist"):
         system, fem = poisson_distributed(1 / 8, 1e-3)
+        if label == "poisson-dist-perturbed":  # off the modal oracle's grid
+            system = perturbed_entry(system, "E", 3, 4)
         return system, "pearson-wathen", distributed_context(fem, 1e-3)
     return poisson_boundary(1 / 8, 1e-3), "jacobi", None
 
@@ -386,11 +388,14 @@ class TestOneFactorPerBlock:
     @pytest.mark.parametrize("label, counts", [
         # factors: A and S1 (validate), S2 (the first build_exact; the
         # second reuses it), the mass matrix and the square-completion block;
-        # pencils: the reference (stiffness, mass) pencil and eta_e; split
-        # matrices: prec-exact and prec-inexact, one spectrum each
-        ("poisson-dist", (5, 2, 2)),
+        # pencils: the reference (stiffness, mass) pencil and eta_e; no
+        # split matrix: the modal oracle takes both split spectra
+        ("poisson-dist", (5, 2, 0)),
         # factors: A, S1 and S2; pencils: eta_e (the parent counted 4, 4, 2)
         ("poisson-bnd", (3, 1, 2)),
+        # one entry of E off the grid: the same factors and pencils, and
+        # prec-exact and prec-inexact form one dense split matrix each
+        ("poisson-dist-perturbed", (5, 2, 2)),
     ])
     def test_analyze_counts_factors_eigh_and_split_matrices(
         self, label, counts, monkeypatch

@@ -737,7 +737,7 @@ class TestOneBlasPool:
     costs each library's next threaded call a core."""
 
     _NUMPY_LINALG = ("svd", "eigvalsh", "eigh", "cholesky", "solve", "qr", "inv")
-    _MODULES = ("spectral", "precond", "bounds", "report", "krylov", "system")
+    _MODULES = ("spectral", "precond", "bounds", "report", "krylov", "system", "modal")
 
     @staticmethod
     def _inputs():
