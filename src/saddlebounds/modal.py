@@ -20,22 +20,39 @@ is one call of ``?sterf`` on a 3n tridiagonal matrix whose coupling
 between modes is 0, so LAPACK splits it into the n 3 x 3 blocks
 (:func:`~saddlebounds.spectral._tridiagonal_eigvalsh`).
 
+Everything that feeds the bounds is a min or max over the modes too.  A
+block's extremes are those of its mode values, and those of the singular
+values of B and C of |b| and |c|.  The Schur complements have the mode
+values s1 = d + b^2/a and s2 = e + c^2/s1, the Grams B A^-1 B^T and
+C S1^-1 C^T the values b^2/a and c^2/s1, and the stacks of the kernel
+conditions the singular values sqrt(a^2 + b^2), sqrt(b^2 + d^2 + c^2) and
+sqrt(c^2 + e^2).  So :meth:`ModalOracle.validation` measures what
+:func:`~saddlebounds.spectral.validate` measures, and the same rules
+judge it (:func:`~saddlebounds.spectral._judged`).  A covered
+preconditioner's equivalence constants are the min and max over the modes
+of the exact block's value over the approximation's, eta_D and eta_E the
+max of d / (b^2/a) and of e / (c^2/s1), and a context's reference ratio
+beta / min(k/m)^2.
+
 :func:`recognize` trusts no label: it checks the system's stored entries
 against regenerated M and K, and it never raises.  Anything it does not
-recognize, and any strategy :meth:`ModalOracle.split_spectrum` does not
-cover, is left to the dense oracle.
+recognize, and any strategy :meth:`ModalOracle.covers` does not cover, is
+left to the dense oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import spectral
-from .precond import PoissonControlContext, _scale_factor
+from .bounds import Interval
+from .precond import PoissonControlContext, _reference_ratio, _scale_factor
+from .spectral import ValidationReport
 from .system import DoubleSaddleSystem
 
 # a block equals s M + t K when every stored entry is within this many
@@ -62,13 +79,18 @@ class ModalOracle:
         a, b, c, d, e = self.blocks
         return _direct_sum_eigvalsh((a, -d, e), (b, c))
 
+    def covers(self, strategies) -> bool:
+        """Whether the preconditioner P that ``strategies`` build on this
+        system (and context) is covered: ``exact`` and ``scaled:<t>`` at
+        any position, ``pearson-wathen`` (with a recognized context) and
+        ``drop-term`` at the tail, and every mode value of P positive and
+        finite."""
+        return self._preconditioner(strategies) is not None
+
     def split_spectrum(self, strategies) -> np.ndarray | None:
         """The spectrum of P^-1 K, ascending, for the preconditioner P that
-        ``strategies`` build on this system (and context), or None when a
-        strategy is not covered or a mode value of P is not positive and
-        finite.  Covered: ``exact`` and ``scaled:<t>`` at any position,
-        ``pearson-wathen`` (with a recognized context) and ``drop-term``
-        at the tail."""
+        ``strategies`` build, or None when they are not covered
+        (:meth:`covers`)."""
         scales = self._preconditioner(strategies)
         if scales is None:
             return None
@@ -77,20 +99,80 @@ class ModalOracle:
         return _direct_sum_eigvalsh((a / p0, -d / p1, e / p2),
                                     (b / np.sqrt(p0 * p1), c / np.sqrt(p1 * p2)))
 
-    def _preconditioner(self, strategies):
-        """The mode values (p0, p1, p2) of the preconditioner's blocks."""
+    def validation(self) -> ValidationReport:
+        """What :func:`~saddlebounds.spectral.validate` reports, measured on
+        the mode values and judged by the same rules."""
+        a, b, c, d, e = self.blocks
+
+        def schur_ranges():
+            _, s1, _, s2 = self._schur
+            yield _range(s1)
+            yield _range(s2)
+
+        stacks = (lambda: np.hypot(a, b), lambda: np.sqrt(b * b + d * d + c * c),
+                  lambda: np.hypot(c, e))
+        return spectral._judged((a.size,) * 3, _range(a), np.abs(b), np.abs(c),
+                                _range(d), _range(e), stacks, schur_ranges())
+
+    def equivalence(self, strategies) -> list[Interval] | None:
+        """The equivalence interval of each block of the preconditioner
+        that ``strategies`` build, the min and max over the modes of the
+        exact block's value over the approximation's, or None when they are
+        not covered (:meth:`covers`)."""
+        scales = self._preconditioner(strategies)
+        if scales is None:
+            return None
+        ratios = [exact / scale for exact, scale in zip(self._exact, scales)]
+        return [Interval(float(r.min()), float(r.max())) for r in ratios]
+
+    def etas(self, b_full_row_rank: bool, c_full_row_rank: bool) -> tuple[float, float]:
+        """eta_D and eta_E, max d / (b^2/a) and max e / (c^2/s1) over the
+        modes, by the rule of
+        :func:`~saddlebounds.spectral.regularization_ratio`, which takes
+        the row-rank verdicts of the validation."""
+        d, e = self.blocks[3:]
+        gram_b, _, gram_c, _ = self._schur
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (spectral._ratio(not d.any(), b_full_row_rank, lambda: (d / gram_b).max()),
+                    spectral._ratio(not e.any(), c_full_row_rank, lambda: (e / gram_c).max()))
+
+    def reference_ratio(self) -> float | None:
+        """The context's
+        :meth:`~saddlebounds.precond.PoissonControlContext.reference_regularization_ratio`
+        from the generalized eigenvalues k/m of (K, M), or None without a
+        recognized context."""
+        if self.context_beta is None:
+            return None
+        return _reference_ratio(self.context_beta, self.stiffness / self.mass)
+
+    @cached_property
+    def _schur(self) -> tuple[np.ndarray, ...]:
+        """The mode values of the Gram B A^-1 B^T, of S1 = D + B A^-1 B^T,
+        of the Gram C S1^-1 C^T and of S2 = E + C S1^-1 C^T."""
         a, b, c, d, e = self.blocks
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            s1 = d + b * b / a
-            exact = (a, s1, e + c * c / s1)
+            gram_b = b * b / a
+            s1 = d + gram_b
+            gram_c = c * c / s1
+            return gram_b, s1, gram_c, e + gram_c
+
+    @property
+    def _exact(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The mode values of the exact preconditioner's blocks A, S1, S2."""
+        _, s1, _, s2 = self._schur
+        return self.blocks[0], s1, s2
+
+    def _preconditioner(self, strategies):
+        """The mode values (p0, p1, p2) of the preconditioner's blocks."""
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             scales = []
-            for position, (name, block) in enumerate(zip(strategies, exact)):
+            for position, (name, block) in enumerate(zip(strategies, self._exact)):
                 if name == "exact":
                     scales.append(block)
                 elif name.startswith("scaled:"):
                     scales.append(_scale_factor(name) * block)
                 elif position == 2 and name == "drop-term":
-                    scales.append(e)
+                    scales.append(self.blocks[4])
                 elif (position == 2 and name == "pearson-wathen"
                       and self.context_beta is not None):
                     shifted = self.mass + math.sqrt(self.context_beta) * self.stiffness
@@ -141,6 +223,11 @@ def recognize(
     return ModalOracle(
         blocks=tuple(s * mass + t * stiffness for s, t in roles),
         mass=mass, stiffness=stiffness, context_beta=beta)
+
+
+def _range(values: np.ndarray) -> tuple[float, float]:
+    """The smallest and largest mode value: a block's eigen-range."""
+    return float(values.min()), float(values.max())
 
 
 def _stored(block) -> int:

@@ -92,8 +92,10 @@ class PoissonControlContext:
     weight, finite and positive (:class:`ParameterError`).  The
     square-completion approximation of the tail Schur complement and the
     reference regularization-ratio constant used when reporting inexact
-    bounds for this problem family both live here; both are dense oracle
-    quantities and densify sparse matrices.
+    bounds for this problem family both live here.  Both are dense
+    quantities and densify sparse matrices; a system and context the modal
+    oracle recognizes take them from mode values instead
+    (:class:`~saddlebounds.modal.ModalOracle`).
     """
 
     mass: np.ndarray | sp.csr_array
@@ -128,8 +130,14 @@ class PoissonControlContext:
         beta, and ``inf`` when some mu is zero.
         """
         mu = spectral._pencil_eigvalsh(_dense(self.stiffness), _dense(self.mass), "mass")
-        mu2 = float(np.abs(mu).min()) ** 2
-        return self.beta / mu2 if mu2 > 0 else math.inf
+        return _reference_ratio(self.beta, mu)
+
+
+def _reference_ratio(beta: float, mu: np.ndarray) -> float:
+    """beta / min|mu|^2 over the generalized eigenvalues ``mu`` of
+    (stiffness, mass), in any order; ``inf`` when some mu is zero."""
+    mu2 = float(np.abs(mu).min()) ** 2
+    return beta / mu2 if mu2 > 0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -327,11 +335,7 @@ def build_approx(
     """
     if len(strategies) != 3:
         raise ParameterError("need exactly three per-block strategies")
-    p = system.dims[2]
-    if context is not None and context.mass.shape != (p, p):
-        raise StructuralError(
-            f"context mass and stiffness must be {p} x {p} to match block E, "
-            f"got {context.mass.shape}")
+    check_context(context, system.dims[2])
     reads = [_reads_exact(s) for s in strategies]
     reused = [None, None, None]
     if (system.is_sparse and "jacobi" not in strategies[1:]
@@ -368,6 +372,15 @@ def build_approx(
         dims=system.dims,
         _factors=factors,
     )
+
+
+def check_context(context: PoissonControlContext | None, p: int) -> None:
+    """A context, when given, must be p x p, to match block E
+    (:class:`StructuralError`)."""
+    if context is not None and context.mass.shape != (p, p):
+        raise StructuralError(
+            f"context mass and stiffness must be {p} x {p} to match block E, "
+            f"got {context.mass.shape}")
 
 
 def _schur_lu_certified(system: DoubleSaddleSystem, reads: Sequence[bool]) -> bool:

@@ -12,6 +12,7 @@ import json
 import operator
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -35,6 +36,7 @@ from .precond import (
     PoissonControlContext,
     build_approx,
     build_exact,
+    check_context,
     equivalence_constants,
     from_blocks,  # unused here; perfbench's tracer wraps the name in this module
     split_preconditioned_matrix,
@@ -196,9 +198,11 @@ def _spectrum_summary(values: np.ndarray) -> dict:
     return summary
 
 
-def _validation_dict(rep: ValidationReport) -> dict:
+def _validation_dict(rep: ValidationReport, method: str) -> dict:
+    """The validation section; ``method`` names the oracle that measured it."""
     return {
         "ok": rep.ok,
+        "method": method,
         "definiteness_ok": dict(rep.definiteness_ok),
         "kernel_conditions": list(rep.kernel_conditions),
         "schur_definite": list(rep.schur_definite),
@@ -285,31 +289,38 @@ def analyze(
 
     ``scenarios`` picks any of ``unprec``, ``prec-exact``, ``prec-inexact``;
     the last uses ``precond`` to choose the approximation strategy.  Bounds
-    are emitted either way.  Each spectrum they are checked against comes
-    from one of two oracles, which each verified ``containment`` and
-    ``reference_containment`` names as its ``method``:
+    are emitted either way.  Each quantity comes from one of two oracles,
+    which each verified ``containment`` and ``reference_containment``, and
+    ``validation``, names as its ``method``:
 
     * ``modal``: a system on the uniform Q1 grid, recognized from its
-      stored entries before it is densified
-      (:func:`~saddlebounds.modal.recognize`), takes K's spectrum, and the
-      split spectrum of each operator whose strategies the modal oracle
-      covers, from one tridiagonal eigensolve each, at any size;
-    * ``dense``: any other spectrum, up to ``ORACLE_CUTOFF``; above it the
-      verdict is ``unverified`` and no N x N matrix is formed.
+      stored entries (:func:`~saddlebounds.modal.recognize`), takes K's
+      spectrum from one tridiagonal eigensolve at any size.  When its
+      validation, measured on the mode values, passes, it also takes the
+      block extremes and the eta values from them, and for each operator
+      whose strategies the modal oracle covers
+      (:meth:`~saddlebounds.modal.ModalOracle.covers`) the equivalence
+      constants and the split spectrum; no operator is built for those.
+      With a recognized context the reference ratio is a mode value too.
+      Such a system with covered strategies is never densified.
+    * ``dense``: everything else.  An unrecognized system, and each sparse
+      user block, is densified here; a recognized one is densified on the
+      first dense quantity it needs (:class:`_Sources`): its whole
+      validation and everything after it when the modal validation fails,
+      so its verdicts and typed errors are those of the dense path, and
+      else the operators of strategies the modal oracle does not cover
+      (``jacobi``, ``user``), their equivalence constants and split
+      spectra.  A dense spectrum is taken up to ``ORACLE_CUTOFF``; above
+      it the verdict is ``unverified`` and no N x N matrix is formed.
 
-    Everything that feeds the bounds is measured densely whatever the
-    oracle: validation and the block extremes, the Schur pair, the
-    operators, the equivalence constants and the eta values.  A sparse
-    system, and each sparse user block, is densified once, here, after the
-    modal oracle has looked at it: everything below is the dense oracle,
-    which factors each user block once, densely.  The dense Schur pair is
-    built once, in :func:`validate`, and kept by the system
+    On the dense path the Schur pair is built once, by the first reader
+    (:func:`validate` on a dense system), and kept by the system
     (:func:`~saddlebounds.spectral.schur_complements`), so the
-    preconditioner builds and the eta read, which takes its Grams and
-    :func:`validate`'s rank verdicts, get that pair; the dense copy of a
-    sparse system, and its pair, die when the call returns.  K's spectrum
-    is taken before :func:`validate`, so no pair is alive during a dense
-    N x N eigensolve.  Each dense block is factored once: both exact
+    preconditioner builds and the eta read, which takes its Grams and the
+    validation's rank verdicts, get that pair; a dense copy of a sparse
+    system, and its pair, die when the call returns.  K's spectrum is taken
+    before the validation, so no pair is alive during a dense N x N
+    eigensolve.  Each dense block is factored once: both exact
     preconditioners take S2's factor from the pair, and the equivalence
     constants reuse the approximate preconditioner's factors.  The inexact
     bounds use the raw equivalence constants of the approximation as
@@ -332,7 +343,8 @@ def analyze(
         raise ParameterError(f"tol must be finite and non-negative, got {tol}")
     strategies = strategy_tuple(precond) if "prec-inexact" in scenarios else None
     oracle = modal.recognize(system, context)
-    system = system.dense()
+    if oracle is None:
+        system = system.dense()
     if user_blocks is not None:
         user_blocks = [b.toarray() if sp.issparse(b) else b for b in user_blocks]
     # K's spectrum first, so that no Schur pair is alive during its N x N
@@ -348,12 +360,13 @@ def analyze(
     method = "dense" if oracle is None else "modal"
 
     t0 = time.perf_counter()
-    validation = validate(system)
+    sources = _Sources(system, oracle)
+    validation = sources.validation()
     extremes = validation.extremes
     report = AnalysisReport(
         problem=problem or {},
         dims=list(system.dims),
-        validation=_validation_dict(validation),
+        validation=_validation_dict(validation, "dense" if sources.modal is None else "modal"),
         scenarios=[],
         extremes=None if extremes is None else dict(vars(extremes)),
         spectrum=None if spectrum is None else spectrum.tolist(),
@@ -361,20 +374,16 @@ def analyze(
     )
     timings["validate"] = time.perf_counter() - t0
 
-    split_spectra = _SplitSpectra(system, oracle)
-
     for name in scenarios:
         t0 = time.perf_counter()
         try:
             if name == "unprec":
                 entry = _scenario_unprec(validation, spectrum, method, tol)
             elif name == "prec-exact":
-                entry = _scenario_prec_exact(
-                    system, validation.c_nullity_k, tol, split_spectra)
+                entry = _scenario_prec_exact(validation.c_nullity_k, tol, sources)
             else:
                 entry = _scenario_prec_inexact(
-                    system, validation, strategies, context, user_blocks, tol,
-                    split_spectra)
+                    validation, strategies, context, user_blocks, tol, sources)
         except SaddleBoundsError as exc:
             entry = {"name": name, "error": f"{type(exc).__name__}: {exc}"}
         entry["name"] = name
@@ -399,37 +408,39 @@ def _scenario_unprec(validation, spectrum, method, tol) -> dict:
     return entry
 
 
-def _scenario_prec_exact(system, nullity_k, tol, split_spectra) -> dict:
-    op = build_exact(system)
+def _scenario_prec_exact(nullity_k, tol, sources) -> dict:
+    system = sources.system
+    strategies = ("exact", "exact", "exact")
+    op = None if sources.covers(strategies) else build_exact(sources.dense)
     k = nullity_k if (system.d_zero and not system.e_zero) else 0
     bounds = bounds_precond_exact(system.dims, d_zero=system.d_zero, e_zero=system.e_zero,
                                   nullity_k=k)
     entry = {
         "intervals": intervals_to_dict(bounds),
-        "precond": {"strategy": list(op.strategy)},
+        "precond": {"strategy": list(strategies)},
     }
-    return _split_verdicts(entry, op, bounds, tol, split_spectra)
+    return _split_verdicts(entry, strategies, op, bounds, tol, sources)
 
 
-def _scenario_prec_inexact(
-    system, validation, strategies, context, user_blocks, tol, split_spectra,
-) -> dict:
-    exact_op = build_exact(system)
-    approx_op = build_approx(system, strategies, context=context, user_blocks=user_blocks)
-
-    equivalence = [
-        equivalence_constants(exact_block, approx_block, factor)
-        for exact_block, approx_block, factor in zip(
-            exact_op.blocks, approx_op.blocks, approx_op._factors)
-    ]
+def _scenario_prec_inexact(validation, strategies, context, user_blocks, tol, sources) -> dict:
+    system = sources.system
+    if sources.covers(strategies):
+        check_context(context, system.dims[2])
+        op, equivalence = None, sources.modal.equivalence(strategies)
+    else:
+        exact_op = build_exact(sources.dense)
+        op = build_approx(sources.dense, strategies, context=context, user_blocks=user_blocks)
+        equivalence = [
+            equivalence_constants(exact_block, approx_block, factor)
+            for exact_block, approx_block, factor in zip(
+                exact_op.blocks, op.blocks, op._factors)
+        ]
     consts = EquivalenceConstants(*(end for iv in equivalence for end in iv))
-    pair = schur_complements(system)
-    eta_d = regularization_ratio(system.D, pair.gram_b, validation.b_full_row_rank)
-    eta_e = regularization_ratio(system.E, pair.gram_c, validation.c_full_row_rank)
+    eta_d, eta_e = sources.etas(validation)
 
     entry = {
         "precond": {
-            "strategy": list(approx_op.strategy),
+            "strategy": list(strategies),
             "equivalence": [_interval_list(iv) for iv in equivalence],
             "eta_d": _json_float(eta_d),
             "eta_e": _json_float(eta_e),
@@ -447,34 +458,83 @@ def _scenario_prec_inexact(
         entry["intervals"] = None
         warnings.append("eta-not-finite: inexact bounds suppressed")
 
-    reference = _reference_intervals(system, strategies, context, warnings)
+    reference = _reference_intervals(strategies, context, warnings, sources)
     if reference is not None:
         entry["reference_intervals"] = intervals_to_dict(reference)
     if warnings:
         entry["warnings"] = warnings
-    return _split_verdicts(entry, approx_op, bounds, tol, split_spectra, reference)
+    return _split_verdicts(entry, strategies, op, bounds, tol, sources, reference)
 
 
-class _SplitSpectra:
-    """The split spectra of one analysis, each taken once: from the modal
-    oracle when the system was recognized and it covers the operator's
-    strategies, else from the dense split matrix up to ``ORACLE_CUTOFF``.
+class _Sources:
+    """Where one analysis takes each quantity that feeds its bounds and
+    verdicts, each taken once.
 
-    The split matrix of a dense system is a function of the operator's
-    factors alone (:func:`split_preconditioned_matrix`), so an operator
-    whose factors are the very objects of one seen before (an ``exact``
-    ``prec-inexact`` after ``prec-exact``) takes its spectrum, bit for bit
-    the one it would form.
+    ``system`` is the system as given when the modal oracle recognized it,
+    else its dense copy; ``dense`` is the dense copy, made on first use, so
+    a recognized system that needs no dense quantity is never densified.
+    ``modal`` is the modal oracle once its validation has passed, else
+    None: then it also takes the eta values, the reference ratio of a
+    recognized context, and the equivalence constants and split spectrum of
+    each covered operator, which is never built.
+
+    A split spectrum is taken from the modal oracle for covered strategies,
+    or, for an operator that was built, from the modal oracle when the
+    system was recognized and it covers the operator's strategies, else
+    from the dense split matrix up to ``ORACLE_CUTOFF``.  The split matrix
+    of a dense system is a function of the operator's factors alone
+    (:func:`split_preconditioned_matrix`), so an operator whose factors are
+    the very objects of one seen before (an ``exact`` ``prec-inexact``
+    after ``prec-exact``) takes its spectrum, bit for bit the one it would
+    form.
     """
 
     def __init__(self, system: DoubleSaddleSystem, oracle: modal.ModalOracle | None):
         self.system = system
         self.oracle = oracle
+        self.modal: modal.ModalOracle | None = None
+        self.modal_spectra: dict = {}  # strategies -> (spectrum, "modal")
         self.known: list = []  # (operator, spectrum, method)
 
-    def of(self, op):
-        """(spectrum, method) for ``op``, or None when neither oracle
-        takes it."""
+    @cached_property
+    def dense(self) -> DoubleSaddleSystem:
+        return self.system.dense()
+
+    def validation(self) -> ValidationReport:
+        """The modal validation when it passes, else the dense one."""
+        if self.oracle is not None:
+            report = self.oracle.validation()
+            if report.ok:
+                self.modal = self.oracle
+                return report
+        return validate(self.dense)
+
+    def covers(self, strategies) -> bool:
+        """Whether the modal oracle takes the operator ``strategies`` build."""
+        return self.modal is not None and self.modal.covers(strategies)
+
+    def etas(self, validation: ValidationReport) -> tuple[float, float]:
+        """eta_D and eta_E, which take the validation's row-rank verdicts."""
+        ranks = validation.b_full_row_rank, validation.c_full_row_rank
+        if self.modal is not None:
+            return self.modal.etas(*ranks)
+        pair = schur_complements(self.dense)
+        return (regularization_ratio(self.dense.D, pair.gram_b, ranks[0]),
+                regularization_ratio(self.dense.E, pair.gram_c, ranks[1]))
+
+    def reference_ratio(self, context: PoissonControlContext) -> float:
+        ratio = None if self.modal is None else self.modal.reference_ratio()
+        return context.reference_regularization_ratio() if ratio is None else ratio
+
+    def split(self, strategies, op):
+        """(spectrum, method) of the split matrix of ``op``, or of the
+        covered ``strategies`` when ``op`` is None; None when neither
+        oracle takes it."""
+        if op is None:
+            if strategies not in self.modal_spectra:
+                self.modal_spectra[strategies] = (
+                    self.modal.split_spectrum(strategies), "modal")
+            return self.modal_spectra[strategies]
         for other, values, method in self.known:
             if all(map(operator.is_, other._factors, op._factors)):
                 return values, method
@@ -485,21 +545,22 @@ class _SplitSpectra:
             if self.system.total > spectral.ORACLE_CUTOFF:
                 return None
             values, method = full_spectrum(
-                split_preconditioned_matrix(self.system, op), overwrite=True), "dense"
+                split_preconditioned_matrix(self.dense, op), overwrite=True), "dense"
         self.known.append((op, values, method))
         return values, method
 
 
-def _split_verdicts(entry, op, bounds, tol, split_spectra, reference=None) -> dict:
+def _split_verdicts(entry, strategies, op, bounds, tol, sources, reference=None) -> dict:
     """The tail both preconditioned scenarios share: ``entry`` gets the
-    split spectrum of ``op`` (:class:`_SplitSpectra`), its summary, and the
-    containment verdicts on it of ``bounds`` (``unverified`` when None) and
-    of ``reference`` when given, each naming the oracle that took the
+    split spectrum of ``op``, or of the covered ``strategies`` when ``op``
+    is None (:meth:`_Sources.split`), its summary, and the containment
+    verdicts on it of ``bounds`` (``unverified`` when None) and of
+    ``reference`` when given, each naming the oracle that took the
     spectrum.  When neither oracle takes it (a spectrum the modal oracle
     does not cover, above ``ORACLE_CUTOFF``) ``entry`` is marked
     ``unverified`` and no split matrix is formed.  Returns ``entry``.
     """
-    found = split_spectra.of(op)
+    found = sources.split(strategies, op)
     if found is None:
         entry["containment"] = {"status": "unverified"}
         return entry
@@ -515,16 +576,18 @@ def _split_verdicts(entry, op, bounds, tol, split_spectra, reference=None) -> di
     return entry
 
 
-def _reference_intervals(system, strategies, context, warnings: list):
+def _reference_intervals(strategies, context, warnings: list, sources):
     """Published-recipe intervals for the distributed-control square-completion
     preconditioner: guaranteed equivalence constants plus the reference
-    regularization-ratio scale of the problem family.  A reference ratio
-    that is not finite (the context's stiffness has a zero generalized
-    eigenvalue) gives no intervals and appends a warning to ``warnings``."""
+    regularization-ratio scale of the problem family
+    (:meth:`_Sources.reference_ratio`).  A reference ratio that is not
+    finite (the context's stiffness has a zero generalized eigenvalue)
+    gives no intervals and appends a warning to ``warnings``."""
+    system = sources.system
     if (context is None or strategies[2] != "pearson-wathen" or not system.d_zero
             or system.e_zero):
         return None
-    eta_e = context.reference_regularization_ratio()
+    eta_e = sources.reference_ratio(context)
     if not np.isfinite(eta_e):
         warnings.append("reference-eta-not-finite: reference intervals suppressed")
         return None

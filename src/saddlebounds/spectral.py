@@ -15,11 +15,12 @@ copy of S1, see :func:`schur_diagonals`), the pivot-free symmetric sparse
 LU that factors every sparse SPD block, the regularization ratio (largest
 generalized eigenvalue of a regularization block against its coupling
 Gram) that drives the inexact-preconditioner bounds, and
-:func:`validate`, which checks
-the hypotheses of the bounds with these same kernels on the densified
-system.  The symmetric kernels take a symmetric matrix as given: system
-blocks are made exactly symmetric when the system is built, and the
-matrices formed here are symmetric by construction.  Every public kernel
+:func:`validate`, which checks the hypotheses of the bounds with these
+same kernels on the densified system and judges what it measured by the
+rules of :func:`_judged`, which the modal oracle's validation shares.
+The symmetric kernels take a symmetric matrix as given: system blocks are
+made exactly symmetric when the system is built, and the matrices formed
+here are symmetric by construction.  Every public kernel
 (and :func:`~saddlebounds.precond.equivalence_constants`) takes its matrix
 arguments through one input rule, :func:`_kernel_input`.
 
@@ -132,11 +133,11 @@ class BlockExtremes:
 
     @classmethod
     def _measured(cls, mu_a, svals_b, svals_c, mu_d, mu_e) -> "BlockExtremes":
-        """Extremes from the eigen-ranges of A, D, E and the descending singular
-        values of B, C.  Semidefinite blocks may report tiny negative minima
-        from round-off; a minimum that :func:`validate`'s semidefiniteness
-        rule accepts is clamped to zero, and any other negative one is kept,
-        so it raises.
+        """Extremes from the eigen-ranges of A, D, E and the singular values
+        of B, C, in any order.  Semidefinite blocks may report tiny negative
+        minima from round-off; a minimum that :func:`validate`'s
+        semidefiniteness rule accepts is clamped to zero, and any other
+        negative one is kept, so it raises.
         """
 
         def clamp(pair):
@@ -145,8 +146,8 @@ class BlockExtremes:
                 lo = 0.0
             return lo, max(hi, lo)
 
-        return cls(*mu_a, float(svals_b[-1]), float(svals_b[0]),
-                   float(svals_c[-1]), float(svals_c[0]), *clamp(mu_d), *clamp(mu_e))
+        return cls(*mu_a, float(svals_b.min()), float(svals_b.max()),
+                   float(svals_c.min()), float(svals_c.max()), *clamp(mu_d), *clamp(mu_e))
 
     def without_regularization(self) -> "BlockExtremes":
         return replace(self, mu_min_d=0.0, mu_max_d=0.0, mu_min_e=0.0, mu_max_e=0.0)
@@ -374,7 +375,8 @@ def below_rank_tol(sigma, sigma_max: float):
 
 
 def _rank(svals: np.ndarray) -> int:
-    return svals.size - int(np.count_nonzero(below_rank_tol(svals, float(svals[0]))))
+    """The number of singular values, in any order, that count as nonzero."""
+    return svals.size - int(np.count_nonzero(below_rank_tol(svals, float(svals.max()))))
 
 
 def extremal_svals(matrix) -> tuple[float, float]:
@@ -630,15 +632,24 @@ def regularization_ratio(reg, gram: np.ndarray, full_row_rank: bool) -> float:
     ``inf``, as does a Gram that is not positive definite in floating point.
     """
     reg = _dense(reg)
-    if not np.any(reg):
+    return _ratio(not np.any(reg), full_row_rank,
+                  lambda: _pencil_eigvalsh(reg, gram, "gram")[-1])
+
+
+def _ratio(reg_zero: bool, full_row_rank: bool, largest) -> float:
+    """The eta rule both oracles share: 0.0 for a regularization block that
+    stores no nonzero, ``inf`` for a coupling not of full row rank or a
+    ``largest`` generalized eigenvalue that raises :class:`DefinitenessError`
+    (the Gram is singular), else ``largest()`` clamped at 0."""
+    if reg_zero:
         return 0.0
     if not full_row_rank:
         return float("inf")
     try:
-        vals = _pencil_eigvalsh(reg, gram, "gram")
-    except DefinitenessError:  # the Gram is singular
+        top = largest()
+    except DefinitenessError:
         return float("inf")
-    return max(float(vals[-1]), 0.0)
+    return max(float(top), 0.0)
 
 
 def _pencil_eigvalsh(a: np.ndarray, b: np.ndarray, label: str) -> np.ndarray:
@@ -665,37 +676,63 @@ def _semidefinite(eig_range: tuple[float, float]) -> bool:
     return bool(lo >= -SYM_TOL * max(abs(lo), abs(hi), _TINY))
 
 
-def _full_column_rank(stacked: np.ndarray) -> bool:
-    return _rank(_singular_values(stacked)) == stacked.shape[1]
-
-
 def validate(system: DoubleSaddleSystem) -> ValidationReport:
-    """Run every structural invariant check and report the outcome.
+    """Run every structural invariant check and report the outcome: the
+    dense measurements, judged by :func:`_judged`.
 
     A, D and E are exactly symmetric by construction of the system, so
     symmetry is not checked again, and the eigensolves read one triangle
     of each block; a D or E that stores no nonzero has extremes (0, 0)
-    without one (:func:`extremal_eigs`).  Definiteness is judged relative
-    to ``SYM_TOL``, ranks by singular values above ``RANK_TOL`` times the
-    largest one; the nullity of C^T is p - rank(C).  A kernel condition
-    whose top block is injective (A definite, B or C of full row rank)
-    holds without a rank test of the stack.  The (B, C) row-rank verdicts
-    are the only ranks of the couplings an analysis measures; the
-    regularization ratios take them (:func:`regularization_ratio`).  S1 and
-    S2 come from :func:`schur_complements`, so on a dense system this
-    builds the pair that the system keeps and every later reader gets (S2's
-    factor included, formed by the first preconditioner that reads it).
-    The eigen-ranges and singular values measured here also give
-    ``extremes``.  A sparse system is checked on a fresh
-    :meth:`~saddlebounds.system.DoubleSaddleSystem.dense` copy, whose pair
-    dies with it.
+    without one (:func:`extremal_eigs`).  The singular values of a
+    kernel-condition stack are measured only when :func:`_judged` reads
+    them.  The (B, C) singular values are the only ones of the couplings an
+    analysis measures; the regularization ratios take the rank verdicts
+    (:func:`regularization_ratio`).  S1 and S2 come from
+    :func:`schur_complements`, so on a dense system this builds the pair
+    that the system keeps and every later reader gets (S2's factor
+    included, formed by the first preconditioner that reads it); a failed
+    build reads as neither complement definite.  A sparse system is checked
+    on a fresh :meth:`~saddlebounds.system.DoubleSaddleSystem.dense` copy,
+    whose pair dies with it.  A system the modal oracle recognizes is
+    measured from its mode values instead
+    (:meth:`~saddlebounds.modal.ModalOracle.validation`).
     """
     system = system.dense()
     A, B, C, D, E = system.A, system.B, system.C, system.D, system.E
-    _, m, p = system.dims
+
+    def schur_ranges():
+        pair = schur_complements(system)
+        yield extremal_eigs(pair.s1)
+        yield extremal_eigs(pair.s2)
 
     mu_a, mu_d, mu_e = extremal_eigs(A), extremal_eigs(D), extremal_eigs(E)
     svals_b, svals_c = _singular_values(B), _singular_values(C)
+    stacks = ((A, B), (B.T, D, C), (C.T, E))
+    return _judged(
+        system.dims, mu_a, svals_b, svals_c, mu_d, mu_e,
+        [lambda blocks=blocks: _singular_values(np.vstack(blocks)) for blocks in stacks],
+        schur_ranges())
+
+
+def _judged(dims, mu_a, svals_b, svals_c, mu_d, mu_e, stack_svals,
+            schur_ranges) -> ValidationReport:
+    """The judgement of :func:`validate`, one home for each rule whichever
+    oracle measured: the eigen-ranges of A, D and E, the singular values of
+    B and C in any order, ``stack_svals``, three callables that give those
+    of the kernel-condition stacks [A; B], [B^T; D; C] and [C^T; E], and
+    ``schur_ranges``, an iterator over the eigen-ranges of S1 and S2 whose
+    first step raises :class:`DefinitenessError` when S1 cannot be formed.
+
+    Definiteness is judged relative to ``SYM_TOL`` (:func:`_definite`,
+    :func:`_semidefinite`), ranks by :func:`below_rank_tol`; the nullity of
+    C^T is p - rank(C).  A kernel condition whose top block is injective (A
+    definite, B or C of full row rank) holds without its stack, and the
+    Schur ranges are read only as far as needed: S1 only for a definite A,
+    S2 only for a definite S1.  The measurements also give ``extremes``
+    (:meth:`BlockExtremes._measured`), ``None`` when they are not
+    admissible.
+    """
+    n, m, p = dims
     try:
         extremes = BlockExtremes._measured(mu_a, svals_b, svals_c, mu_d, mu_e)
     except ParameterError:
@@ -708,20 +745,19 @@ def validate(system: DoubleSaddleSystem) -> ValidationReport:
     c_full_row_rank = rank_c == p
 
     kernel_conditions = (
-        a_pd or _full_column_rank(np.vstack([A, B])),
-        b_full_row_rank or _full_column_rank(np.vstack([B.T, D, C])),
-        c_full_row_rank or _full_column_rank(np.vstack([C.T, E])),
+        a_pd or _rank(stack_svals[0]()) == n,
+        b_full_row_rank or _rank(stack_svals[1]()) == m,
+        c_full_row_rank or _rank(stack_svals[2]()) == p,
     )
 
     s1_pd = s2_pd = False
     if a_pd:
         try:
-            pair = schur_complements(system)
+            s1_pd = _definite(next(schur_ranges))
         except DefinitenessError:
             pass
         else:
-            s1_pd = _definite(extremal_eigs(pair.s1))
-            s2_pd = s1_pd and _definite(extremal_eigs(pair.s2))
+            s2_pd = s1_pd and _definite(next(schur_ranges))
 
     return ValidationReport(
         definiteness_ok=definiteness_ok,

@@ -34,6 +34,41 @@ def _dist(h, context_beta=BETA):
     return system, distributed_context(fem, context_beta)
 
 
+def _dense_report(monkeypatch, system, scenarios, cutoff=None, **kwargs):
+    """``analyze`` on the dense path alone: the modal oracle recognizes
+    nothing, and with ``cutoff`` the dense oracle takes no spectrum above it."""
+    with monkeypatch.context() as patch:
+        patch.setattr(modal_mod, "recognize", lambda *args: None)
+        if cutoff is not None:
+            patch.setattr(spectral_mod, "ORACLE_CUTOFF", cutoff)
+        return analyze(system, scenarios, **kwargs)
+
+
+def _close(got, want, rel=1e-10):
+    """Equal nested values, floats within ``rel`` relative."""
+    if isinstance(want, float):
+        return isinstance(got, float) and abs(got - want) <= rel * abs(want)
+    if isinstance(want, (list, tuple)):
+        return len(got) == len(want) and all(map(_close, got, want))
+    if isinstance(want, dict):
+        return got.keys() == want.keys() and all(_close(got[k], want[k]) for k in want)
+    return got == want
+
+
+def _same_bound_inputs(modal, dense):
+    """The modal report's validation, extremes, equivalence constants, eta
+    values and every interval those of the dense report: booleans, ranks
+    and warnings equal, floats within 1e-10 relative."""
+    validation = dict(modal.validation)
+    assert (validation.pop("method"), dense.validation["method"]) == ("modal", "dense")
+    assert validation == {k: v for k, v in dense.validation.items() if k != "method"}
+    assert _close(modal.extremes, dense.extremes)
+    assert len(modal.scenarios) == len(dense.scenarios)
+    for got, want in zip(modal.scenarios, dense.scenarios):
+        for key in ("precond", "intervals", "reference_intervals", "warnings", "error"):
+            assert _close(got.get(key), want.get(key)), (got["name"], key)
+
+
 def _methods(report) -> dict:
     return {(entry["name"], key): entry[key].get("method")
             for entry in report.scenarios
@@ -86,6 +121,100 @@ class TestModalAgainstDense:
             op = build_approx(system, strategies or tuple(entry["precond"]["strategy"]))
             _same_verdicts(entry, entry["spectrum"],
                            full_spectrum(split_preconditioned_matrix(system, op)))
+
+
+class TestModalBoundInputs:
+    """Validation, extremes, equivalence constants, eta and the reference
+    ratio from the mode values, against the dense path's."""
+
+    @pytest.mark.parametrize("h", [1 / 8, 1 / 16, 1 / 24, 1 / 32])
+    def test_against_the_dense_path(self, h, monkeypatch):
+        # the dense run takes no spectrum: only what feeds the bounds is compared
+        for i, (precond, context_beta) in enumerate(TestModalAgainstDense.CASES):
+            system, context = _dist(h, context_beta)
+            scenarios = SCENARIOS if i == 0 else ("prec-inexact",)
+            modal = analyze(system, scenarios, precond=precond, context=context)
+            assert modal.passed and set(_methods(modal).values()) == {"modal"}
+            dense = _dense_report(monkeypatch, system, scenarios, cutoff=0,
+                                  precond=precond, context=context)
+            _same_bound_inputs(modal, dense)
+            oracle = modal_mod.recognize(system, context)
+            assert _close(oracle.reference_ratio(), context.reference_regularization_ratio())
+
+    @pytest.mark.parametrize("precond", ["exact", "scaled:2", "drop-term"])
+    @pytest.mark.parametrize("d_block", ["M", "K"])
+    def test_every_block_nonzero(self, precond, d_block, monkeypatch):
+        # D = 0.01 M, whose d / (b^2/a) is the same in every mode, and
+        # D = 0.01 K, whose is not: a nonzero eta_d
+        system, _ = _dist(1 / 16)
+        d = 0.01 * (system.E if d_block == "M" else system.C)
+        system = DoubleSaddleSystem(system.A, system.B, system.C, d, system.E)
+        modal = analyze(system, SCENARIOS, precond=precond)
+        dense = _dense_report(monkeypatch, system, SCENARIOS, cutoff=0, precond=precond)
+        assert modal.scenarios[2]["precond"]["eta_d"] > 0
+        _same_bound_inputs(modal, dense)
+
+    def test_a_rank_deficient_coupling_gives_the_dense_verdicts(self, monkeypatch):
+        # C = K - (k_11 / m_11) M: the mode value c_11 is zero up to round-off
+        system, context = _dist(1 / 8)
+        mass, stiffness = modal_mod._mode_values(7)
+        system = DoubleSaddleSystem(system.A, system.B,
+                                    system.C - stiffness[0] / mass[0] * system.E,
+                                    system.D, system.E)
+        assert modal_mod.recognize(system, context) is not None
+        modal = analyze(system, SCENARIOS, precond="pearson-wathen", context=context)
+        dense = _dense_report(monkeypatch, system, SCENARIOS, precond="pearson-wathen",
+                              context=context)
+        assert modal.validation["method"] == "modal"
+        assert modal.validation["c_nullity_k"] == 1
+        assert {k: v for k, v in modal.validation.items() if k != "method"} == {
+            k: v for k, v in dense.validation.items() if k != "method"}
+        assert _verdicts(modal) == _verdicts(dense)
+        assert modal.scenarios[2]["precond"]["eta_e"] == "inf"
+
+    def test_jacobi_keeps_modal_validation_and_a_dense_split(self, monkeypatch):
+        system, context = _dist(1 / 8)
+        modal = analyze(system, SCENARIOS, precond="jacobi", context=context)
+        dense = _dense_report(monkeypatch, system, SCENARIOS, precond="jacobi",
+                              context=context)
+        assert modal.validation["method"] == "modal"
+        assert _methods(modal)[("prec-inexact", "containment")] == "dense"
+        _same_bound_inputs(modal, dense)
+        assert _verdicts(modal) == _verdicts(dense)
+
+    def test_a_failed_modal_validation_takes_the_dense_path(self):
+        # A = -beta M is recognized but not definite: the dense validation
+        # and its typed errors, as for any other system
+        system, context = _dist(1 / 8)
+        negative = DoubleSaddleSystem(-system.A, system.B, system.C, system.D, system.E)
+        assert not modal_mod.recognize(negative, context).validation().ok
+        report = analyze(negative, SCENARIOS, precond="pearson-wathen", context=context)
+        assert report.validation["method"] == "dense" and not report.validation["ok"]
+        errors = [entry.get("error") for entry in report.scenarios]
+        assert errors[0].startswith("DefinitenessError: block extremes unavailable")
+        assert errors[1] == "DefinitenessError: leading block is not positive definite"
+
+    def test_a_context_of_the_wrong_shape_raises_for_every_strategy(self):
+        system, _ = _dist(1 / 8)
+        wrong = PoissonControlContext(np.eye(4), np.eye(4), BETA)
+        (entry,) = analyze(system, ("prec-inexact",), precond="exact",
+                           context=wrong).scenarios
+        assert entry["error"].startswith(
+            "StructuralError: context mass and stiffness must be 49 x 49")
+
+
+def _verdicts(report) -> dict:
+    """Every status, count and inertia of a report."""
+    out = {}
+    for entry in report.scenarios:
+        for key in ("containment", "reference_containment"):
+            if key in entry:
+                out[entry["name"], key] = entry[key]["status"]
+        if "spectrum_summary" in entry:
+            summary = entry["spectrum_summary"]
+            out[entry["name"], "summary"] = (summary["count"], summary["inertia"])
+        out[entry["name"], "error"] = entry.get("error")
+    return out
 
 
 def _same_verdicts(entry, spectrum, dense):
@@ -219,22 +348,30 @@ class TestFallback:
         assert entry["error"] == "DefinitenessError: second-schur block is not positive definite"
 
 
-def test_recognized_analyze_eigensolves_no_matrix_above_n(monkeypatch):
+def test_recognized_pearson_wathen_analyze_makes_no_dense_call(monkeypatch):
+    # no dense eigensolve, SVD, pencil, factor or split matrix, and no
+    # dense copy of the system
     system, context = _dist(1 / 8)
-    n = system.dims[0]
-    sizes = []
+    calls = []
 
-    def spy(a, *args, **kwargs):
-        sizes.append(a.shape[0])
-        return original(a, *args, **kwargs)
+    def spy(owner, name):
+        original = getattr(owner, name)
 
-    original = spectral_mod._eigvalsh
-    monkeypatch.setattr(spectral_mod, "_eigvalsh", spy)
-    monkeypatch.setattr(precond_mod, "_eigvalsh", spy)
-    for precond in ("exact", "pearson-wathen"):
-        report = analyze(system, SCENARIOS, precond=precond, context=context)
-        assert report.passed
-    assert sizes and max(sizes) <= n
+        def run(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, run)
+
+    for name in ("_eigvalsh", "_singular_values", "_pencil_eigvalsh", "_cho"):
+        spy(spectral_mod, name)
+    spy(precond_mod, "_eigvalsh")
+    spy(report_mod, "split_preconditioned_matrix")
+    spy(DoubleSaddleSystem, "dense")
+    report = analyze(system, SCENARIOS, precond="pearson-wathen", context=context)
+    assert report.passed and report.validation["method"] == "modal"
+    assert set(_methods(report).values()) == {"modal"}
+    assert calls == []
 
 
 def test_the_cutoff_gates_only_the_dense_oracle(monkeypatch, tmp_path):
